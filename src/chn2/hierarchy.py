@@ -12,18 +12,13 @@ single pair remains.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Metric, sq_dist_many
 from .pointprocess import Sample
 from .spatial_index import NnIndex
-
-D = "d"
-DELTA = "delta"
-_KIND_CODE = {D: 0, DELTA: 1}
-_KIND_NAME = {0: D, 1: DELTA}
 
 SINGLE_PAIR = "single_pair"
 MAX_LEVELS = "max_levels"
@@ -36,12 +31,6 @@ class StructureError(RuntimeError):
 
 class HierarchyError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class EdgeTag:
-    kind: str
-    level: int
 
 
 def functional_structure(succ):
@@ -95,38 +84,28 @@ def functional_structure(succ):
 
 @dataclass(frozen=True)
 class LevelGraph:
-    """One level of the hierarchy: a total successor map with edge tags."""
+    """One level of the hierarchy: a total successor map and its 2-cycles."""
 
     level: int
     successor: np.ndarray
-    tag_kind: np.ndarray
-    tag_level: np.ndarray
-    component_id: np.ndarray
     cycles: tuple
 
     @classmethod
-    def from_successors(cls, level, successor, tag_kind, tag_level):
+    def from_successors(cls, level, successor):
         successor = np.asarray(successor, dtype=np.int64)
         n = successor.size
-        if n == 0 or np.any(successor < 0) or np.any(successor >= n):
+        if successor.ndim != 1 or n == 0 or np.any(successor < 0) or np.any(successor >= n):
             raise StructureError("successor map must be total")
         if np.any(successor == np.arange(n)):
             raise StructureError("self-loops are not allowed")
-        component_id, cycles, _ = functional_structure(successor)
+        _, cycles, _ = functional_structure(successor)
         for cyc in cycles:
             if len(cyc) != 2:
                 raise StructureError(
                     f"level {level}: component cycle {cyc} has length {len(cyc)}, expected 2"
                 )
         norm = tuple((min(c), max(c)) for c in cycles)
-        return cls(
-            level=level,
-            successor=successor,
-            tag_kind=np.asarray(tag_kind, dtype=np.uint8),
-            tag_level=np.asarray(tag_level, dtype=np.int32),
-            component_id=component_id,
-            cycles=norm,
-        )
+        return cls(level=level, successor=successor, cycles=norm)
 
     @property
     def n(self) -> int:
@@ -142,9 +121,6 @@ class LevelGraph:
             return np.empty(0, dtype=np.int64)
         return np.sort(np.asarray(self.cycles, dtype=np.int64).ravel())
 
-    def edge_tag(self, i: int) -> EdgeTag:
-        return EdgeTag(_KIND_NAME[int(self.tag_kind[i])], int(self.tag_level[i]))
-
 
 @dataclass
 class Pair:
@@ -153,6 +129,8 @@ class Pair:
     The exit fields are filled once the next level is computed: `exit` is
     the head achieving the single-linkage minimum to the nearest foreign
     pair, `exit_target` its image there, and `merge_sq` the squared minimum.
+    Relinking every pair's exit to its exit target turns level k into
+    level k + 1, so level 0 and the exits are the whole hierarchy.
     """
 
     index: int
@@ -176,9 +154,7 @@ def level0(sample: Sample, metric: Metric | None = None) -> LevelGraph:
         raise HierarchyError("level 0 needs at least 2 points")
     index = NnIndex(sample.points, np.arange(n), metric)
     succ, _ = index.successor_map()
-    return LevelGraph.from_successors(
-        0, succ, np.zeros(n, np.uint8), np.zeros(n, np.int32)
-    )
+    return LevelGraph.from_successors(0, succ)
 
 
 def extract_pairs(g: LevelGraph) -> list:
@@ -190,7 +166,6 @@ def extract_pairs(g: LevelGraph) -> list:
 class NnStepResult:
     nn_map: np.ndarray
     exits: list
-    mutual: list
 
 
 def _canonical_witness(heads_p, heads_q, coords, metric):
@@ -211,7 +186,7 @@ def _canonical_witness(heads_p, heads_q, coords, metric):
 
 
 def nn_k_step(pairs, coords, metric: Metric | None = None) -> NnStepResult:
-    """Nearest foreign pair, exit points, and mutual links for one level.
+    """Nearest foreign pair and exit points for one level.
 
     nn_map[i] is the pair minimizing the single-linkage distance to pair i
     (ties by pair index); exits[i] = (exit id, target id, squared distance).
@@ -246,28 +221,23 @@ def nn_k_step(pairs, coords, metric: Metric | None = None) -> NnStepResult:
             exits.append((xp, yq, sq))
         else:
             exits.append((yq, xp, sq))
-
-    mutual = [
-        (i, int(nn_map[i]))
-        for i in range(m)
-        if nn_map[nn_map[i]] == i and i < nn_map[i]
-    ]
-    return NnStepResult(nn_map=nn_map, exits=exits, mutual=mutual)
+    return NnStepResult(nn_map=nn_map, exits=exits)
 
 
-def advance_level(g: LevelGraph, pairs, step: NnStepResult) -> LevelGraph:
-    """Relink every exit point to its target, leaving all other images fixed."""
-    if len(step.exits) != len(pairs) or len(pairs) != g.n_components:
-        raise HierarchyError("pairs and step result do not match the graph")
+def _match_pairs(g: LevelGraph, pairs) -> None:
+    if [(p.index, p.heads) for p in pairs] != list(enumerate(g.cycles)):
+        raise HierarchyError(f"level {g.level}: pairs do not match the level's cycles")
+
+
+def advance_level(g: LevelGraph, pairs) -> LevelGraph:
+    """Relink every pair's exit to its exit target, leaving all other images
+    fixed: the one step from level k to level k + 1."""
+    _match_pairs(g, pairs)
+    if any(p.exit not in p.heads for p in pairs):
+        raise HierarchyError(f"level {g.level}: an exit is not one of its pair's heads")
     succ = g.successor.copy()
-    tag_kind = g.tag_kind.copy()
-    tag_level = g.tag_level.copy()
-    new_level = g.level + 1
-    for exit_id, target_id, _ in step.exits:
-        succ[exit_id] = target_id
-        tag_kind[exit_id] = _KIND_CODE[DELTA]
-        tag_level[exit_id] = new_level
-    return LevelGraph.from_successors(new_level, succ, tag_kind, tag_level)
+    succ[[p.exit for p in pairs]] = [p.exit_target for p in pairs]
+    return LevelGraph.from_successors(g.level + 1, succ)
 
 
 @dataclass
@@ -320,7 +290,7 @@ def build_hierarchy(
             pair.exit_target = int(target_id)
             pair.merge_sq = float(sq)
             pair.target_pair = int(j)
-        g = advance_level(g, pairs, step)
+        g = advance_level(g, pairs)
         levels.append(g)
 
         # Every pair's component joins the component headed by the mutual
@@ -357,11 +327,6 @@ def descendant_counts(h: Hierarchy, level: int) -> dict:
     return {head: int(ids.size) for head, ids in cluster_subtrees(h.levels[level]).items()}
 
 
-def path_edge_lengths_sq(g: LevelGraph, coords, metric: Metric) -> np.ndarray:
-    """Squared length of every successor edge."""
-    return sq_dist_many(coords, coords[g.successor], metric)
-
-
 def descent_violations(g: LevelGraph, coords, metric: Metric, within=None):
     """Consecutive edge-length triples along simple paths that fail
     d_i < max(d_{i-1}, d_{i-2}).
@@ -395,19 +360,8 @@ def descent_violations(g: LevelGraph, coords, metric: Metric, within=None):
 
 
 def hierarchy_to_json(h: Hierarchy) -> dict:
-    levels = []
-    for g in h.levels:
-        levels.append(
-            {
-                "k": g.level,
-                "successors": g.successor.tolist(),
-                "tags": [
-                    [_KIND_NAME[int(kc)], int(lv)]
-                    for kc, lv in zip(g.tag_kind, g.tag_level)
-                ],
-                "cycles": [list(c) for c in g.cycles],
-            }
-        )
+    """Hierarchy JSON version 2: level 0's successors and the pairs, whose
+    exits give every later level (see `advance_level`)."""
     pairs = []
     for level_pairs in h.pairs_by_level:
         for p in level_pairs:
@@ -424,52 +378,79 @@ def hierarchy_to_json(h: Hierarchy) -> dict:
             )
     genealogy = [[list(child), list(parent)] for child, parent in sorted(h.genealogy.items())]
     return {
+        "version": 2,
         "sample": h.sample.to_json(),
         "metric": h.metric.to_json(),
-        "levels": levels,
+        "level0": h.levels[0].successor.tolist() if h.levels else [],
         "pairs": pairs,
         "genealogy": genealogy,
         "termination": h.termination,
     }
 
 
+def _optional(value, kind):
+    return None if value is None else kind(value)
+
+
+def _pair_from_json(rec: dict) -> Pair:
+    merge_distance = _optional(rec["merge_distance"], float)
+    return Pair(
+        index=int(rec["index"]),
+        level=int(rec["level"]),
+        heads=tuple(int(x) for x in rec["heads"]),
+        exit=_optional(rec["exit"], int),
+        exit_target=_optional(rec["exit_target"], int),
+        merge_sq=None if merge_distance is None else merge_distance**2,
+        target_pair=_optional(rec["target_pair"], int),
+    )
+
+
 def hierarchy_from_json(obj: dict) -> Hierarchy:
+    """Rebuild a hierarchy from level 0 and its pairs' exits.
+
+    Reads versions 2 and 1. A version-1 object carries level 0 as
+    `levels[0].successors`; its other level arrays follow from level 0 and
+    the pairs, and are ignored. Every rebuilt level is checked, and any
+    defect raises HierarchyError.
+    """
     try:
+        version = obj.get("version", 1)
+        if version not in (1, 2):
+            raise HierarchyError(f"unknown hierarchy version {version!r}")
         sample = Sample.from_json(obj["sample"])
         metric = Metric.from_json(obj["metric"])
-    except KeyError as exc:
-        raise HierarchyError(f"malformed hierarchy object: missing {exc}") from exc
-    levels = []
-    for item in obj["levels"]:
-        tags = item["tags"]
-        levels.append(
-            LevelGraph.from_successors(
-                int(item["k"]),
-                np.asarray(item["successors"], dtype=np.int64),
-                np.asarray([_KIND_CODE[t[0]] for t in tags], dtype=np.uint8),
-                np.asarray([t[1] for t in tags], dtype=np.int32),
-            )
-        )
-    pairs_by_level = [[] for _ in levels]
-    for rec in obj["pairs"]:
-        p = Pair(
-            index=int(rec["index"]),
-            level=int(rec["level"]),
-            heads=tuple(rec["heads"]),
-            exit=rec["exit"],
-            exit_target=rec["exit_target"],
-            merge_sq=None
-            if rec["merge_distance"] is None
-            else float(rec["merge_distance"]) ** 2,
-            target_pair=rec["target_pair"],
-        )
-        pairs_by_level[p.level].append(p)
-    for level_pairs in pairs_by_level:
-        level_pairs.sort(key=lambda p: p.index)
-    genealogy = {tuple(child): tuple(parent) for child, parent in obj["genealogy"]}
-    return Hierarchy(
-        sample, metric, levels, pairs_by_level, genealogy, obj["termination"]
-    )
+        if version == 2:
+            succ0 = obj["level0"]
+        else:
+            succ0 = obj["levels"][0]["successors"] if obj["levels"] else []
+        by_level = {}
+        for rec in obj["pairs"]:
+            p = _pair_from_json(rec)
+            by_level.setdefault(p.level, []).append(p)
+        if sorted(by_level) != list(range(len(by_level))):
+            raise HierarchyError("pair levels are not 0, 1, ..., K")
+        pairs_by_level = [
+            sorted(by_level[k], key=lambda p: p.index) for k in range(len(by_level))
+        ]
+        levels = []
+        if len(succ0) or pairs_by_level:
+            if len(succ0) != sample.n or not pairs_by_level:
+                raise HierarchyError("level 0 and the pairs do not fit the sample")
+            levels.append(LevelGraph.from_successors(0, succ0))
+            for pairs in pairs_by_level[:-1]:
+                levels.append(advance_level(levels[-1], pairs))
+            _match_pairs(levels[-1], pairs_by_level[-1])
+        genealogy = {tuple(child): tuple(parent) for child, parent in obj["genealogy"]}
+        termination = obj["termination"]
+        if termination not in (SINGLE_PAIR, MAX_LEVELS, DEGENERATE):
+            raise HierarchyError(f"unknown termination {termination!r}")
+    except HierarchyError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError, StructureError) as exc:
+        raise HierarchyError(
+            f"malformed hierarchy object: {type(exc).__name__}: {exc}"
+        ) from exc
+    return Hierarchy(sample, metric, levels, pairs_by_level, genealogy, termination)
 
 
 def save_hierarchy(h: Hierarchy, path) -> None:
@@ -480,7 +461,11 @@ def save_hierarchy(h: Hierarchy, path) -> None:
 
 def load_hierarchy(path) -> Hierarchy:
     with open(path, "r", encoding="utf-8") as fh:
-        return hierarchy_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise HierarchyError(f"{path}: not valid JSON: {exc}") from exc
+    return hierarchy_from_json(obj)
 
 
 def genealogy_newick(h: Hierarchy) -> str:

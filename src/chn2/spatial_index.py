@@ -170,12 +170,3 @@ class NnIndex:
             out_sq[i] = sq
         return out, out_sq
 
-
-def build(points_with_groups, metric: Metric | None = None) -> NnIndex:
-    """Build an index from an iterable of (Point, group id)."""
-    pts = list(points_with_groups)
-    if not pts:
-        raise IndexBuildError("cannot build an index over an empty point set")
-    coords = np.vstack([p.coords for p, _ in pts])
-    groups = np.array([g for _, g in pts], dtype=np.int64)
-    return NnIndex(coords, groups, metric)

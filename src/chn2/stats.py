@@ -193,7 +193,6 @@ MIN_SEEDS = 19
 @dataclass(frozen=True)
 class DetectorConfig:
     tau: float = 0.3
-    baseline_seeds: int = 20
 
     def __post_init__(self):
         if not self.tau > 0:

@@ -499,8 +499,6 @@ def test_criterion_6_scale_translation_invariance():
                 and len(h.levels) == len(hv.levels)
                 and all(
                     np.array_equal(a.successor, b.successor)
-                    and np.array_equal(a.tag_kind, b.tag_kind)
-                    and np.array_equal(a.tag_level, b.tag_level)
                     and a.cycles == b.cycles
                     for a, b in zip(h.levels, hv.levels)
                 )

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +183,33 @@ def test_bad_input_nonzero_exit(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 2}')
     assert run("cluster", "--input", bad, "--out", tmp_path / "h.json") == 1
+
+
+def test_malformed_hierarchy_one_line_error(tmp_path, capsys):
+    sample, hier = tmp_path / "s.json", tmp_path / "h.json"
+    sample.write_text(json.dumps({
+        "dim": 1, "window": {"lo": [-100.0], "hi": [100.0]}, "seed": 0,
+        "generator": {"kind": "manual"}, "points": [[0.0], [1.0], [5.0], [6.0], [20.0]],
+    }))
+    assert run("cluster", "--input", sample, "--out", hier) == 0
+    text = hier.read_text()
+    no_level0 = json.loads(text)
+    del no_level0["level0"]
+    v1_path = Path(__file__).parent / "data" / "hierarchy_v1_line5.json"
+    no_levels = json.loads(v1_path.read_text())
+    del no_levels["levels"]
+    bad_exit = json.loads(text)
+    bad_exit["pairs"][0]["exit_target"] = 4  # 1 -> 4 -> 3 -> 2 -> 1
+    capsys.readouterr()
+    for i, body in enumerate([
+        json.dumps(no_level0), json.dumps(no_levels), json.dumps(bad_exit),
+        text[: len(text) // 2],
+    ]):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(body)
+        assert run("stats", "--hierarchy", bad, "--out", tmp_path / "l.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_unknown_flag_rejected(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from chn2.hierarchy import (
 from chn2.pointprocess import Sample
 
 WIDE = Window([-1000.0], [1000.0])
+DATA = Path(__file__).parent / "data"
 
 
 def line_sample(coords):
@@ -40,18 +42,27 @@ def plane_sample(coords, lo=-1000.0, hi=1000.0):
     return Sample(pts, Window([lo, lo], [hi, hi]), 2, {"kind": "manual"}, 0)
 
 
+def mutual_links(nn_map):
+    return [(i, int(j)) for i, j in enumerate(nn_map) if nn_map[j] == i and i < j]
+
+
+def record_exits(pairs, step):
+    for p, (exit_id, target_id, _) in zip(pairs, step.exits):
+        p.exit, p.exit_target = exit_id, target_id
+
+
 def test_level0_four_points():
     g = level0(line_sample([0, 1, 3, 7]))
     assert g.successor.tolist() == [1, 0, 1, 2]
     assert g.n_components == 1
     assert g.cycles == ((0, 1),)
-    assert all(g.edge_tag(i).kind == "d" and g.edge_tag(i).level == 0 for i in range(4))
+    assert [(p.heads, p.exit) for p in extract_pairs(g)] == [((0, 1), None)]
 
 
 def test_level0_two_components():
     g = level0(line_sample([0, 1, 5, 6, 20]))
     assert g.cycles == ((0, 1), (2, 3))
-    assert g.component_id.tolist() == [0, 0, 1, 1, 1]
+    assert functional_structure(g.successor)[0].tolist() == [0, 0, 1, 1, 1]
 
 
 def test_level0_two_points():
@@ -78,7 +89,7 @@ def test_nn_step_two_pairs():
     pairs = extract_pairs(g)
     step = nn_k_step(pairs, s.points, Metric.euclidean())
     assert step.nn_map.tolist() == [1, 0]
-    assert step.mutual == [(0, 1)]
+    assert mutual_links(step.nn_map) == [(0, 1)]
     # exits: point 1 (coord 1) <-> point 2 (coord 5), distance 4
     assert step.exits[0] == (1, 2, 16.0)
     assert step.exits[1] == (2, 1, 16.0)
@@ -91,7 +102,7 @@ def test_nn_step_eight_point_example():
     step = nn_k_step(pairs, s.points, Metric.euclidean())
     # pairs: A=(0,1) B=(2,3) C=(4,5) D=(6,7) by ids
     assert step.nn_map.tolist() == [1, 2, 1, 2]
-    assert step.mutual == [(1, 2)]
+    assert mutual_links(step.nn_map) == [(1, 2)]
     assert step.exits[0] == (1, 2, 81.0)  # coord 1 -> coord 10
     assert step.exits[1] == (3, 4, 9.0)  # coord 11 -> coord 14
     assert step.exits[2] == (4, 3, 9.0)
@@ -116,13 +127,16 @@ def test_advance_level_five_points():
     g = level0(s)
     pairs = extract_pairs(g)
     step = nn_k_step(pairs, s.points, Metric.euclidean())
-    g1 = advance_level(g, pairs, step)
+    record_exits(pairs, step)
+    g1 = advance_level(g, pairs)
     assert g1.level == 1
     assert g1.successor.tolist() == [1, 2, 1, 2, 3]
     assert g1.cycles == ((1, 2),)
     assert g1.n_components == 1
-    assert g1.edge_tag(1).kind == "delta" and g1.edge_tag(1).level == 1
-    assert g1.edge_tag(0).kind == "d"
+    # only the exits 1 and 2 are relinked; every other image stays
+    assert [(p.exit, p.exit_target) for p in pairs] == [(1, 2), (2, 1)]
+    changed = np.flatnonzero(g1.successor != g.successor)
+    assert changed.tolist() == [1, 2]
 
 
 def test_advance_level_eight_points():
@@ -130,7 +144,8 @@ def test_advance_level_eight_points():
     g = level0(s)
     pairs = extract_pairs(g)
     step = nn_k_step(pairs, s.points, Metric.euclidean())
-    g1 = advance_level(g, pairs, step)
+    record_exits(pairs, step)
+    g1 = advance_level(g, pairs)
     assert g1.n_components == 1
     assert g1.cycles == ((3, 4),)  # coords 11 and 14
 
@@ -175,7 +190,8 @@ def test_genealogy_total_and_consistent(rng):
             # the pair's heads live inside the parent's component
             next_g = h.levels[k + 1]
             parent_heads = h.pairs_by_level[k + 1][parent[1]].heads
-            assert next_g.component_id[p.heads[0]] == next_g.component_id[parent_heads[0]]
+            comp = functional_structure(next_g.successor)[0]
+            assert comp[p.heads[0]] == comp[parent_heads[0]]
 
 
 def test_cluster_subtrees_examples():
@@ -220,14 +236,12 @@ def test_functional_structure_generic_cycle_detection():
     assert comp.tolist() == [0, 0, 0, 0]
     assert head_of[3] == 0
     with pytest.raises(StructureError):
-        LevelGraph.from_successors(0, succ, np.zeros(4, np.uint8), np.zeros(4, np.int32))
+        LevelGraph.from_successors(0, succ)
 
 
 def test_structure_rejects_self_loop():
     with pytest.raises(StructureError):
-        LevelGraph.from_successors(
-            0, np.array([0, 0]), np.zeros(2, np.uint8), np.zeros(2, np.int32)
-        )
+        LevelGraph.from_successors(0, np.array([0, 0]))
 
 
 def test_descent_violation_surfaced_not_suppressed():
@@ -279,7 +293,6 @@ def test_scale_and_translation_invariance(rng):
     hs = build_hierarchy(shifted)
     for g, gs in zip(h.levels, hs.levels):
         assert np.array_equal(g.successor, gs.successor)
-        assert np.array_equal(g.tag_kind, gs.tag_kind)
 
 
 def test_hierarchy_determinism(rng):
@@ -300,6 +313,56 @@ def test_hierarchy_json_roundtrip(tmp_path):
     h3 = load_hierarchy(path)
     assert hierarchy_to_json(h3) == obj
     assert json.loads(path.read_text())["termination"] == SINGLE_PAIR
+
+
+@pytest.mark.parametrize(
+    "name", ["hierarchy_v1_line5.json", "hierarchy_v1_torus60.json"]
+)
+def test_v1_file_loads_as_built(name, tmp_path):
+    # Written by the version-1 writer, which stored every level in full.
+    v1 = json.loads((DATA / name).read_text())
+    h = load_hierarchy(DATA / name)
+    ref = build_hierarchy(h.sample, h.metric)
+    assert len(h.levels) == len(ref.levels) == len(v1["levels"])
+    for g, want, stored in zip(h.levels, ref.levels, v1["levels"]):
+        assert np.array_equal(g.successor, want.successor)
+        assert g.successor.tolist() == stored["successors"]
+        assert g.cycles == want.cycles == tuple(map(tuple, stored["cycles"]))
+    assert hierarchy_to_json(h) == hierarchy_to_json(ref)
+    assert h.genealogy == ref.genealogy and h.termination == ref.termination
+    save_hierarchy(h, tmp_path / "h.json")
+    resaved = json.loads((tmp_path / "h.json").read_text())
+    assert resaved["version"] == 2 and "levels" not in resaved
+    assert resaved["pairs"] == v1["pairs"]
+
+
+def _set(path, value):
+    def edit(obj):
+        *outer, last = path
+        for key in outer:
+            obj = obj[key]
+        obj[last] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set(["version"], 3),
+        _set(["pairs", 0, "exit"], "one"),
+        _set(["pairs", 2, "heads"], [0, 3]),  # the level-1 pair is (1, 2)
+        _set(["pairs", 0, "exit"], 4),  # not a head of the pair (0, 1)
+        _set(["pairs", 0, "exit_target"], 3),  # 1 -> 3 -> 2 -> 1
+        _set(["level0"], [1, 0, 3, 2]),
+        _set(["termination"], "done"),
+        lambda obj: obj.pop("genealogy"),
+    ],
+)
+def test_malformed_hierarchy_raises_hierarchy_error(edit):
+    obj = hierarchy_to_json(build_hierarchy(line_sample([0, 1, 5, 6, 20])))
+    edit(obj)
+    with pytest.raises(HierarchyError):
+        hierarchy_from_json(obj)
 
 
 def test_newick_export():
