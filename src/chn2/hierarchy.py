@@ -98,14 +98,22 @@ class LevelGraph:
             raise StructureError("successor map must be total")
         if np.any(successor == np.arange(n)):
             raise StructureError("self-loops are not allowed")
-        _, cycles, _ = functional_structure(successor)
-        for cyc in cycles:
-            if len(cyc) != 2:
-                raise StructureError(
-                    f"level {level}: component cycle {cyc} has length {len(cyc)}, expected 2"
-                )
-        norm = tuple((min(c), max(c)) for c in cycles)
-        return cls(level=level, successor=successor, cycles=norm)
+        # Every vertex must reach a 2-cycle: pointer doubling with the 2-cycle
+        # vertices as fixed points covers any path of at most n steps.
+        ids = np.arange(n)
+        mutual = successor[successor] == ids
+        reach = np.where(mutual, ids, successor)
+        for _ in range((n - 1).bit_length()):
+            reach = reach[reach]
+        if not mutual[reach].all():
+            _, cycles, _ = functional_structure(successor)
+            cyc = next(c for c in cycles if len(c) != 2)
+            raise StructureError(
+                f"level {level}: component cycle {cyc} has length {len(cyc)}, expected 2"
+            )
+        low = np.flatnonzero(mutual & (ids < successor))
+        cycles = tuple(zip(low.tolist(), successor[low].tolist()))
+        return cls(level=level, successor=successor, cycles=cycles)
 
     @property
     def n(self) -> int:
@@ -168,23 +176,6 @@ class NnStepResult:
     exits: list
 
 
-def _canonical_witness(heads_p, heads_q, coords, metric):
-    """Shared single-linkage witness for an unordered pair of pairs.
-
-    Both directions of a mutual link must agree on the witnessing points,
-    so the argmin is taken once, over the four cross distances, under the
-    order (squared distance, id on the lower-indexed side, id on the other).
-    """
-    best = None
-    for x in heads_p:
-        sq = sq_dist_many(coords[list(heads_q)], coords[x], metric)
-        for y, s in zip(heads_q, sq):
-            key = (float(s), x, y)
-            if best is None or key < best:
-                best = key
-    return best  # (sq, x in p, y in q)
-
-
 def nn_k_step(pairs, coords, metric: Metric | None = None) -> NnStepResult:
     """Nearest foreign pair and exit points for one level.
 
@@ -202,25 +193,31 @@ def nn_k_step(pairs, coords, metric: Metric | None = None) -> NnStepResult:
     index = NnIndex(coords[head_ids], groups, metric)
     entry_best, entry_sq = index.successor_map()
 
-    nn_map = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        e1, e2 = 2 * i, 2 * i + 1
-        # Lexicographic (squared distance, target pair index); entry order
-        # within the index is monotone in pair index, so index-level ties
-        # already resolve to the smallest pair.
-        k1 = (entry_sq[e1], groups[entry_best[e1]])
-        k2 = (entry_sq[e2], groups[entry_best[e2]])
-        nn_map[i] = (k1 if k1 <= k2 else k2)[1]
+    # Lexicographic (squared distance, target pair index) over each pair's two
+    # entries; entry order within the index is monotone in pair index, so
+    # index-level ties already resolve to the smallest pair.
+    sq = entry_sq.reshape(m, 2)
+    target = groups[entry_best].reshape(m, 2)
+    tie = sq[:, 0] == sq[:, 1]
+    first = (sq[:, 0] < sq[:, 1]) | (tie & (target[:, 0] <= target[:, 1]))
+    nn_map = np.where(first, target[:, 0], target[:, 1])
 
-    exits = []
-    for i in range(m):
-        j = int(nn_map[i])
-        p, q = (i, j) if i < j else (j, i)
-        sq, xp, yq = _canonical_witness(pairs[p].heads, pairs[q].heads, coords, metric)
-        if i == p:
-            exits.append((xp, yq, sq))
-        else:
-            exits.append((yq, xp, sq))
+    # Both directions of a mutual link must agree on the witnessing points, so
+    # the single-linkage argmin is taken once per unordered pair of pairs,
+    # over the four cross distances, under the order (squared distance, head
+    # of the lower-indexed pair, head of the other). Heads are ascending, so
+    # the first minimum of the flattened (x, y) grid is that argmin.
+    rows = np.arange(m)
+    heads = head_ids.reshape(m, 2)
+    low = heads[np.minimum(rows, nn_map)]
+    high = heads[np.maximum(rows, nn_map)]
+    cross = sq_dist_many(coords[high][:, None, :, :], coords[low][:, :, None, :], metric)
+    cross = cross.reshape(m, 4)
+    best = np.argmin(cross, axis=1)
+    x, y = low[rows, best // 2], high[rows, best % 2]
+    lower = rows < nn_map
+    exit_ids, target_ids = np.where(lower, x, y), np.where(lower, y, x)
+    exits = list(zip(exit_ids.tolist(), target_ids.tolist(), cross[rows, best].tolist()))
     return NnStepResult(nn_map=nn_map, exits=exits)
 
 
@@ -393,14 +390,14 @@ def _optional(value, kind):
 
 
 def _pair_from_json(rec: dict) -> Pair:
-    merge_distance = _optional(rec["merge_distance"], float)
+    """The pair without `merge_sq`, which the loader recomputes from the
+    exit and its target rather than squaring the stored distance back."""
     return Pair(
         index=int(rec["index"]),
         level=int(rec["level"]),
         heads=tuple(int(x) for x in rec["heads"]),
         exit=_optional(rec["exit"], int),
         exit_target=_optional(rec["exit_target"], int),
-        merge_sq=None if merge_distance is None else merge_distance**2,
         target_pair=_optional(rec["target_pair"], int),
     )
 
@@ -410,8 +407,9 @@ def hierarchy_from_json(obj: dict) -> Hierarchy:
 
     Reads versions 2 and 1. A version-1 object carries level 0 as
     `levels[0].successors`; its other level arrays follow from level 0 and
-    the pairs, and are ignored. Every rebuilt level is checked, and any
-    defect raises HierarchyError.
+    the pairs, and are ignored. Each `merge_sq` is recomputed from the
+    exit and its target, and its root must be the stored `merge_distance`.
+    Every rebuilt level is checked, and any defect raises HierarchyError.
     """
     try:
         version = obj.get("version", 1)
@@ -423,10 +421,11 @@ def hierarchy_from_json(obj: dict) -> Hierarchy:
             succ0 = obj["level0"]
         else:
             succ0 = obj["levels"][0]["successors"] if obj["levels"] else []
-        by_level = {}
+        by_level, stored = {}, {}
         for rec in obj["pairs"]:
             p = _pair_from_json(rec)
             by_level.setdefault(p.level, []).append(p)
+            stored[p.level, p.index] = _optional(rec["merge_distance"], float)
         if sorted(by_level) != list(range(len(by_level))):
             raise HierarchyError("pair levels are not 0, 1, ..., K")
         pairs_by_level = [
@@ -439,7 +438,17 @@ def hierarchy_from_json(obj: dict) -> Hierarchy:
             levels.append(LevelGraph.from_successors(0, succ0))
             for pairs in pairs_by_level[:-1]:
                 levels.append(advance_level(levels[-1], pairs))
+                sq = sq_dist_many(
+                    sample.points[[p.exit_target for p in pairs]],
+                    sample.points[[p.exit for p in pairs]],
+                    metric,
+                )
+                for p, s in zip(pairs, sq.tolist()):
+                    p.merge_sq = s
             _match_pairs(levels[-1], pairs_by_level[-1])
+        all_pairs = [p for level_pairs in pairs_by_level for p in level_pairs]
+        if any(p.merge_distance != stored[p.level, p.index] for p in all_pairs):
+            raise HierarchyError("a merge_distance is not its exit's distance to its target")
         genealogy = {tuple(child): tuple(parent) for child, parent in obj["genealogy"]}
         termination = obj["termination"]
         if termination not in (SINGLE_PAIR, MAX_LEVELS, DEGENERATE):
@@ -455,8 +464,7 @@ def hierarchy_from_json(obj: dict) -> Hierarchy:
 
 def save_hierarchy(h: Hierarchy, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(hierarchy_to_json(h), fh)
-        fh.write("\n")
+        fh.write(json.dumps(hierarchy_to_json(h)) + "\n")
 
 
 def load_hierarchy(path) -> Hierarchy:

@@ -242,5 +242,4 @@ def load_sample(path) -> Sample:
 
 def save_sample(sample: Sample, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sample.to_json(), fh)
-        fh.write("\n")
+        fh.write(json.dumps(sample.to_json()) + "\n")

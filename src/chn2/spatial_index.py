@@ -11,7 +11,6 @@ wrapped metric.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -113,15 +112,6 @@ class NnIndex:
                 raise NoForeignNeighborError("no entry outside the excluded group")
             k = min(2 * k, self._tree.n)
 
-    def nearest_foreign(self, query, own_group: int):
-        """Closest entry whose group differs from own_group.
-
-        Returns (entry id, group id, distance); ties resolved by smallest id.
-        """
-        sq, ids = self.nearest_foreign_ties(query, own_group)
-        i = int(ids[0])
-        return i, int(self.groups[i]), math.sqrt(sq)
-
     def successor_map(self):
         """For every indexed point, the id of its nearest foreign entry.
 
@@ -141,30 +131,22 @@ class NnIndex:
         k = min(4, self._tree.n)
         dists, aug_idx = self._tree.query(self.coords, k=k)
         orig = self._aug_to_orig[aug_idx]
-        fallback = []
-        for i in range(self.n):
-            row_ids = orig[i]
-            row_d = dists[i]
-            foreign = np.flatnonzero(self.groups[row_ids] != self.groups[i])
-            if foreign.size == 0:
-                fallback.append(i)
-                continue
-            j = foreign[0]
-            cut = self._cut(float(row_d[j]))
-            # Ambiguous if another candidate (seen or beyond the k-th) could
-            # tie or beat the leader within slack.
-            if float(row_d[-1]) <= cut and k < self._tree.n:
-                fallback.append(i)
-                continue
-            rest = foreign[1:]
-            if rest.size and float(row_d[rest[0]]) <= cut:
-                fallback.append(i)
-                continue
-            out[i] = row_ids[j]
-            out_sq[i] = float(
-                sq_dist_many(self.coords[row_ids[j]], self.coords[i], self.metric)
-            )
-        for i in fallback:
+        rows = np.arange(self.n)
+        foreign = self.groups[orig] != self.groups[:, None]
+        first = np.argmax(foreign, axis=1)
+        found = foreign[rows, first]
+        cut = self._cut(dists[rows, first])
+        foreign[rows, first] = False
+        second = np.argmax(foreign, axis=1)
+        # Ambiguous if no candidate is foreign, or if another candidate (seen
+        # or beyond the k-th) could tie or beat the leader within slack.
+        ambiguous = ~found | (foreign[rows, second] & (dists[rows, second] <= cut))
+        if k < self._tree.n:
+            ambiguous |= dists[:, -1] <= cut
+        sure = np.flatnonzero(~ambiguous)
+        out[sure] = orig[sure, first[sure]]
+        out_sq[sure] = sq_dist_many(self.coords[out[sure]], self.coords[sure], self.metric)
+        for i in np.flatnonzero(ambiguous):
             sq, ids = self.nearest_foreign_ties(self.coords[i], self.groups[i])
             out[i] = ids[0]
             out_sq[i] = sq

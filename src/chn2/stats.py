@@ -119,9 +119,15 @@ def mean_distance_series(h: Hierarchy) -> list:
 
 def _worker_count() -> int:
     env = os.environ.get("CHN2_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"CHN2_THREADS must be an integer >= 1, got {env!r}")
+    return count
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,14 @@ def oracle_nearest_foreign(coords, groups, query, own_group, metric):
     return best  # None if no foreign entry
 
 
+def nearest_foreign(index, query, own_group):
+    """(entry id, group id, distance) of the index's closest entry outside
+    own_group, ties to the smallest id."""
+    sq, ids = index.nearest_foreign_ties(query, own_group)
+    i = int(ids[0])
+    return i, int(index.groups[i]), float(np.sqrt(sq))
+
+
 def oracle_single_linkage_sq(coords_a, coords_b, metric):
     return min(
         oracle_sq_dist(x, y, metric)

@@ -38,7 +38,7 @@ from chn2.stats import (
     level_stats,
     poisson_baseline,
 )
-from conftest import oracle_count_chains, oracle_nearest_foreign
+from conftest import nearest_foreign, oracle_count_chains, oracle_nearest_foreign
 
 ARTIFACTS = Path(__file__).parent / "_artifacts"
 ARTIFACTS.mkdir(exist_ok=True)
@@ -531,7 +531,7 @@ def test_criterion_7_oracle_equivalence(rng):
             want = oracle_nearest_foreign(coords, groups, q, own, metric)
             if want is None:
                 continue
-            got_entry, _, _ = index.nearest_foreign(q, own)
+            got_entry, _, _ = nearest_foreign(index, q, own)
             if got_entry != want[1]:
                 mismatches += 1
     chain_mismatches = 0

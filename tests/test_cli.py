@@ -229,6 +229,14 @@ def test_thread_cap_env(tmp_path, monkeypatch):
     assert out.read_bytes() == single  # determinism independent of workers
 
 
+def test_bad_thread_cap_is_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CHN2_THREADS", "0")
+    assert run("baseline", "--window", "0,0,25,25", "--count", 120,
+               "--seeds", "0..2", "--out", tmp_path / "base.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CHN2_THREADS") and err.count("\n") == 1, err
+
+
 def test_detect_rule_follows_baseline_seed_columns(tmp_path, capsys):
     from chn2.geometry import Window
     from chn2.stats import poisson_baseline, read_baseline_csv

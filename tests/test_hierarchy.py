@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chn2 import hierarchy
 from chn2.geometry import Metric, Window
 from chn2.hierarchy import (
     DEGENERATE,
@@ -239,6 +240,67 @@ def test_functional_structure_generic_cycle_detection():
         LevelGraph.from_successors(0, succ)
 
 
+def random_functional_map(rng, n, cycle_lengths):
+    """A total map on n vertices with the given cycles; every other vertex
+    points to one placed before it, so it reaches one of the cycles."""
+    order = rng.permutation(n)
+    succ = np.empty(n, dtype=np.int64)
+    start = 0
+    for length in cycle_lengths:
+        cyc = order[start:start + length]
+        succ[cyc] = np.roll(cyc, -1)
+        start += length
+    for t in range(start, n):
+        succ[order[t]] = order[rng.integers(0, t)]
+    return succ
+
+
+def structure_oracle(level, succ):
+    """from_successors' cycles or error message, from functional_structure."""
+    _, cycles, _ = functional_structure(succ)
+    for cyc in cycles:
+        if len(cyc) != 2:
+            return f"level {level}: component cycle {cyc} has length {len(cyc)}, expected 2"
+    return tuple((min(c), max(c)) for c in cycles)
+
+
+def test_from_successors_matches_functional_structure(rng, monkeypatch):
+    # Valid maps must pass the array check alone; the peel loop only runs to
+    # word the error for an invalid one.
+    calls = []
+    monkeypatch.setattr(
+        hierarchy, "functional_structure",
+        lambda succ: calls.append(1) or functional_structure(succ),
+    )
+    maps = []
+    for _ in range(300):
+        n = int(rng.integers(2, 80))
+        lengths = [2] * int(rng.integers(1, n // 2 + 1))
+        if rng.random() < 0.5 and n - sum(lengths) >= 4:
+            lengths[int(rng.integers(len(lengths)))] = int(rng.integers(3, 5))
+        rng.shuffle(lengths)
+        maps.append(random_functional_map(rng, n, lengths))
+        maps.append((np.arange(n) + rng.integers(1, n, size=n)) % n)
+    # Longest tails: a chain of 200 into a 2-cycle, and one into a 3-cycle.
+    chain = np.concatenate([[1, 0], np.arange(1, 199)])
+    maps += [chain, np.concatenate([[1, 2, 0], np.arange(2, 199)])]
+    kinds = set()
+    for succ in maps:
+        want = structure_oracle(3, succ)
+        kinds.add(isinstance(want, str))
+        if isinstance(want, str):
+            with pytest.raises(StructureError) as err:
+                LevelGraph.from_successors(3, succ)
+            assert str(err.value) == want
+        else:
+            before = len(calls)
+            g = LevelGraph.from_successors(3, succ)
+            assert g.cycles == want
+            assert all(type(v) is int for c in g.cycles for v in c)
+            assert len(calls) == before
+    assert kinds == {True, False}
+
+
 def test_structure_rejects_self_loop():
     with pytest.raises(StructureError):
         LevelGraph.from_successors(0, np.array([0, 0]))
@@ -302,17 +364,25 @@ def test_hierarchy_determinism(rng):
     assert a == b
 
 
-def test_hierarchy_json_roundtrip(tmp_path):
-    s = line_sample([0, 1, 5, 6, 20])
-    h = build_hierarchy(s)
-    obj = hierarchy_to_json(h)
-    h2 = hierarchy_from_json(obj)
-    assert hierarchy_to_json(h2) == obj
-    path = tmp_path / "h.json"
-    save_hierarchy(h, path)
-    h3 = load_hierarchy(path)
-    assert hierarchy_to_json(h3) == obj
-    assert json.loads(path.read_text())["termination"] == SINGLE_PAIR
+def test_hierarchy_json_roundtrip(tmp_path, rng):
+    samples = [
+        line_sample([0, 1, 5, 6, 20]),
+        plane_sample(rng.uniform(0, 10, size=(300, 2)), 0, 10),
+    ]
+    for s in samples:
+        h = build_hierarchy(s)
+        obj = hierarchy_to_json(h)
+        h2 = hierarchy_from_json(obj)
+        assert hierarchy_to_json(h2) == obj
+        path = tmp_path / "h.json"
+        save_hierarchy(h, path)
+        h3 = load_hierarchy(path)
+        assert hierarchy_to_json(h3) == obj
+        assert json.loads(path.read_text())["termination"] == SINGLE_PAIR
+        for loaded in (h2, h3):
+            built = [(p.merge_sq, p.merge_distance) for ps in h.pairs_by_level for p in ps]
+            got = [(p.merge_sq, p.merge_distance) for ps in loaded.pairs_by_level for p in ps]
+            assert got == built
 
 
 @pytest.mark.parametrize(
@@ -356,6 +426,8 @@ def _set(path, value):
         _set(["level0"], [1, 0, 3, 2]),
         _set(["termination"], "done"),
         lambda obj: obj.pop("genealogy"),
+        _set(["pairs", 0, "merge_distance"], 4.000000000000001),  # one ulp above 4
+        _set(["pairs", 2, "merge_distance"], 0.0),  # the last level merges nothing
     ],
 )
 def test_malformed_hierarchy_raises_hierarchy_error(edit):

@@ -1,0 +1,89 @@
+"""Bit-identity of whole hierarchies against recorded digests.
+
+Each input below is rebuilt and its `hierarchy_to_json` object, serialised
+with `json.dumps`, is hashed against `data/hierarchy_digests.json`. Any
+change to the total order, the exact-tie fallback or the JSON layout shows
+up as a mismatch. Regenerate the file (`PYTHONPATH=src python
+tests/test_hierarchy_digests.py`) only for a change that is meant to alter
+hierarchies.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from chn2.geometry import Metric, Window
+from chn2.hierarchy import build_hierarchy, hierarchy_to_json
+from chn2.pointprocess import Sample, gen_binomial
+
+DIGESTS = Path(__file__).parent / "data" / "hierarchy_digests.json"
+UNIT2 = Window([0.0, 0.0], [1.0, 1.0])
+
+
+def _uniform(metric_kind):
+    sample = gen_binomial(2000, UNIT2, 2, 7)
+    metric = Metric.torus(UNIT2) if metric_kind == "torus" else Metric.euclidean()
+    return sample, metric
+
+
+def _quantised_torus():
+    # The benchmark's quantised-torus input at its self-test size: uniform
+    # points floored to the integer grid, duplicates dropped, ids shuffled.
+    window = Window([0.0, 0.0], [95.0, 95.0])
+    sample = gen_binomial(3000, window, 2, 101)
+    grid = np.unique(np.floor(sample.points), axis=0)
+    grid = grid[np.random.default_rng(101).permutation(len(grid))]
+    return Sample(grid, window, 2, {"kind": "quantised"}, 101), Metric.torus(window)
+
+
+def _lattice(metric_kind):
+    xs, ys = np.meshgrid(np.arange(30.0), np.arange(30.0))
+    window = Window([0.0, 0.0], [30.0, 30.0])
+    pts = np.column_stack([xs.ravel(), ys.ravel()])
+    sample = Sample(pts, window, 2, {"kind": "lattice"}, 0)
+    metric = Metric.torus(window) if metric_kind == "torus" else Metric.euclidean()
+    return sample, metric
+
+
+def _d3():
+    window = Window([0.0] * 3, [1.0] * 3)
+    return gen_binomial(1000, window, 3, 11), Metric.euclidean()
+
+
+def _line_repeated_gaps():
+    gaps = np.tile([1.0, 2.0, 2.0, 1.0, 3.0], 40)
+    pts = np.concatenate([[0.0], np.cumsum(gaps)]).reshape(-1, 1)
+    window = Window([0.0], [float(pts[-1, 0])])
+    return Sample(pts, window, 1, {"kind": "line"}, 0), Metric.euclidean()
+
+
+INPUTS = {
+    "uniform2k-euclidean": lambda: _uniform("euclidean"),
+    "uniform2k-torus": lambda: _uniform("torus"),
+    "quantised-torus-3k": _quantised_torus,
+    "lattice30-euclidean": lambda: _lattice("euclidean"),
+    "lattice30-torus": lambda: _lattice("torus"),
+    "uniform1k-d3": _d3,
+    "line-repeated-gaps": _line_repeated_gaps,
+}
+
+
+def hierarchy_digest(name):
+    sample, metric = INPUTS[name]()
+    text = json.dumps(hierarchy_to_json(build_hierarchy(sample, metric)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_hierarchy_matches_recorded_digest(name):
+    assert hierarchy_digest(name) == json.loads(DIGESTS.read_text())[name]
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(
+        json.dumps({name: hierarchy_digest(name) for name in sorted(INPUTS)}, indent=1)
+        + "\n"
+    )

@@ -3,14 +3,14 @@ import pytest
 
 from chn2.geometry import Metric, Window
 from chn2.spatial_index import IndexBuildError, NnIndex, NoForeignNeighborError
-from conftest import oracle_nearest_foreign
+from conftest import nearest_foreign, oracle_nearest_foreign
 
 
 def test_single_point_index():
     idx = NnIndex(np.array([[1.0, 2.0]]), np.array([0]))
     assert len(idx) == 1
     with pytest.raises(NoForeignNeighborError):
-        idx.nearest_foreign([1.0, 2.0], own_group=0)
+        nearest_foreign(idx, [1.0, 2.0], own_group=0)
 
 
 def test_empty_build_errors():
@@ -22,27 +22,27 @@ def test_query_own_coordinates_hits_self():
     coords = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
     idx = NnIndex(coords, np.arange(3))
     for i in range(3):
-        entry, group, dist = idx.nearest_foreign(coords[i], own_group=-1)
+        entry, group, dist = nearest_foreign(idx, coords[i], own_group=-1)
         assert (entry, group, dist) == (i, i, 0.0)
 
 
 def test_two_groups_1d():
     idx = NnIndex(np.array([[0.0], [5.0]]), np.array([0, 1]))
-    entry, group, dist = idx.nearest_foreign([0.0], own_group=0)
+    entry, group, dist = nearest_foreign(idx, [0.0], own_group=0)
     assert (entry, group, dist) == (1, 1, 5.0)
 
 
 def test_all_groups_excluded_errors():
     idx = NnIndex(np.array([[0.0], [5.0]]), np.array([7, 7]))
     with pytest.raises(NoForeignNeighborError):
-        idx.nearest_foreign([1.0], own_group=7)
+        nearest_foreign(idx, [1.0], own_group=7)
 
 
 def test_exact_tie_break_smallest_id():
     # 1 is equidistant from 0 and 2; the smaller id must win.
     coords = np.array([[0.0], [1.0], [2.0]])
     idx = NnIndex(coords, np.arange(3))
-    entry, _, _ = idx.nearest_foreign([1.0], own_group=1)
+    entry, _, _ = nearest_foreign(idx, [1.0], own_group=1)
     assert entry == 0
     succ, _ = idx.successor_map()
     assert succ.tolist() == [1, 0, 1]
@@ -57,7 +57,7 @@ def test_oracle_equivalence_random_queries(kind, rng):
     idx = NnIndex(coords, groups, metric)
     for _ in range(100):
         q = rng.uniform(0, 1, size=2)
-        got_entry, _, got_d = idx.nearest_foreign(q, own_group=-1)
+        got_entry, _, got_d = nearest_foreign(idx, q, own_group=-1)
         want_sq, want_entry = oracle_nearest_foreign(coords, groups, q, -1, metric)
         assert got_entry == want_entry
         assert got_d**2 == pytest.approx(want_sq, rel=0, abs=1e-12)
@@ -69,7 +69,7 @@ def test_oracle_equivalence_grouped(rng):
     metric = Metric.euclidean()
     idx = NnIndex(coords, groups, metric)
     for i in range(200):
-        got_entry, got_group, _ = idx.nearest_foreign(coords[i], own_group=groups[i])
+        got_entry, got_group, _ = nearest_foreign(idx, coords[i], own_group=groups[i])
         _, want_entry = oracle_nearest_foreign(coords, groups, coords[i], groups[i], metric)
         assert got_entry == want_entry
         assert got_group == groups[want_entry]
@@ -115,10 +115,36 @@ def test_grid_ties_match_oracle_everywhere():
             assert sqd[i] == want_sq
 
 
+@pytest.mark.parametrize("kind", ["euclidean", "torus"])
+def test_successor_map_matches_per_row_ties(kind, rng):
+    # A coarse integer grid repeats coordinates across groups (distance-0
+    # ties) and, on the torus, pairs points across the wrap. Groups of six,
+    # stacked on one coordinate or spread over a tiny cluster, leave rows
+    # with no foreign entry among the tree's first four candidates.
+    w = Window([0.0, 0.0], [8.0, 8.0])
+    metric = Metric.euclidean() if kind == "euclidean" else Metric.torus(w)
+    coords = np.vstack([
+        rng.integers(0, 8, size=(300, 2)).astype(float),
+        np.repeat([[0.0, 0.0], [7.5, 3.0]], 6, axis=0),
+        [3.5, 3.5] + 0.01 * np.arange(6)[:, None] * [1.0, 0.3],
+        rng.uniform(0, 8, size=(100, 2)),
+    ])
+    groups = np.concatenate([
+        rng.integers(0, 120, size=300), np.repeat([500, 501, 502], 6),
+        np.arange(600, 700),
+    ])
+    idx = NnIndex(coords, groups, metric)
+    succ, sqd = idx.successor_map()
+    for i in range(len(coords)):
+        want_sq, want_ids = idx.nearest_foreign_ties(coords[i], groups[i])
+        assert succ[i] == want_ids[0], i
+        assert sqd[i] == want_sq, i
+
+
 def test_queries_do_not_mutate(rng):
     coords = rng.uniform(0, 1, size=(500, 2))
     idx = NnIndex(coords, np.arange(500))
-    first = idx.nearest_foreign(coords[0], own_group=0)
+    first = nearest_foreign(idx, coords[0], own_group=0)
     for _ in range(5):
-        assert idx.nearest_foreign(coords[0], own_group=0) == first
+        assert nearest_foreign(idx, coords[0], own_group=0) == first
     assert np.array_equal(idx.coords, coords)

@@ -5,6 +5,7 @@ from chn2.geometry import Window
 from chn2.hierarchy import build_hierarchy
 from chn2.pointprocess import Sample
 from chn2.stats import (
+    _worker_count,
     BaselineSeries,
     DetectorConfig,
     DetectionResult,
@@ -297,3 +298,17 @@ def test_read_baseline_csv(tmp_path):
     h = build_hierarchy(line_sample([0, 1, 5, 6, 20]))
     write_levels_csv(level_stats(h), path)
     assert read_baseline_csv(path) == BaselineSeries([4.0], [1], 1)
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc", "1.5"])
+def test_thread_count_rejects_bad_env(value, monkeypatch):
+    monkeypatch.setenv("CHN2_THREADS", value)
+    with pytest.raises(ValueError, match="CHN2_THREADS"):
+        _worker_count()
+
+
+def test_thread_count_reads_env(monkeypatch):
+    monkeypatch.setenv("CHN2_THREADS", "3")
+    assert _worker_count() == 3
+    monkeypatch.delenv("CHN2_THREADS")
+    assert 1 <= _worker_count() <= 8
