@@ -86,8 +86,12 @@ class Sample:
                 seed=int(obj["seed"]),
                 warning=obj.get("warning"),
             )
-        except KeyError as exc:
-            raise SampleError(f"malformed sample object: missing {exc}") from exc
+        except SampleError:
+            raise
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            raise SampleError(
+                f"malformed sample object: {type(exc).__name__}: {exc}"
+            ) from exc
 
     @classmethod
     def loads(cls, text: str) -> "Sample":

@@ -5,7 +5,9 @@ squared distances from the original coordinates, so query results are
 bit-identical to a brute-force linear scan under the package's total order
 (squared distance, then entry id). Torus queries are served by indexing the
 3^d shifted copies of the data and re-evaluating candidates with the exact
-wrapped metric.
+wrapped metric. `successor_map` answers all rows at once with array passes,
+tied rows included; `nearest_foreign_ties` answers one query and serves
+indexes of at most 64 entries.
 """
 
 from __future__ import annotations
@@ -72,12 +74,6 @@ class NnIndex:
     def _exact_sq(self, query, ids) -> np.ndarray:
         return sq_dist_many(self.coords[ids], np.asarray(query, float), self.metric)
 
-    def _candidate_ids(self, query, radius: float) -> np.ndarray:
-        if self._brute:
-            return np.arange(self.n)
-        hits = self._tree.query_ball_point(np.asarray(query, float), r=radius)
-        return np.unique(self._aug_to_orig[np.asarray(hits, dtype=np.int64)])
-
     def nearest_foreign_ties(self, query, own_group: int):
         """All entries outside own_group at the exact minimum squared distance.
 
@@ -103,7 +99,8 @@ class NnIndex:
                 approx_best = float(dists[foreign][0])
                 exhausted = k >= self._tree.n
                 if exhausted or float(dists[-1]) > self._cut(approx_best):
-                    ids = self._candidate_ids(query, self._cut(approx_best))
+                    hits = self._tree.query_ball_point(query, r=self._cut(approx_best))
+                    ids = np.unique(self._aug_to_orig[np.asarray(hits, dtype=np.int64)])
                     ids = ids[self.groups[ids] != own_group]
                     sq = self._exact_sq(query, ids)
                     best = sq.min()
@@ -115,9 +112,12 @@ class NnIndex:
     def successor_map(self):
         """For every indexed point, the id of its nearest foreign entry.
 
-        Vectorized fast path with a per-point exact fallback wherever the
-        k-d tree answer could be ambiguous under the tie-break order.
-        Returns (ids, sq_distances).
+        One k = 4 tree query settles every row whose leading foreign candidate
+        cannot tie or be beaten within slack. The remaining (ambiguous) rows
+        take one batched exact pass: rows with no foreign candidate yet widen
+        k by doubling, then a single ball query per row at the leader's cut
+        gathers every candidate, whose exact squared distances are ranked by
+        (squared distance, entry id). Returns (ids, sq_distances).
         """
         out = np.full(self.n, -1, dtype=np.int64)
         out_sq = np.full(self.n, np.inf)
@@ -146,9 +146,38 @@ class NnIndex:
         sure = np.flatnonzero(~ambiguous)
         out[sure] = orig[sure, first[sure]]
         out_sq[sure] = sq_dist_many(self.coords[out[sure]], self.coords[sure], self.metric)
-        for i in np.flatnonzero(ambiguous):
-            sq, ids = self.nearest_foreign_ties(self.coords[i], self.groups[i])
-            out[i] = ids[0]
-            out_sq[i] = sq
-        return out, out_sq
+        amb = np.flatnonzero(ambiguous)
+        if amb.size == 0:
+            return out, out_sq
 
+        # Rows without a foreign candidate: double k until the leader shows.
+        # The leader's tree distance, hence its cut, does not depend on k.
+        pending = np.flatnonzero(~found)
+        k = 8
+        while pending.size:
+            dists, aug_idx = self._tree.query(self.coords[pending], k=k)
+            foreign = self.groups[self._aug_to_orig[aug_idx]] != self.groups[pending, None]
+            first = np.argmax(foreign, axis=1)
+            hit = foreign[np.arange(pending.size), first]
+            cut[pending[hit]] = self._cut(dists[hit, first[hit]])
+            pending = pending[~hit]
+            if pending.size and k >= self._tree.n:
+                raise NoForeignNeighborError("no entry outside the excluded group")
+            k = min(2 * k, self._tree.n)
+
+        # Every foreign entry within each ambiguous row's cut, ranked by
+        # (row, exact squared distance, entry id); each row's first wins.
+        hits = self._tree.query_ball_point(self.coords[amb], r=cut[amb])
+        row = np.repeat(amb, np.fromiter(map(len, hits), dtype=np.int64, count=amb.size))
+        ids = self._aug_to_orig[
+            np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64, count=row.size)
+        ]
+        keep = self.groups[ids] != self.groups[row]
+        row, ids = row[keep], ids[keep]
+        sq = sq_dist_many(self.coords[ids], self.coords[row], self.metric)
+        order = np.lexsort((ids, sq, row))
+        row, ids, sq = row[order], ids[order], sq[order]
+        win = np.flatnonzero(np.diff(row, prepend=-1))
+        out[row[win]] = ids[win]
+        out_sq[row[win]] = sq[win]
+        return out, out_sq

@@ -50,6 +50,91 @@ def oracle_single_linkage_sq(coords_a, coords_b, metric):
     )
 
 
+def oracle_sq_matrix(coords, metric: Metric) -> np.ndarray:
+    """All pairwise squared distances, summed coordinate by coordinate in the
+    same order as oracle_sq_dist, so each entry is bitwise equal to it."""
+    coords = np.atleast_2d(np.asarray(coords, float))
+    total = np.zeros((len(coords), len(coords)))
+    for j in range(coords.shape[1]):
+        delta = np.abs(coords[:, None, j] - coords[None, :, j])
+        if metric.kind == TORUS:
+            period = metric.window.hi[j] - metric.window.lo[j]
+            delta = np.minimum(delta, period - delta)
+        total += delta * delta
+    return total
+
+
+def _oracle_two_cycles(succ):
+    """(cycles, cycle_of): the 2-cycles of a total map as ascending tuples in
+    order of their smaller vertex, and for each vertex the index of the cycle
+    its path ends in. Fails if some path ends in a longer cycle."""
+    n = len(succ)
+    ends = []
+    for v in range(n):
+        w, steps = v, 0
+        while succ[succ[w]] != w:
+            w, steps = succ[w], steps + 1
+            assert steps <= n, f"the path from {v} ends in a cycle longer than 2"
+        ends.append(min(w, succ[w]))
+    lows = sorted(set(ends))
+    rank = {low: i for i, low in enumerate(lows)}
+    return [(low, succ[low]) for low in lows], [rank[e] for e in ends]
+
+
+def oracle_hierarchy_json(sample, metric: Metric) -> dict:
+    """The hierarchy JSON (version 2) of a sample of at least 2 points, built
+    by O(n^2) scans per level under the package's total order: level 0 sends
+    each point to the argmin of (squared distance, id); each pair links to
+    the pair of least single-linkage distance, ties to the lower pair index;
+    the witness of two linked pairs is the least (squared distance, head of
+    the lower pair, head of the other), and the exit is the linking pair's
+    end of it. A pair's parent is the next-level pair its component reaches.
+    """
+    sq = oracle_sq_matrix(sample.points, metric).tolist()
+    n = sample.n
+    succ = [
+        min((j for j in range(n) if j != i), key=lambda j: (sq[i][j], j)) for i in range(n)
+    ]
+    out = {
+        "version": 2,
+        "sample": sample.to_json(),
+        "metric": metric.to_json(),
+        "level0": succ,
+        "pairs": [],
+        "genealogy": [],
+        "termination": "single_pair",
+    }
+    cycles, _ = _oracle_two_cycles(succ)
+    level = 0
+    while len(cycles) > 1:
+        m = len(cycles)
+        link = [[min(sq[x][y] for x in cycles[i] for y in cycles[j]) for j in range(m)]
+                for i in range(m)]
+        nn = [min((j for j in range(m) if j != i), key=lambda j: (link[i][j], j))
+              for i in range(m)]
+        nxt = list(succ)
+        records = []
+        for i in range(m):
+            low, high = min(i, nn[i]), max(i, nn[i])
+            d, x, y = min((sq[x][y], x, y) for x in cycles[low] for y in cycles[high])
+            exit_pt, target = (x, y) if i == low else (y, x)
+            nxt[exit_pt] = target
+            records.append({
+                "level": level, "index": i, "heads": list(cycles[i]), "exit": exit_pt,
+                "exit_target": target, "merge_distance": float(np.sqrt(d)),
+                "target_pair": nn[i],
+            })
+        new_cycles, cycle_of = _oracle_two_cycles(nxt)
+        out["pairs"] += records
+        out["genealogy"] += [[[level, i], [level + 1, cycle_of[cycles[i][0]]]] for i in range(m)]
+        succ, cycles, level = nxt, new_cycles, level + 1
+    out["pairs"].append({
+        "level": level, "index": 0, "heads": list(cycles[0]), "exit": None,
+        "exit_target": None, "merge_distance": None, "target_pair": None,
+    })
+    return out
+
+
 def oracle_count_chains(points, n, R, origin=0):
     """Unpruned enumeration over all vertex sequences of length n."""
     pts = np.atleast_2d(np.asarray(points, float))

@@ -212,6 +212,21 @@ def test_malformed_hierarchy_one_line_error(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+def test_malformed_sample_one_line_error(tmp_path, capsys):
+    good = {
+        "dim": 2, "window": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}, "seed": 0,
+        "generator": {"kind": "manual"}, "points": [[0.1, 0.2], [0.5, 0.5]],
+    }
+    for i, body in enumerate([
+        dict(good, dim="2"), dict(good, generator=None), [good],
+    ]):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(body))
+        assert run("cluster", "--input", bad, "--out", tmp_path / "h.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed sample object") and err.count("\n") == 1, err
+
+
 def test_unknown_flag_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["generate", "poisson", "--bogus", "1"])

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chn2 import hierarchy
 from chn2.geometry import Metric, Window
@@ -28,6 +30,7 @@ from chn2.hierarchy import (
     save_hierarchy,
 )
 from chn2.pointprocess import Sample
+from conftest import oracle_hierarchy_json
 
 WIDE = Window([-1000.0], [1000.0])
 DATA = Path(__file__).parent / "data"
@@ -456,60 +459,6 @@ def test_newick_deeper(rng):
     assert tree.count("(") == tree.count(")")
 
 
-def brute_force_hierarchy(points, metric):
-    """Independent reimplementation: explicit argmin scans, no index, no
-    shared helpers. Returns the list of successor maps per level."""
-    from conftest import oracle_sq_dist
-
-    n = len(points)
-    sq = np.array(
-        [[oracle_sq_dist(points[i], points[j], metric) for j in range(n)] for i in range(n)]
-    )
-    succ = np.array(
-        [min((j for j in range(n) if j != i), key=lambda j: (sq[i, j], j)) for i in range(n)]
-    )
-    out = [succ.copy()]
-    while True:
-        # cycles by walking
-        state = np.zeros(n, np.int8)
-        cycles = []
-        for s0 in range(n):
-            if state[s0]:
-                continue
-            path, v = [], s0
-            while state[v] == 0:
-                state[v] = 1
-                path.append(v)
-                v = int(succ[v])
-            if state[v] == 1 and v in path:
-                cyc = path[path.index(v):]
-                cycles.append(tuple(sorted(cyc)))
-            for u in path:
-                state[u] = 2
-        cycles = sorted(set(cycles))
-        if len(cycles) < 2:
-            break
-        m = len(cycles)
-
-        def delta_sq(a, b):
-            return min(sq[x, y] for x in cycles[a] for y in cycles[b])
-
-        nn = [
-            min((j for j in range(m) if j != i), key=lambda j: (delta_sq(i, j), j))
-            for i in range(m)
-        ]
-        succ = succ.copy()
-        for i in range(m):
-            p, q = (i, nn[i]) if i < nn[i] else (nn[i], i)
-            d, x, y = min(
-                (sq[x, y], x, y) for x in cycles[p] for y in cycles[q]
-            )
-            exit_pt, target = (x, y) if i == p else (y, x)
-            succ[exit_pt] = target
-        out.append(succ.copy())
-    return out
-
-
 @pytest.mark.parametrize("kind", ["euclidean", "torus"])
 def test_full_hierarchy_matches_bruteforce(kind, rng):
     for _ in range(6):
@@ -521,10 +470,54 @@ def test_full_hierarchy_matches_bruteforce(kind, rng):
         pts = rng.uniform(0, side, size=(n, d))
         s = Sample(pts, w, d, {"kind": "manual"}, 0)
         h = build_hierarchy(s, metric)
-        expect = brute_force_hierarchy(pts, metric)
-        assert len(h.levels) == len(expect)
-        for g, want in zip(h.levels, expect):
-            assert np.array_equal(g.successor, want), (kind, d, n, g.level)
+        assert hierarchy_to_json(h) == oracle_hierarchy_json(s, metric), (kind, d, n)
+
+
+@st.composite
+def oracle_samples(draw):
+    """(sample, metric) pairs that stress the total order: uniform samples,
+    integer lattices with holes (with the far faces included, which coincide
+    with the near ones on the torus), collinear points with repeated gaps,
+    and clusters across the torus wrap; d = 1 to 3 throughout. Sizes come
+    from the drawn seed, mostly above 64 so that the tree path runs."""
+    shape = draw(st.sampled_from(["uniform", "lattice", "collinear", "wrap"]))
+    d = draw(st.integers(1, 3))
+    torus = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "uniform":
+        n = rng.integers(65, 201)
+        side = np.full(d, n ** (1.0 / d))
+        pts = rng.uniform(0, side, size=(n, d))
+    elif shape == "lattice":
+        side = np.full(d, float(rng.integers(*{1: (65, 201), 2: (9, 15), 3: (4, 7)}[d])))
+        stop = side[0] + rng.integers(0, 2)
+        grid = np.stack(np.meshgrid(*[np.arange(stop)] * d), axis=-1).reshape(-1, d)
+        pts = grid[rng.random(len(grid)) < rng.uniform(0.3, 1.0)]
+    elif shape == "collinear":
+        span = rng.integers(200, 401)
+        steps = rng.choice(span + 1, size=rng.integers(2, 201), replace=False)
+        direction = rng.integers(1, 4, size=d).astype(float)
+        side = span * direction
+        pts = steps[:, None] * direction
+    else:
+        n = rng.integers(2, 201)
+        side = np.full(d, 10.0)
+        centers = rng.integers(0, 2, size=(3, d)) * 10.0
+        pts = (centers[rng.integers(0, 3, n)] + rng.normal(0, 0.5, size=(n, d))) % side
+    pts = np.unique(pts, axis=0)
+    assume(len(pts) >= 2)
+    pts = pts[rng.permutation(len(pts))]
+    window = Window(np.zeros(d), side)
+    metric = Metric.torus(window) if torus else Metric.euclidean()
+    return Sample(pts, window, d, {"kind": shape}, 0), metric
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(oracle_samples())
+def test_hierarchy_matches_whole_hierarchy_oracle(case):
+    sample, metric = case
+    h = build_hierarchy(sample, metric)
+    assert hierarchy_to_json(h) == oracle_hierarchy_json(sample, metric)
 
 
 def test_degenerate_hierarchy_roundtrip_and_stats():

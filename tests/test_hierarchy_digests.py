@@ -39,9 +39,9 @@ def _quantised_torus():
     return Sample(grid, window, 2, {"kind": "quantised"}, 101), Metric.torus(window)
 
 
-def _lattice(metric_kind):
-    xs, ys = np.meshgrid(np.arange(30.0), np.arange(30.0))
-    window = Window([0.0, 0.0], [30.0, 30.0])
+def _lattice(metric_kind, side=30):
+    xs, ys = np.meshgrid(np.arange(float(side)), np.arange(float(side)))
+    window = Window([0.0, 0.0], [float(side), float(side)])
     pts = np.column_stack([xs.ravel(), ys.ravel()])
     sample = Sample(pts, window, 2, {"kind": "lattice"}, 0)
     metric = Metric.torus(window) if metric_kind == "torus" else Metric.euclidean()
@@ -66,6 +66,8 @@ INPUTS = {
     "quantised-torus-3k": _quantised_torus,
     "lattice30-euclidean": lambda: _lattice("euclidean"),
     "lattice30-torus": lambda: _lattice("torus"),
+    "lattice100-euclidean": lambda: _lattice("euclidean", 100),
+    "lattice100-torus": lambda: _lattice("torus", 100),
     "uniform1k-d3": _d3,
     "line-repeated-gaps": _line_repeated_gaps,
 }

@@ -141,6 +141,54 @@ def test_successor_map_matches_per_row_ties(kind, rng):
         assert sqd[i] == want_sq, i
 
 
+@pytest.mark.parametrize("kind", ["euclidean", "torus"])
+def test_successor_map_widens_k_for_clustered_groups(kind, rng):
+    # A group of 40 within 0.001 of one spot and a group of 30 stacked on one
+    # coordinate, off the grid: their rows see only their own group until the
+    # batched k-doubling reaches 64.
+    w = Window([0.0, 0.0], [10.0, 10.0])
+    metric = Metric.euclidean() if kind == "euclidean" else Metric.torus(w)
+    coords = np.vstack([
+        rng.integers(0, 10, size=(200, 2)).astype(float),
+        [3.3, 6.6] + rng.uniform(0, 0.001, size=(40, 2)),
+        np.repeat([[7.5, 2.5]], 30, axis=0),
+    ])
+    groups = np.concatenate([np.arange(200), np.full(40, 900), np.full(30, 901)])
+    idx = NnIndex(coords, groups, metric)
+    succ, sqd = idx.successor_map()
+    for i in range(len(coords)):
+        want_sq, want_ids = idx.nearest_foreign_ties(coords[i], groups[i])
+        assert succ[i] == want_ids[0], i
+        assert sqd[i] == want_sq, i
+
+
+def test_successor_map_one_group_tree_backed_raises():
+    coords = np.random.default_rng(5).uniform(0, 1, size=(100, 2))
+    idx = NnIndex(coords, np.zeros(100, dtype=np.int64))
+    with pytest.raises(NoForeignNeighborError):
+        idx.successor_map()
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "torus"])
+def test_successor_map_tree_path_needs_no_per_row_query(kind, rng, monkeypatch):
+    # Every row of a lattice ties; a tree-backed index must settle them all
+    # in its batched pass, without one nearest_foreign_ties call.
+    def per_row(*args, **kwargs):
+        raise AssertionError("per-row fallback called")
+
+    monkeypatch.setattr(NnIndex, "nearest_foreign_ties", per_row)
+    xs, ys = np.meshgrid(np.arange(30.0), np.arange(30.0))
+    coords = np.column_stack([xs.ravel(), ys.ravel()])
+    groups = rng.permutation(900) // 2
+    w = Window([0.0, 0.0], [30.0, 30.0])
+    metric = Metric.euclidean() if kind == "euclidean" else Metric.torus(w)
+    succ, sqd = NnIndex(coords, groups, metric).successor_map()
+    for i in range(900):
+        want_sq, want = oracle_nearest_foreign(coords, groups, coords[i], groups[i], metric)
+        assert succ[i] == want, i
+        assert sqd[i] == want_sq, i
+
+
 def test_queries_do_not_mutate(rng):
     coords = rng.uniform(0, 1, size=(500, 2))
     idx = NnIndex(coords, np.arange(500))
