@@ -32,6 +32,15 @@ in every dimension, against the recursion's (1/2) (lam w_d R^d)^4
 (d=2, lam=R=1: exact 5 pi^4/12 = 40.59, recursion pi^4/2 = 48.70). The
 upper bounds still vanish as n grows, which is all the finiteness argument
 needs; the Monte-Carlo estimator is the ground truth for point values.
+
+Counting is exact and breadth first over a block of samples at once: one
+k-d tree pair query gives every sample's within-R neighbour lists, and each
+step extends every partial chain of the block by its admissible next
+vertices. A chain keeps its vertices as columns, and distinctness is a
+compare against them, so a sample may hold any number of points. The work
+is the number of partial chains; `mc_chain_count` refuses, before drawing
+any trial, a configuration whose expected points or partial chains per
+trial exceed MAX_POINTS_PER_TRIAL or MAX_PARTIAL_CHAINS.
 """
 
 from __future__ import annotations
@@ -41,8 +50,20 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.spatial import cKDTree
 
 from .pointprocess import derive_seed
+
+# Limits of the Monte Carlo estimator, checked before any trial is drawn:
+# the expected points per trial, lam * w_d * (n R)^d, and the largest
+# expected number of partial chains per trial over lengths j <= n (by the
+# recursive evaluator, an upper bound for j >= 4). The counting pass holds
+# one row per partial chain, so the second limit bounds its memory.
+MAX_POINTS_PER_TRIAL = 5_000
+MAX_PARTIAL_CHAINS = 1_000
+# Trials are counted in blocks of about this many expected points, so peak
+# memory depends on the configuration and not on the number of trials.
+_BLOCK_POINTS = 1 << 11
 
 
 def ball_volume(d: int) -> float:
@@ -58,35 +79,65 @@ def is_second_order_descending(lengths) -> bool:
     return all(ds[i] < max(ds[i - 1], ds[i - 2]) for i in range(2, len(ds)))
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A repetition-free vertex sequence with its step lengths."""
+def _neighbour_lists(coords, owner, R):
+    """Within-R neighbour lists of a block of samples, in CSR form.
 
-    ids: tuple
-    lengths: tuple
+    Row v's sample is owner[v]. The samples are laid side by side along the
+    first axis, 2R apart, so one k-d tree pair query, at R plus a rounding
+    slack as in `NnIndex`, finds every within-R pair of every sample and no
+    pair across samples. Each pair's distance is then recomputed from the
+    unshifted coordinates with the dense-matrix formula, so the strict
+    compares below see exactly the distances a per-sample matrix would.
+    Distances are replaced by their dense rank over the block, which keeps
+    every `<` and tie. Returns (key, dst, start, stride): the neighbours of v
+    are dst[start[v]:start[v + 1]], ordered by key = v * stride + rank, so
+    those closer than rank b end at searchsorted(key, v * stride + b).
+    """
+    shifted = coords.copy()
+    shifted[:, 0] += owner * (float(np.ptp(coords[:, 0])) + 2.0 * R)
+    slack = 16 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(shifted))))
+    pairs = cKDTree(shifted).query_pairs(R * (1.0 + 1e-9) + slack, output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    dist = np.sqrt(np.sum((coords[i] - coords[j]) ** 2, axis=-1))
+    keep = dist < R
+    levels, rank = np.unique(dist[keep], return_inverse=True)
+    stride = len(levels) + 1
+    key = np.concatenate([i[keep] * stride + rank, j[keep] * stride + rank])
+    dst = np.concatenate([j[keep], i[keep]])
+    order = np.argsort(key)
+    key, dst = key[order], dst[order]
+    start = np.searchsorted(key, np.arange(len(coords) + 1) * stride)
+    return key, dst, start, stride
 
-    def __post_init__(self):
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError("chain vertices may not repeat")
-        if len(self.lengths) != max(len(self.ids) - 1, 0):
-            raise ValueError("need one length per step")
 
-    @classmethod
-    def from_points(cls, points, ids) -> "Chain":
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ids = tuple(int(i) for i in ids)
-        lengths = tuple(
-            float(np.linalg.norm(pts[b] - pts[a])) for a, b in zip(ids, ids[1:])
-        )
-        return cls(ids, lengths)
+def _count_block(coords, owner, origins, n: int, R: float) -> np.ndarray:
+    """Number of length-n (n >= 1) chains from row origins[t] within sample
+    t, for every sample t of a block (see `_neighbour_lists` for the layout).
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.lengths)
-
-    @property
-    def second_order_descending(self) -> bool:
-        return is_second_order_descending(self.lengths)
+    Breadth first: each frontier row is a partial chain (its vertex columns,
+    the sample it belongs to and the ranks of its last two steps). A step
+    extends every row by the prefix of its end vertex's neighbour list that
+    the descent bound admits, then drops extensions onto a vertex already in
+    the row. The rank sentinel `stride - 1` exceeds every rank, so the first
+    two steps are bounded by R alone.
+    """
+    key, dst, start, stride = _neighbour_lists(coords, owner, R)
+    path = np.asarray(origins)[:, None]
+    sample = np.arange(len(origins))
+    last = prev = np.full(len(origins), stride - 1)
+    for depth in range(n):
+        v = path[:, -1]
+        lo = start[v]
+        size = np.searchsorted(key, v * stride + np.maximum(last, prev)) - lo
+        row = np.repeat(np.arange(len(v)), size)
+        edge = np.arange(row.size) - np.repeat(np.cumsum(size) - size - lo, size)
+        w = dst[edge]
+        fresh = np.all(path[row] != w[:, None], axis=1)
+        row, edge = row[fresh], edge[fresh]
+        if depth == n - 1:
+            return np.bincount(sample[row], minlength=len(origins))
+        path = np.column_stack([path[row], w[fresh]])
+        sample, prev, last = sample[row], last[row], key[edge] - v[row] * stride
 
 
 def count_chains_from_origin(points, n: int, R: float, origin: int = 0) -> int:
@@ -94,34 +145,18 @@ def count_chains_from_origin(points, n: int, R: float, origin: int = 0) -> int:
 
     `points` holds all coordinates including the origin row. Vertices may
     not repeat; d_0 < R, d_1 < R, and the descent constraint applies from
-    the third step on. Every admissible step is < R, so a depth-first walk
-    over the within-R neighborhood graph enumerates exactly the chains.
+    the third step on. Every admissible step is < R, so extending partial
+    chains along the within-R neighbour graph, one step at a time for all of
+    them at once, enumerates exactly the chains; this is the one-sample case
+    of the block pass that `mc_chain_count` runs.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m = pts.shape[0]
     if n == 0:
         return 1
-    if m == 0:
+    if pts.shape[0] == 0:
         return 0
-    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
-    neighbors = [np.flatnonzero((dist[i] < R) & (np.arange(m) != i)) for i in range(m)]
-
-    count = 0
-    # Iterative DFS over (vertex, depth, d_prev, d_prev2, visited-mask).
-    stack = [(origin, 0, 0.0, 0.0, 1 << origin)]
-    while stack:
-        v, depth, d1, d2, visited = stack.pop()
-        for w in neighbors[v]:
-            if visited >> w & 1:
-                continue
-            step = dist[v, w]
-            if depth >= 2 and not step < max(d1, d2):
-                continue
-            if depth + 1 == n:
-                count += 1
-            else:
-                stack.append((int(w), depth + 1, step, d1, visited | (1 << w)))
-    return count
+    owner = np.zeros(len(pts), dtype=np.intp)
+    return int(_count_block(pts, owner, [origin], n, R)[0])
 
 
 def _longest_walk_bounds(dist, m):
@@ -226,13 +261,6 @@ def expected_chain_count_formula(lam: float, R: float, d: int, n: int) -> float:
     ) ** (n % 2)
 
 
-def expected_chain_count_even(lam: float, R: float, d: int, n: int) -> float:
-    """Closed form for even n: (lam^2 w_d^2 R^(2d))^(n/2) / (n/2)!."""
-    if n % 2:
-        raise ValueError("n must be even; use expected_chain_count_recursive")
-    return expected_chain_count_formula(lam, R, d, n)
-
-
 def expected_chain_count_recursive(lam: float, R: float, d: int, n: int) -> float:
     """Expected count by numerically iterating the two-step recursion.
 
@@ -283,23 +311,70 @@ def _uniform_ball(rng, count, d, radius):
     return x / norms * r
 
 
+def _expected_points(cfg: ChainCountConfig) -> float:
+    """Mean point count of a trial's Poisson sample on the ball of radius n*R."""
+    return cfg.lam * (ball_volume(cfg.d) * (cfg.n * cfg.R) ** cfg.d)
+
+
+def _check_budget(cfg: ChainCountConfig) -> None:
+    """Refuse a configuration whose trials would not fit the block pass."""
+    points = _expected_points(cfg)
+    if points > MAX_POINTS_PER_TRIAL:
+        raise ValueError(
+            f"expected {points:.4g} points per chain trial exceeds the limit "
+            f"MAX_POINTS_PER_TRIAL = {MAX_POINTS_PER_TRIAL}"
+        )
+    expected = [1.0]
+    for j in range(1, cfg.n + 1):
+        expected.append(expected_chain_count_recursive(cfg.lam, cfg.R, cfg.d, j))
+        if expected[j] > MAX_PARTIAL_CHAINS:
+            raise ValueError(
+                f"expected {expected[j]:.4g} partial chains of length {j} per trial "
+                f"exceeds the limit MAX_PARTIAL_CHAINS = {MAX_PARTIAL_CHAINS}"
+            )
+        # The recursion's ratio E_{j+2} / E_j shrinks as j grows, so once both
+        # parities are falling no later length can reach a new maximum.
+        if j >= 3 and expected[j] < expected[j - 2] and expected[j - 1] < expected[j - 3]:
+            break
+
+
+def _trial_points(cfg: ChainCountConfig, t: int) -> np.ndarray:
+    """Trial t's Poisson sample on the ball of radius n*R, origin first."""
+    rng = np.random.default_rng(derive_seed(cfg.seed, t))
+    k = rng.poisson(_expected_points(cfg))
+    return np.vstack([np.zeros((1, cfg.d)), _uniform_ball(rng, k, cfg.d, cfg.n * cfg.R)])
+
+
+def _trial_counts(cfg: ChainCountConfig) -> np.ndarray:
+    """Exact chain count of every trial, counted block by block."""
+    per_block = max(1, int(_BLOCK_POINTS / max(1.0, _expected_points(cfg))))
+    counts = np.empty(cfg.trials, dtype=float)
+    for first in range(0, cfg.trials, per_block):
+        samples = [
+            _trial_points(cfg, t) for t in range(first, min(first + per_block, cfg.trials))
+        ]
+        sizes = np.array([len(pts) for pts in samples])
+        owner = np.repeat(np.arange(len(samples)), sizes)
+        origins = np.cumsum(sizes) - sizes
+        counts[first:first + len(samples)] = _count_block(
+            np.concatenate(samples), owner, origins, cfg.n, cfg.R
+        )
+    return counts
+
+
 def mc_chain_count(cfg: ChainCountConfig):
     """Monte-Carlo mean and standard error of the chain count.
 
     Each trial draws a Poisson sample on the ball of radius n*R around the
     origin (all chain vertices stay within n*R of the origin since every
-    step is < R), adds the origin, and counts chains exactly.
+    step is < R), adds the origin, and counts chains exactly. A
+    configuration beyond MAX_POINTS_PER_TRIAL or MAX_PARTIAL_CHAINS raises
+    ValueError before any trial is drawn.
     """
     if cfg.n == 0:
         return 1.0, 0.0
-    radius = cfg.n * cfg.R
-    volume = ball_volume(cfg.d) * radius**cfg.d
-    counts = np.empty(cfg.trials, dtype=float)
-    for t in range(cfg.trials):
-        rng = np.random.default_rng(derive_seed(cfg.seed, t))
-        k = rng.poisson(cfg.lam * volume)
-        pts = np.vstack([np.zeros((1, cfg.d)), _uniform_ball(rng, k, cfg.d, radius)])
-        counts[t] = count_chains_from_origin(pts, cfg.n, cfg.R, origin=0)
+    _check_budget(cfg)
+    counts = _trial_counts(cfg)
     mean = float(np.mean(counts))
     stderr = float(np.std(counts, ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
     return mean, stderr

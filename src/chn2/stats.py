@@ -337,15 +337,35 @@ def write_levels_csv(rows, path) -> None:
             )
 
 
+SERIES_COLUMN = "mean_merge_distance"
+
+
+def _read_series_rows(path):
+    """(rows, field names) of a levels or baseline CSV; the file must have
+    a mean_merge_distance column."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+        fields = reader.fieldnames or []
+    if SERIES_COLUMN not in fields:
+        raise SeriesError(f"{path}: no {SERIES_COLUMN} column")
+    return rows, fields
+
+
+def _column_series(rows, column, path) -> list:
+    """The values of one column. Only the trailing rows, those past a
+    series' last level, may leave it empty."""
+    cells = [row[column] or "" for row in rows]
+    filled = [cell for cell in cells if cell]
+    if not all(cells[: len(filled)]):
+        raise SeriesError(f"{path}: empty {column} cell before the last filled one")
+    return [float(cell) for cell in filled]
+
+
 def read_series_csv(path) -> list:
     """Mean-distance series from a levels CSV (skips empty terminal rows)."""
-    out = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            cell = row.get("mean_merge_distance", "")
-            if cell:
-                out.append(float(cell))
-    return out
+    rows, _ = _read_series_rows(path)
+    return _column_series(rows, SERIES_COLUMN, path)
 
 
 SEED_COLUMN_PREFIX = "seed_"
@@ -367,12 +387,10 @@ def read_baseline_csv(path) -> BaselineSeries:
     """Baseline from a CSV that `write_baseline_csv` wrote. A CSV without
     `seed_<s>` columns, such as one sample's levels CSV, reads as a
     single-sample baseline with no per-seed series."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-        columns = [c for c in reader.fieldnames or [] if c.startswith(SEED_COLUMN_PREFIX)]
-    values = [float(r["mean_merge_distance"]) for r in rows if r.get("mean_merge_distance")]
-    seed_series = tuple(tuple(float(r[c]) for r in rows if r[c]) for c in columns)
+    rows, fields = _read_series_rows(path)
+    columns = [c for c in fields if c.startswith(SEED_COLUMN_PREFIX)]
+    values = _column_series(rows, SERIES_COLUMN, path)
+    seed_series = tuple(tuple(_column_series(rows, c, path)) for c in columns)
     if any(not (0 < v < math.inf) for s in seed_series for v in s):
         raise SeriesError(f"{path}: per-seed distances must be positive and finite")
     if not columns:

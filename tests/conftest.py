@@ -135,6 +135,16 @@ def oracle_hierarchy_json(sample, metric: Metric) -> dict:
     return out
 
 
+def oracle_chain_lengths(points, ids) -> tuple:
+    """Step lengths of the chain through the rows `ids` of `points`, which
+    may not repeat a vertex."""
+    pts = np.atleast_2d(np.asarray(points, float))
+    ids = [int(i) for i in ids]
+    if len(set(ids)) != len(ids):
+        raise ValueError("chain vertices may not repeat")
+    return tuple(float(np.linalg.norm(pts[b] - pts[a])) for a, b in zip(ids, ids[1:]))
+
+
 def oracle_count_chains(points, n, R, origin=0):
     """Unpruned enumeration over all vertex sequences of length n."""
     pts = np.atleast_2d(np.asarray(points, float))
@@ -144,11 +154,7 @@ def oracle_count_chains(points, n, R, origin=0):
     others = [i for i in range(m) if i != origin]
     count = 0
     for seq in itertools.permutations(others, n):
-        chain = [origin, *seq]
-        d = [
-            float(np.linalg.norm(pts[chain[i + 1]] - pts[chain[i]]))
-            for i in range(n)
-        ]
+        d = oracle_chain_lengths(pts, [origin, *seq])
         if d[0] >= R:
             continue
         if n >= 2 and d[1] >= R:
@@ -158,11 +164,39 @@ def oracle_count_chains(points, n, R, origin=0):
     return count
 
 
+def oracle_count_chains_dfs(points, n, R, origin=0):
+    """Depth-first chain count over the dense distance matrix, with the
+    path's vertices kept in a Python set, so any number of points works.
+    Unlike `oracle_count_chains` it scales to Monte Carlo samples."""
+    pts = np.atleast_2d(np.asarray(points, float))
+    m = pts.shape[0]
+    if n == 0:
+        return 1
+    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+    neighbors = [np.flatnonzero((dist[i] < R) & (np.arange(m) != i)) for i in range(m)]
+    count = 0
+    # (vertex, depth, last step, the step before, vertices on the path)
+    stack = [(origin, 0, 0.0, 0.0, {origin})]
+    while stack:
+        v, depth, d1, d2, visited = stack.pop()
+        for w in neighbors[v].tolist():
+            if w in visited:
+                continue
+            step = dist[v, w]
+            if depth >= 2 and not step < max(d1, d2):
+                continue
+            if depth + 1 == n:
+                count += 1
+            else:
+                stack.append((w, depth + 1, step, d1, visited | {w}))
+    return count
+
+
 def oracle_expected_chains_weighted(n, d, trials, seed):
     """Sequential importance-sampling estimate of the exact expected chain
     count at lam = R = 1: draw each next point uniformly in its admissible
     ball and weight by the product of admissible volumes. Independent of
-    both the depth-first counter and the point-process sampler.
+    both the chain counter and the point-process sampler.
     """
     import math
 

@@ -17,7 +17,6 @@ import pytest
 from chn2.chains import (
     ChainCountConfig,
     count_chains_from_origin,
-    expected_chain_count_even,
     expected_chain_count_formula,
     expected_chain_count_recursive,
     mc_chain_count,
@@ -307,9 +306,10 @@ def test_criterion_3_chain_count_formula():
 
 
 def test_supplementary_chain_counts_vs_independent_estimator():
-    """Companion: the depth-first counter agrees with a sequential
-    importance-sampling estimate of the exact expectation, and the formula
-    values bound it from above for n >= 4."""
+    """Companion: the exact chain counter (one breadth-first pass over each
+    block of trials) agrees with a sequential importance-sampling estimate
+    of the exact expectation, and the formula values bound it from above
+    for n >= 4."""
     from conftest import oracle_expected_chains_weighted
 
     lam, R, d, seed = 1.0, 1.0, 2, 2024
@@ -556,5 +556,5 @@ def test_criterion_7_oracle_equivalence(rng):
 
 def test_even_closed_form_cross_check():
     # Direct substitution checks used by the criterion-3 targets.
-    assert expected_chain_count_even(1.0, 1.0, 2, 2) == pytest.approx(math.pi**2)
-    assert expected_chain_count_even(1.0, 1.0, 2, 4) == pytest.approx(math.pi**4 / 2)
+    assert expected_chain_count_formula(1.0, 1.0, 2, 2) == pytest.approx(math.pi**2)
+    assert expected_chain_count_formula(1.0, 1.0, 2, 4) == pytest.approx(math.pi**4 / 2)

@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from chn2 import chains
 from chn2.chains import (
-    Chain,
     ChainCountConfig,
     ball_volume,
     count_chains_from_origin,
-    expected_chain_count_even,
     expected_chain_count_formula,
     expected_chain_count_recursive,
     is_second_order_descending,
     longest_so_chain,
     mc_chain_count,
 )
-from conftest import oracle_count_chains
+from conftest import oracle_chain_lengths, oracle_count_chains, oracle_count_chains_dfs
 
 
 def test_ball_volume():
@@ -45,14 +44,12 @@ def test_ties_fail_strictness():
 
 def test_chain_record():
     pts = np.array([[0.0], [0.5], [0.9]])
-    c = Chain.from_points(pts, [0, 1, 2])
-    assert c.n_edges == 2
-    assert c.lengths == (0.5, pytest.approx(0.4))
-    assert c.second_order_descending
+    lengths = oracle_chain_lengths(pts, [0, 1, 2])
+    assert len(lengths) == 2
+    assert lengths == (0.5, pytest.approx(0.4))
+    assert is_second_order_descending(lengths)
     with pytest.raises(ValueError):
-        Chain((0, 1, 0), (1.0, 1.0))
-    with pytest.raises(ValueError):
-        Chain((0, 1), (1.0, 2.0))
+        oracle_chain_lengths(pts, [0, 1, 0])
 
 
 def test_count_empty_chain():
@@ -81,6 +78,80 @@ def test_count_matches_unpruned_enumeration(rng):
         assert got == want, (trial, m, n)
 
 
+# n = 4, d = 2, lam = R = 1, seed 101: the trials of more than 64 points,
+# where a 64-bit visited mask would repeat vertices. Trial 332 has 68 points.
+MC_101 = ChainCountConfig(lam=1.0, R=1.0, d=2, n=4, trials=2000, seed=101)
+
+
+def test_count_exact_beyond_64_points():
+    counts = chains._trial_counts(MC_101)
+    large = 0
+    for t in range(MC_101.trials):
+        pts = chains._trial_points(MC_101, t)
+        if len(pts) <= 64:
+            continue
+        large += 1
+        want = oracle_count_chains_dfs(pts, 4, 1.0)
+        assert count_chains_from_origin(pts, 4, 1.0) == want, t
+        assert counts[t] == want, t
+    assert large == 72
+
+
+def test_count_pinned_trial_332():
+    pts = chains._trial_points(MC_101, 332)
+    assert len(pts) == 68
+    assert oracle_count_chains_dfs(pts, 4, 1.0) == 27
+    assert count_chains_from_origin(pts, 4, 1.0) == 27
+    assert chains._trial_counts(MC_101)[332] == 27
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_trial_counts_match_dfs_oracle(d):
+    for n in (1, 2, 3, 4):
+        cfg = ChainCountConfig(lam=0.4 if d == 3 else 1.0, R=1.0, d=d, n=n, trials=60, seed=9)
+        counts = chains._trial_counts(cfg)
+        want = [oracle_count_chains_dfs(chains._trial_points(cfg, t), n, 1.0) for t in range(60)]
+        assert counts.tolist() == want, (d, n)
+
+
+def test_trial_counts_do_not_depend_on_block_size(monkeypatch):
+    cfg = ChainCountConfig(lam=1.0, R=1.0, d=2, n=3, trials=97, seed=4)
+    whole = chains._trial_counts(cfg)
+    monkeypatch.setattr(chains, "_BLOCK_POINTS", 100)
+    assert chains._trial_counts(cfg).tolist() == whole.tolist()
+    monkeypatch.setattr(chains, "_BLOCK_POINTS", 1)
+    assert chains._trial_counts(cfg).tolist() == whole.tolist()
+
+
+def test_count_tied_distances():
+    # A unit lattice: many equal steps, where only strict descent counts.
+    g = np.arange(-2.0, 3.0)
+    pts = np.array([[0.0, 0.0]] + [[x, y] for x in g for y in g if x or y])
+    for n in (1, 2, 3, 4):
+        assert count_chains_from_origin(pts, n, 1.5) == oracle_count_chains_dfs(pts, n, 1.5)
+
+
+def _no_trials(cfg, t):
+    raise AssertionError("a trial was drawn before the budget check")
+
+
+def test_budget_rejects_before_drawing(monkeypatch):
+    monkeypatch.setattr(chains, "_trial_points", _no_trials)
+    too_many_points = ChainCountConfig(lam=1000.0, R=1.0, d=2, n=4, trials=10, seed=0)
+    with pytest.raises(ValueError, match="MAX_POINTS_PER_TRIAL"):
+        mc_chain_count(too_many_points)
+    # about 1,257 points per trial, but (100 pi)^2 expected chains of length 2
+    too_many_chains = ChainCountConfig(lam=100.0, R=1.0, d=2, n=2, trials=10, seed=0)
+    assert chains._expected_points(too_many_chains) < chains.MAX_POINTS_PER_TRIAL
+    with pytest.raises(ValueError, match="MAX_PARTIAL_CHAINS"):
+        mc_chain_count(too_many_chains)
+
+
+def test_budget_admits_the_acceptance_settings():
+    for d, n in ((2, 4), (3, 4), (1, 12)):
+        chains._check_budget(ChainCountConfig(lam=1.0, R=1.0, d=d, n=n, trials=1, seed=0))
+
+
 def test_longest_chain_examples():
     assert longest_so_chain(np.array([[0.0], [1.0]])) == 1
     pts = np.array([[0.0], [1.0], [1.5], [1.75]])
@@ -104,18 +175,18 @@ def test_longest_chain_bounded_on_uniform_samples():
 
 
 def test_even_closed_form_values():
-    assert expected_chain_count_even(1.0, 1.0, 2, 0) == 1.0
-    assert expected_chain_count_even(1.0, 1.0, 2, 2) == pytest.approx(math.pi**2)
-    assert expected_chain_count_even(1.0, 1.0, 2, 4) == pytest.approx(math.pi**4 / 2)
+    assert expected_chain_count_formula(1.0, 1.0, 2, 0) == 1.0
+    assert expected_chain_count_formula(1.0, 1.0, 2, 2) == pytest.approx(math.pi**2)
+    assert expected_chain_count_formula(1.0, 1.0, 2, 4) == pytest.approx(math.pi**4 / 2)
     with pytest.raises(ValueError):
-        expected_chain_count_even(1.0, 1.0, 2, 3)
+        expected_chain_count_formula(1.0, 1.0, 2, -2)
 
 
 def test_recursive_matches_even_closed_form():
     for d in (1, 2, 3):
         for n in (0, 2, 4, 6, 8):
             for lam, R in ((1.0, 1.0), (0.7, 1.3)):
-                closed = expected_chain_count_even(lam, R, d, n)
+                closed = expected_chain_count_formula(lam, R, d, n)
                 rec = expected_chain_count_recursive(lam, R, d, n)
                 assert rec == pytest.approx(closed, rel=1e-6)
 

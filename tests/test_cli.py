@@ -176,6 +176,31 @@ def test_chains_mc_csv(tmp_path):
         assert abs(mean - float(r["recursive"])) <= 4 * stderr
 
 
+def test_chains_mc_budget_is_one_error_line(monkeypatch, capsys):
+    import chn2.chains
+
+    def no_trials(cfg, t):
+        raise AssertionError("a trial was drawn before the budget check")
+
+    monkeypatch.setattr(chn2.chains, "_trial_points", no_trials)
+    for lam, n, bound in ((1000, 4, "MAX_POINTS_PER_TRIAL"), (100, 2, "MAX_PARTIAL_CHAINS")):
+        assert run("chains", "mc", "--lambda", lam, "--n", n, "--trials", 10**9) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and bound in err and err.count("\n") == 1, err
+
+
+def test_detect_target_without_series_column_is_one_error_line(tmp_path, capsys):
+    target = tmp_path / "target.csv"
+    target.write_text("level,foo\n0,1.5\n1,2.5\n")
+    base = tmp_path / "base.csv"
+    base.write_text("level,mean_merge_distance\n0,1.0\n1,2.0\n")
+    assert run("detect", "--target", target, "--baseline", base,
+               "--out", tmp_path / "det.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "mean_merge_distance" in err, err
+    assert err.count("\n") == 1, err
+
+
 def test_bad_input_nonzero_exit(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run("cluster", "--input", missing, "--out", tmp_path / "h.json") == 1

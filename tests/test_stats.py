@@ -300,6 +300,43 @@ def test_read_baseline_csv(tmp_path):
     assert read_baseline_csv(path) == BaselineSeries([4.0], [1], 1)
 
 
+LEVELS_HEADER = (
+    "level,n_components,n_heads,n_exit,head_intensity,exit_intensity,mean_merge_distance"
+)
+
+
+def test_series_csv_without_series_column_fails(tmp_path):
+    path = tmp_path / "levels.csv"
+    path.write_text("level,foo\n0,1.5\n1,2.5\n")
+    for read in (read_series_csv, read_baseline_csv):
+        with pytest.raises(SeriesError, match="mean_merge_distance"):
+            read(path)
+    path.write_text("")
+    for read in (read_series_csv, read_baseline_csv):
+        with pytest.raises(SeriesError, match="mean_merge_distance"):
+            read(path)
+
+
+def test_series_csv_empty_cell_only_trails(tmp_path):
+    path = tmp_path / "levels.csv"
+    path.write_text(LEVELS_HEADER + "\n0,4,4,2,1,1,\n1,2,2,2,1,1,3.0\n2,1,1,0,1,1,\n")
+    for read in (read_series_csv, read_baseline_csv):
+        with pytest.raises(SeriesError, match="mean_merge_distance"):
+            read(path)
+    path.write_text(LEVELS_HEADER + "\n0,4,4,2,1,1,1.0\n1,2,2,2,1,1,3.0\n2,1,1,0,1,1,\n")
+    assert read_series_csv(path) == [1.0, 3.0]
+    assert read_baseline_csv(path).values == [1.0, 3.0]
+
+
+def test_baseline_csv_seed_gap_fails(tmp_path):
+    path = tmp_path / "base.csv"
+    path.write_text(
+        LEVELS_HEADER + ",seed_3\n0,,,1,,,1.5,\n1,,,1,,,3.0,3.0\n"
+    )
+    with pytest.raises(SeriesError, match="seed_3"):
+        read_baseline_csv(path)
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "abc", "1.5"])
 def test_thread_count_rejects_bad_env(value, monkeypatch):
     monkeypatch.setenv("CHN2_THREADS", value)
