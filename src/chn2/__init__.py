@@ -1,14 +1,13 @@
 """Clustroid hierarchical nearest-neighbor clustering on spatial point
 patterns, with descending-chain statistics and aggregation detection."""
 
-from .geometry import Metric, Point, Window, distance, scale_sample, single_linkage
+from .geometry import Metric, Window
 from .hierarchy import (
     Hierarchy,
     LevelGraph,
     Pair,
     build_hierarchy,
     cluster_subtrees,
-    descendant_counts,
     extract_pairs,
     level0,
     nn_k_step,
@@ -28,17 +27,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Metric",
-    "Point",
     "Window",
-    "distance",
-    "scale_sample",
-    "single_linkage",
     "Hierarchy",
     "LevelGraph",
     "Pair",
     "build_hierarchy",
     "cluster_subtrees",
-    "descendant_counts",
     "extract_pairs",
     "level0",
     "nn_k_step",

@@ -1,4 +1,4 @@
-"""Points, windows, metrics, and the single-linkage pseudo-distance.
+"""Windows, metrics, and squared distances over coordinate arrays.
 
 All argmin-style operations in this package share one total order so that
 every construction is deterministic even when floating-point distances tie
@@ -9,7 +9,6 @@ distances.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,26 +16,6 @@ import numpy as np
 
 class GeometryError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Point:
-    """A point with a dense integer id and real coordinates."""
-
-    id: int
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise GeometryError("coords must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(c)):
-            raise GeometryError("coords must be finite")
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
 
 
 @dataclass(frozen=True)
@@ -137,43 +116,3 @@ def sq_dist_many(coords_a, coords_b, metric: Metric) -> np.ndarray:
 
 def sq_dist(a, b, metric: Metric) -> float:
     return float(sq_dist_many(np.asarray(a, float), np.asarray(b, float), metric))
-
-
-def distance(a: Point, b: Point, m: Metric | None = None) -> float:
-    """True distance between two points; raises on dimension mismatch."""
-    m = m or Metric.euclidean()
-    if a.dim != b.dim:
-        raise GeometryError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return math.sqrt(sq_dist(a.coords, b.coords, m))
-
-
-def single_linkage(S, T, m: Metric | None = None):
-    """Minimum cross distance between two nonempty point sets.
-
-    Returns (value, (point_in_S, point_in_T)) where the witness pair achieves
-    the minimum; ties resolved by (squared distance, source id, target id).
-    Symmetric in value; not a metric (zero whenever the sets share a point).
-    """
-    m = m or Metric.euclidean()
-    S = list(S)
-    T = list(T)
-    if not S or not T:
-        raise GeometryError("single_linkage requires nonempty sets")
-    dims = {p.dim for p in S} | {p.dim for p in T}
-    if len(dims) != 1:
-        raise GeometryError("all points must share one dimension")
-    best = None
-    for x in S:
-        for y in T:
-            key = (sq_dist(x.coords, y.coords, m), x.id, y.id)
-            if best is None or key < best[0]:
-                best = (key, x, y)
-    (dsq, _, _), x, y = best
-    return math.sqrt(dsq), (x, y)
-
-
-def scale_sample(points, c: float):
-    """Multiply every coordinate by c > 0, preserving ids."""
-    if not c > 0:
-        raise GeometryError("scale factor must be positive")
-    return [Point(p.id, p.coords * c) for p in points]

@@ -317,45 +317,6 @@ def cluster_subtrees(g: LevelGraph) -> dict:
     return out
 
 
-def descendant_counts(h: Hierarchy, level: int) -> dict:
-    """Size of each level-k cluster subtree, head included."""
-    if level < 0 or level >= len(h.levels):
-        raise HierarchyError(f"no level {level} in this hierarchy")
-    return {head: int(ids.size) for head, ids in cluster_subtrees(h.levels[level]).items()}
-
-
-def descent_violations(g: LevelGraph, coords, metric: Metric, within=None):
-    """Consecutive edge-length triples along simple paths that fail
-    d_i < max(d_{i-1}, d_{i-2}).
-
-    A triple lies on a simple path exactly when its four vertices are
-    distinct (out-degree is 1). `within` optionally restricts starting
-    vertices. Returns a list of (x, s(x), s2(x), s3(x), d0, d1, d2).
-    """
-    succ = g.successor
-    x0 = np.arange(g.n) if within is None else np.asarray(within, dtype=np.int64)
-    x1 = succ[x0]
-    x2 = succ[x1]
-    x3 = succ[x2]
-    distinct = (
-        (x0 != x1) & (x0 != x2) & (x0 != x3)
-        & (x1 != x2) & (x1 != x3) & (x2 != x3)
-    )
-    d0 = sq_dist_many(coords[x0], coords[x1], metric)
-    d1 = sq_dist_many(coords[x1], coords[x2], metric)
-    d2 = sq_dist_many(coords[x2], coords[x3], metric)
-    bad = distinct & (d2 >= np.maximum(d0, d1))
-    out = []
-    for i in np.flatnonzero(bad):
-        out.append(
-            (
-                int(x0[i]), int(x1[i]), int(x2[i]), int(x3[i]),
-                float(np.sqrt(d0[i])), float(np.sqrt(d1[i])), float(np.sqrt(d2[i])),
-            )
-        )
-    return out
-
-
 def hierarchy_to_json(h: Hierarchy) -> dict:
     """Hierarchy JSON version 2: level 0's successors and the pairs, whose
     exits give every later level (see `advance_level`)."""

@@ -50,18 +50,35 @@ def oracle_single_linkage_sq(coords_a, coords_b, metric):
     )
 
 
-def oracle_sq_matrix(coords, metric: Metric) -> np.ndarray:
-    """All pairwise squared distances, summed coordinate by coordinate in the
-    same order as oracle_sq_dist, so each entry is bitwise equal to it."""
+def oracle_sq_matrix(coords, metric: Metric, rows=None) -> np.ndarray:
+    """Squared distances from coords[rows] (every row by default) to all
+    points, summed coordinate by coordinate in the same order as
+    oracle_sq_dist, so each entry is bitwise equal to it."""
     coords = np.atleast_2d(np.asarray(coords, float))
-    total = np.zeros((len(coords), len(coords)))
+    left = coords if rows is None else coords[rows]
+    total = np.zeros((len(left), len(coords)))
     for j in range(coords.shape[1]):
-        delta = np.abs(coords[:, None, j] - coords[None, :, j])
+        delta = np.abs(left[:, None, j] - coords[None, :, j])
         if metric.kind == TORUS:
             period = metric.window.hi[j] - metric.window.lo[j]
             delta = np.minimum(delta, period - delta)
         total += delta * delta
     return total
+
+
+def oracle_successor_map(coords, groups, metric: Metric, block=256):
+    """Every row's nearest foreign entry under (squared distance, entry id),
+    as (ids, sq_distances), from oracle_sq_matrix in blocks of rows."""
+    groups = np.asarray(groups)
+    n = len(groups)
+    ids, sq = np.empty(n, dtype=np.int64), np.empty(n)
+    for start in range(0, n, block):
+        rows = np.arange(start, min(start + block, n))
+        d = oracle_sq_matrix(coords, metric, rows)
+        d[groups[rows, None] == groups[None, :]] = np.inf
+        ids[rows] = np.argmin(d, axis=1)  # the first minimum: the smallest id
+        sq[rows] = d[np.arange(rows.size), ids[rows]]
+    return ids, sq
 
 
 def _oracle_two_cycles(succ):
@@ -133,6 +150,37 @@ def oracle_hierarchy_json(sample, metric: Metric) -> dict:
         "exit_target": None, "merge_distance": None, "target_pair": None,
     })
     return out
+
+
+def oracle_descent_violations(g, coords, metric: Metric, within=None):
+    """Consecutive edge-length triples along simple paths of the level graph
+    g that fail d_i < max(d_{i-1}, d_{i-2}).
+
+    A triple lies on a simple path exactly when its four vertices are
+    distinct (out-degree is 1). `within` optionally restricts starting
+    vertices. Returns a list of (x, s(x), s2(x), s3(x), d0, d1, d2).
+    """
+    succ = g.successor
+    x0 = np.arange(g.n) if within is None else np.asarray(within, dtype=np.int64)
+    x1 = succ[x0]
+    x2 = succ[x1]
+    x3 = succ[x2]
+    distinct = (
+        (x0 != x1) & (x0 != x2) & (x0 != x3)
+        & (x1 != x2) & (x1 != x3) & (x2 != x3)
+    )
+    d0, d1, d2 = (
+        np.array([oracle_sq_dist(coords[a], coords[b], metric) for a, b in zip(u, v)])
+        for u, v in ((x0, x1), (x1, x2), (x2, x3))
+    )
+    bad = distinct & (d2 >= np.maximum(d0, d1))
+    return [
+        (
+            int(x0[i]), int(x1[i]), int(x2[i]), int(x3[i]),
+            float(np.sqrt(d0[i])), float(np.sqrt(d1[i])), float(np.sqrt(d2[i])),
+        )
+        for i in np.flatnonzero(bad)
+    ]
 
 
 def oracle_chain_lengths(points, ids) -> tuple:

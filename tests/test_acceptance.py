@@ -37,7 +37,12 @@ from chn2.stats import (
     level_stats,
     poisson_baseline,
 )
-from conftest import nearest_foreign, oracle_count_chains, oracle_nearest_foreign
+from conftest import (
+    nearest_foreign,
+    oracle_count_chains,
+    oracle_nearest_foreign,
+    oracle_successor_map,
+)
 
 ARTIFACTS = Path(__file__).parent / "_artifacts"
 ARTIFACTS.mkdir(exist_ok=True)
@@ -517,6 +522,7 @@ def test_criterion_6_scale_translation_invariance():
 
 def test_criterion_7_oracle_equivalence(rng):
     mismatches = 0
+    row_mismatches = rows = 0
     for trial in range(100):
         n = int(rng.integers(2, 501))
         d = 1 + trial % 3
@@ -525,6 +531,11 @@ def test_criterion_7_oracle_equivalence(rng):
         coords = rng.uniform(0, 10.0, size=(n, d))
         groups = rng.integers(0, max(2, n // 4), size=n)
         index = NnIndex(coords, groups, metric)
+        if np.unique(groups).size > 1:
+            succ, _ = index.successor_map()
+            want, _ = oracle_successor_map(coords, groups, metric)
+            row_mismatches += int(np.count_nonzero(succ != want))
+            rows += n
         for _ in range(5):
             q = rng.uniform(0, 10.0, size=d)
             own = int(rng.integers(0, max(2, n // 4)))
@@ -544,11 +555,12 @@ def test_criterion_7_oracle_equivalence(rng):
             pts, n_edges, 1.0
         ):
             chain_mismatches += 1
-    ok = mismatches == 0 and chain_mismatches == 0
+    ok = mismatches == 0 and row_mismatches == 0 and chain_mismatches == 0
     report(
         "7 oracle-equivalence",
         ok,
         f"nearest-neighbor mismatches {mismatches}/500 queries, "
+        f"successor-map mismatches {row_mismatches}/{rows} rows, "
         f"chain-count mismatches {chain_mismatches}/30 sets",
     )
     assert ok

@@ -1,45 +1,31 @@
 import numpy as np
 import pytest
 
-from chn2.geometry import (
-    GeometryError,
-    Metric,
-    Point,
-    Window,
-    distance,
-    scale_sample,
-    single_linkage,
-    sq_dist,
-)
-from conftest import oracle_sq_dist
+from chn2.geometry import GeometryError, Metric, Window, sq_dist
+from chn2.hierarchy import HierarchyError, Pair, nn_k_step
+from chn2.pointprocess import Sample, SampleError
+from conftest import oracle_single_linkage_sq, oracle_sq_dist
 
-
-def P(i, *coords):
-    return Point(i, np.asarray(coords, float))
+EUCLID = Metric.euclidean()
 
 
 def test_distance_345_triangle():
-    assert distance(P(0, 0, 0), P(1, 3, 4)) == 5.0
+    assert sq_dist([0.0, 0.0], [3.0, 4.0], EUCLID) == 25.0
 
 
 def test_distance_identity():
     for x in (0.0, -2.5, 1e9):
-        assert distance(P(0, x, x), P(1, x, x)) == 0.0
-
-
-def test_distance_dimension_mismatch():
-    with pytest.raises(GeometryError):
-        distance(P(0, 1.0), P(1, 1.0, 2.0))
+        assert sq_dist([x, x], [x, x], EUCLID) == 0.0
 
 
 def test_point_rejects_nonfinite():
-    with pytest.raises(GeometryError):
-        Point(0, np.array([1.0, np.nan]))
+    with pytest.raises(SampleError):
+        Sample(np.array([[1.0, np.nan]]), Window([0.0, 0.0], [2.0, 2.0]), 2, {}, 0)
 
 
 def test_torus_wraps():
     m = Metric.torus(Window([0.0], [10.0]))
-    assert distance(P(0, 0.5), P(1, 9.5), m) == 1.0
+    assert sq_dist([0.5], [9.5], m) == 1.0
 
 
 def test_torus_at_most_euclidean_and_half_window(rng):
@@ -74,50 +60,34 @@ def test_window_validation():
     assert Window([0, 0], [2, 3]).volume == 6.0
 
 
-def test_single_linkage_singletons():
-    value, (x, y) = single_linkage([P(0, 0, 0)], [P(1, 3, 4)])
-    assert value == 5.0
-    assert (x.id, y.id) == (0, 1)
+# The single-linkage pseudo-distance between two pairs is what nn_k_step's
+# exit witness computes: each pair's (exit, exit target, squared distance).
+def two_pair_exits(S, T):
+    pairs = [Pair(0, 0, (0, 1)), Pair(1, 0, (2, 3))]
+    return nn_k_step(pairs, np.asarray(S + T, float), EUCLID).exits
 
 
 def test_single_linkage_bruteforce_min():
-    S = [P(0, 0, 0), P(1, 10, 0)]
-    T = [P(2, 3, 4), P(3, 100, 0)]
-    value, (x, y) = single_linkage(S, T)
-    assert value == 5.0
-    assert (x.id, y.id) == (0, 2)
+    S = [[0.0, 0.0], [10.0, 0.0]]
+    T = [[3.0, 4.0], [100.0, 0.0]]
+    assert two_pair_exits(S, T) == [(0, 2, 25.0), (2, 0, 25.0)]
 
 
 def test_single_linkage_shared_point_is_zero():
-    S = [P(0, 1, 2), P(1, 5, 5)]
-    T = [P(2, 1, 2), P(3, 9, 9)]
-    value, _ = single_linkage(S, T)
-    assert value == 0.0
+    S = [[1.0, 2.0], [5.0, 5.0]]
+    T = [[1.0, 2.0], [9.0, 9.0]]
+    assert two_pair_exits(S, T)[0] == (0, 2, 0.0)
 
 
 def test_single_linkage_symmetric_value(rng):
     for _ in range(25):
-        S = [P(i, *rng.uniform(0, 1, 2)) for i in range(3)]
-        T = [P(10 + i, *rng.uniform(0, 1, 2)) for i in range(4)]
-        v1, (x1, y1) = single_linkage(S, T)
-        v2, (x2, y2) = single_linkage(T, S)
-        assert v1 == v2
-        assert (x1.id, y1.id) == (y2.id, x2.id)
-        for x in S:
-            for y in T:
-                assert v1 <= distance(x, y)
+        S = rng.uniform(0, 1, size=(2, 2)).tolist()
+        T = rng.uniform(0, 1, size=(2, 2)).tolist()
+        (x1, y1, v1), (x2, y2, v2) = two_pair_exits(S, T)
+        assert v1 == v2 == oracle_single_linkage_sq(S, T, EUCLID)
+        assert (x1, y1) == (y2, x2)
 
 
 def test_single_linkage_empty_errors():
-    with pytest.raises(GeometryError):
-        single_linkage([], [P(0, 1.0)])
-
-
-def test_scale_sample():
-    pts = scale_sample([P(3, 1, 2)], 2.0)
-    assert pts[0].id == 3
-    assert np.array_equal(pts[0].coords, [2.0, 4.0])
-    same = scale_sample([P(0, 1, 2)], 1.0)
-    assert np.array_equal(same[0].coords, [1.0, 2.0])
-    with pytest.raises(GeometryError):
-        scale_sample([P(0, 1.0)], 0.0)
+    with pytest.raises(HierarchyError):
+        nn_k_step([Pair(0, 0, (0, 1))], np.zeros((2, 2)), EUCLID)

@@ -17,8 +17,6 @@ from chn2.hierarchy import (
     advance_level,
     build_hierarchy,
     cluster_subtrees,
-    descendant_counts,
-    descent_violations,
     extract_pairs,
     functional_structure,
     genealogy_newick,
@@ -30,7 +28,7 @@ from chn2.hierarchy import (
     save_hierarchy,
 )
 from chn2.pointprocess import Sample
-from conftest import oracle_hierarchy_json
+from conftest import oracle_descent_violations, oracle_hierarchy_json
 
 WIDE = Window([-1000.0], [1000.0])
 DATA = Path(__file__).parent / "data"
@@ -222,15 +220,6 @@ def test_subtrees_partition(rng):
         assert np.array_equal(united, np.arange(s.n))
 
 
-def test_descendant_counts():
-    h = build_hierarchy(line_sample([0, 1, 3, 7]))
-    counts = descendant_counts(h, 0)
-    assert counts == {0: 1, 1: 3}
-    assert sum(counts.values()) == 4
-    with pytest.raises(HierarchyError):
-        descendant_counts(h, 5)
-
-
 def test_functional_structure_generic_cycle_detection():
     # 3-cycle plus a tail: the structure helper must report it faithfully,
     # and the level-graph constructor must reject it.
@@ -314,7 +303,7 @@ def test_descent_violation_surfaced_not_suppressed():
     # tree-prefix triple that breaks second-order descent at level 1.
     s = line_sample([0, 1, 3, 50, 51, 53])
     h = build_hierarchy(s)
-    v = descent_violations(h.levels[1], s.points, Metric.euclidean())
+    v = oracle_descent_violations(h.levels[1], s.points, Metric.euclidean())
     assert v, "expected the known tree-prefix counterexample to be reported"
     assert v[0][:4] == (5, 4, 3, 1)
 
@@ -330,7 +319,7 @@ def test_descent_holds_on_head_paths(rng):
         m = Metric.euclidean()
         for k in range(1, len(h.levels)):
             prev_heads = h.levels[k - 1].heads
-            assert descent_violations(h.levels[k], s.points, m, within=prev_heads) == []
+            assert oracle_descent_violations(h.levels[k], s.points, m, within=prev_heads) == []
 
 
 def test_nn_chain_lengths_nonincreasing_level0(rng):

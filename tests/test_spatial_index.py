@@ -3,7 +3,7 @@ import pytest
 
 from chn2.geometry import Metric, Window
 from chn2.spatial_index import IndexBuildError, NnIndex, NoForeignNeighborError
-from conftest import nearest_foreign, oracle_nearest_foreign
+from conftest import nearest_foreign, oracle_nearest_foreign, oracle_successor_map
 
 
 def test_single_point_index():
@@ -11,11 +11,15 @@ def test_single_point_index():
     assert len(idx) == 1
     with pytest.raises(NoForeignNeighborError):
         nearest_foreign(idx, [1.0, 2.0], own_group=0)
+    with pytest.raises(NoForeignNeighborError):
+        idx.successor_map()
 
 
 def test_empty_build_errors():
     with pytest.raises(IndexBuildError):
         NnIndex(np.empty((0, 2)), np.empty(0, dtype=int))
+    with pytest.raises(IndexBuildError):
+        NnIndex([[11.0, 0.0]], [0], Metric.torus(Window([0.0, 0.0], [10.0, 10.0])))
 
 
 def test_query_own_coordinates_hits_self():
@@ -86,6 +90,20 @@ def test_successor_map_matches_oracle(rng):
             assert succ[i] == want
             assert sqd[i] == want_sq
 
+    # A torus window far wider than the points: the periodic tree rounds at
+    # the scale of the box side (2,000), not of the coordinates (0.01), and
+    # near-ties on a 1e-4 grid with 1e-13 jitter fall inside that rounding.
+    w = Window([-1000.0, -1000.0], [1000.0, 1000.0])
+    metric = Metric.torus(w)
+    grid = np.stack(np.meshgrid(np.arange(101), np.arange(101)), axis=-1).reshape(-1, 2)
+    coords = 1e-4 * grid[rng.choice(len(grid), size=3000, replace=False)]
+    coords += rng.uniform(-1e-13, 1e-13, size=coords.shape)
+    groups = np.arange(3000)
+    succ, sqd = NnIndex(coords, groups, metric).successor_map()
+    want, want_sq = oracle_successor_map(coords, groups, metric)
+    assert np.array_equal(succ, want)
+    assert np.array_equal(sqd, want_sq)
+
 
 def test_torus_successors_wrap(rng):
     w = Window([0.0], [10.0])
@@ -96,15 +114,23 @@ def test_torus_successors_wrap(rng):
     assert sqd[0] == 1.0
     assert sqd[2] == 3.5**2  # 4.0 reaches 0.5 across the interior
 
+    # A point on the upper face (x = hi) is the point x = lo of the torus.
+    coords = np.array([[0.5], [9.5], [4.0], [10.0]])
+    succ, sqd = NnIndex(coords, np.arange(4), Metric.torus(w)).successor_map()
+    assert succ.tolist() == [3, 3, 0, 0]  # 10.0 ties 0.5 and 9.5; 0 wins
+    assert sqd.tolist() == [0.25, 0.25, 3.5**2, 0.25]
+
 
 def test_grid_ties_match_oracle_everywhere():
-    # Integer grids tie constantly; force the tree path (n > 64) and demand
-    # bitwise agreement with the scan under (squared distance, entry id).
+    # Integer grids tie constantly; demand bitwise agreement with the scan
+    # under (squared distance, entry id). On the 11 x 11 torus the last row
+    # and column lie on the upper faces, at distance 0 from the first ones.
     xs, ys = np.meshgrid(np.arange(12.0), np.arange(12.0))
     coords = np.column_stack([xs.ravel(), ys.ravel()])  # 144 points
     groups = (np.arange(144) // 4).astype(np.int64)
     w = Window([0.0, 0.0], [12.0, 12.0])
-    for metric in (Metric.euclidean(), Metric.torus(w)):
+    faces = Window([0.0, 0.0], [11.0, 11.0])
+    for metric in (Metric.euclidean(), Metric.torus(w), Metric.torus(faces)):
         idx = NnIndex(coords, groups, metric)
         succ, sqd = idx.successor_map()
         for i in range(144):
@@ -145,34 +171,42 @@ def test_successor_map_matches_per_row_ties(kind, rng):
 def test_successor_map_widens_k_for_clustered_groups(kind, rng):
     # A group of 40 within 0.001 of one spot and a group of 30 stacked on one
     # coordinate, off the grid: their rows see only their own group until the
-    # batched k-doubling reaches 64.
+    # batched k-doubling reaches 64. Six entries, five in one group: the
+    # doubling must stop at the index size.
     w = Window([0.0, 0.0], [10.0, 10.0])
     metric = Metric.euclidean() if kind == "euclidean" else Metric.torus(w)
-    coords = np.vstack([
+    clustered = np.vstack([
         rng.integers(0, 10, size=(200, 2)).astype(float),
         [3.3, 6.6] + rng.uniform(0, 0.001, size=(40, 2)),
         np.repeat([[7.5, 2.5]], 30, axis=0),
     ])
-    groups = np.concatenate([np.arange(200), np.full(40, 900), np.full(30, 901)])
-    idx = NnIndex(coords, groups, metric)
-    succ, sqd = idx.successor_map()
-    for i in range(len(coords)):
-        want_sq, want_ids = idx.nearest_foreign_ties(coords[i], groups[i])
-        assert succ[i] == want_ids[0], i
-        assert sqd[i] == want_sq, i
+    six = np.column_stack([[1.0, 1.2, 1.4, 1.6, 1.8, 2.5], np.ones(6)])
+    cases = [
+        (clustered, np.concatenate([np.arange(200), np.full(40, 900), np.full(30, 901)])),
+        (six, np.array([0, 0, 0, 0, 0, 1])),
+    ]
+    for coords, groups in cases:
+        idx = NnIndex(coords, groups, metric)
+        succ, sqd = idx.successor_map()
+        for i in range(len(coords)):
+            want_sq, want_ids = idx.nearest_foreign_ties(coords[i], groups[i])
+            assert succ[i] == want_ids[0], i
+            assert sqd[i] == want_sq, i
+    assert succ.tolist() == [5, 5, 5, 5, 5, 4]
 
 
 def test_successor_map_one_group_tree_backed_raises():
-    coords = np.random.default_rng(5).uniform(0, 1, size=(100, 2))
-    idx = NnIndex(coords, np.zeros(100, dtype=np.int64))
-    with pytest.raises(NoForeignNeighborError):
-        idx.successor_map()
+    for n in (1, 3, 100):
+        coords = np.random.default_rng(5).uniform(0, 1, size=(n, 2))
+        idx = NnIndex(coords, np.zeros(n, dtype=np.int64))
+        with pytest.raises(NoForeignNeighborError):
+            idx.successor_map()
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "torus"])
 def test_successor_map_tree_path_needs_no_per_row_query(kind, rng, monkeypatch):
-    # Every row of a lattice ties; a tree-backed index must settle them all
-    # in its batched pass, without one nearest_foreign_ties call.
+    # Every row of a lattice ties; the index must settle them all in its
+    # batched pass, without one nearest_foreign_ties call.
     def per_row(*args, **kwargs):
         raise AssertionError("per-row fallback called")
 
