@@ -5,10 +5,9 @@ from .geometry import Metric, Window
 from .hierarchy import (
     Hierarchy,
     LevelGraph,
-    Pair,
+    Merges,
     build_hierarchy,
     cluster_subtrees,
-    extract_pairs,
     level0,
     nn_k_step,
 )
@@ -30,10 +29,9 @@ __all__ = [
     "Window",
     "Hierarchy",
     "LevelGraph",
-    "Pair",
+    "Merges",
     "build_hierarchy",
     "cluster_subtrees",
-    "extract_pairs",
     "level0",
     "nn_k_step",
     "CoxBallSpec",

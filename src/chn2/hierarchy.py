@@ -7,6 +7,13 @@ Each subsequent level links pairs to their nearest foreign pair under the
 single-linkage pseudo-distance and relinks only the witnessing exit point,
 so the successor map stays total while components coarsen strictly until a
 single pair remains.
+
+Every level is arrays: a `LevelGraph` holds the successor map and its pairs
+as an (m, 2) array, and every non-terminal level has one `Merges` record of
+per-pair columns. Level 0 and the exit columns are the whole hierarchy;
+`advance_level` and `merge_record` rebuild the rest, for the build and for
+the loader alike, and the loader requires every other stored field to be
+what that rebuild writes.
 """
 
 from __future__ import annotations
@@ -82,13 +89,29 @@ def functional_structure(succ):
     return component_id, cycles, head_of
 
 
+def _reach_two_cycles(succ):
+    """(mutual, reach): mutual[x] says x lies on a 2-cycle, and reach[x] is
+    the first such vertex on x's path, if the path meets one at all.
+
+    Pointer doubling with the 2-cycle vertices as fixed points covers any
+    path of at most n steps.
+    """
+    ids = np.arange(succ.size)
+    mutual = succ[succ] == ids
+    reach = np.where(mutual, ids, succ)
+    for _ in range((succ.size - 1).bit_length()):
+        reach = reach[reach]
+    return mutual, reach
+
+
 @dataclass(frozen=True)
 class LevelGraph:
-    """One level of the hierarchy: a total successor map and its 2-cycles."""
+    """One level of the hierarchy: a total successor map and its 2-cycles,
+    one (low head, high head) row per pair in ascending order of low head."""
 
     level: int
     successor: np.ndarray
-    cycles: tuple
+    pairs: np.ndarray
 
     @classmethod
     def from_successors(cls, level, successor):
@@ -96,15 +119,10 @@ class LevelGraph:
         n = successor.size
         if successor.ndim != 1 or n == 0 or np.any(successor < 0) or np.any(successor >= n):
             raise StructureError("successor map must be total")
-        if np.any(successor == np.arange(n)):
-            raise StructureError("self-loops are not allowed")
-        # Every vertex must reach a 2-cycle: pointer doubling with the 2-cycle
-        # vertices as fixed points covers any path of at most n steps.
         ids = np.arange(n)
-        mutual = successor[successor] == ids
-        reach = np.where(mutual, ids, successor)
-        for _ in range((n - 1).bit_length()):
-            reach = reach[reach]
+        if np.any(successor == ids):
+            raise StructureError("self-loops are not allowed")
+        mutual, reach = _reach_two_cycles(successor)
         if not mutual[reach].all():
             _, cycles, _ = functional_structure(successor)
             cyc = next(c for c in cycles if len(c) != 2)
@@ -112,8 +130,7 @@ class LevelGraph:
                 f"level {level}: component cycle {cyc} has length {len(cyc)}, expected 2"
             )
         low = np.flatnonzero(mutual & (ids < successor))
-        cycles = tuple(zip(low.tolist(), successor[low].tolist()))
-        return cls(level=level, successor=successor, cycles=cycles)
+        return cls(level=level, successor=successor, pairs=np.column_stack([low, successor[low]]))
 
     @property
     def n(self) -> int:
@@ -121,37 +138,29 @@ class LevelGraph:
 
     @property
     def n_components(self) -> int:
-        return len(self.cycles)
+        return len(self.pairs)
 
     @property
     def heads(self) -> np.ndarray:
-        if not self.cycles:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.asarray(self.cycles, dtype=np.int64).ravel())
+        return np.sort(self.pairs.ravel())
 
 
-@dataclass
-class Pair:
-    """A component's representative pair: the two heads of its 2-cycle.
+@dataclass(frozen=True)
+class Merges:
+    """How the pairs of one non-terminal level merge, one row per pair.
 
-    The exit fields are filled once the next level is computed: `exit` is
-    the head achieving the single-linkage minimum to the nearest foreign
-    pair, `exit_target` its image there, and `merge_sq` the squared minimum.
-    Relinking every pair's exit to its exit target turns level k into
-    level k + 1, so level 0 and the exits are the whole hierarchy.
+    `target_pair[i]` is the pair nearest to pair i under the single-linkage
+    distance, `exit[i]` the head of pair i achieving that minimum,
+    `exit_target[i]` its image in the target pair and `merge_sq[i]` the
+    squared minimum. Relinking every exit to its exit target gives the next
+    level, where pair i's component belongs to pair `parent[i]`.
     """
 
-    index: int
-    level: int
-    heads: tuple
-    exit: int | None = None
-    exit_target: int | None = None
-    merge_sq: float | None = None
-    target_pair: int | None = None
-
-    @property
-    def merge_distance(self) -> float | None:
-        return None if self.merge_sq is None else float(np.sqrt(self.merge_sq))
+    target_pair: np.ndarray
+    exit: np.ndarray
+    exit_target: np.ndarray
+    merge_sq: np.ndarray
+    parent: np.ndarray
 
 
 def level0(sample: Sample, metric: Metric | None = None) -> LevelGraph:
@@ -165,30 +174,19 @@ def level0(sample: Sample, metric: Metric | None = None) -> LevelGraph:
     return LevelGraph.from_successors(0, succ)
 
 
-def extract_pairs(g: LevelGraph) -> list:
-    """One Pair per component, indexed in order of the smallest head id."""
-    return [Pair(index=i, level=g.level, heads=cyc) for i, cyc in enumerate(g.cycles)]
+def nn_k_step(pairs, coords, metric: Metric | None = None):
+    """Nearest foreign pair and exit points for one level's (m, 2) pairs.
 
-
-@dataclass(frozen=True)
-class NnStepResult:
-    nn_map: np.ndarray
-    exits: list
-
-
-def nn_k_step(pairs, coords, metric: Metric | None = None) -> NnStepResult:
-    """Nearest foreign pair and exit points for one level.
-
-    nn_map[i] is the pair minimizing the single-linkage distance to pair i
-    (ties by pair index); exits[i] = (exit id, target id, squared distance).
+    Returns the columns (target_pair, exit, exit_target, merge_sq) of
+    `Merges`: target_pair[i] minimizes the single-linkage distance to pair
+    i (ties by pair index), and exit[i] -> exit_target[i] is its witness.
     """
     metric = metric or Metric.euclidean()
-    m = len(pairs)
+    heads = np.asarray(pairs, dtype=np.int64)
+    m = len(heads)
     if m < 2:
         raise HierarchyError("need at least 2 pairs to advance a level")
-    head_ids = np.fromiter(
-        (h for p in pairs for h in p.heads), dtype=np.int64, count=2 * m
-    )
+    head_ids = heads.ravel()
     groups = np.repeat(np.arange(m, dtype=np.int64), 2)
     index = NnIndex(coords[head_ids], groups, metric)
     entry_best, entry_sq = index.successor_map()
@@ -208,7 +206,6 @@ def nn_k_step(pairs, coords, metric: Metric | None = None) -> NnStepResult:
     # of the lower-indexed pair, head of the other). Heads are ascending, so
     # the first minimum of the flattened (x, y) grid is that argmin.
     rows = np.arange(m)
-    heads = head_ids.reshape(m, 2)
     low = heads[np.minimum(rows, nn_map)]
     high = heads[np.maximum(rows, nn_map)]
     cross = sq_dist_many(coords[high][:, None, :, :], coords[low][:, :, None, :], metric)
@@ -216,41 +213,53 @@ def nn_k_step(pairs, coords, metric: Metric | None = None) -> NnStepResult:
     best = np.argmin(cross, axis=1)
     x, y = low[rows, best // 2], high[rows, best % 2]
     lower = rows < nn_map
-    exit_ids, target_ids = np.where(lower, x, y), np.where(lower, y, x)
-    exits = list(zip(exit_ids.tolist(), target_ids.tolist(), cross[rows, best].tolist()))
-    return NnStepResult(nn_map=nn_map, exits=exits)
+    return nn_map, np.where(lower, x, y), np.where(lower, y, x), cross[rows, best]
 
 
-def _match_pairs(g: LevelGraph, pairs) -> None:
-    if [(p.index, p.heads) for p in pairs] != list(enumerate(g.cycles)):
-        raise HierarchyError(f"level {g.level}: pairs do not match the level's cycles")
-
-
-def advance_level(g: LevelGraph, pairs) -> LevelGraph:
+def advance_level(g: LevelGraph, exit, exit_target) -> LevelGraph:
     """Relink every pair's exit to its exit target, leaving all other images
     fixed: the one step from level k to level k + 1."""
-    _match_pairs(g, pairs)
-    if any(p.exit not in p.heads for p in pairs):
+    exit = np.asarray(exit, dtype=np.int64)
+    if exit.shape != (g.n_components,) or not (g.pairs == exit[:, None]).any(axis=1).all():
         raise HierarchyError(f"level {g.level}: an exit is not one of its pair's heads")
     succ = g.successor.copy()
-    succ[[p.exit for p in pairs]] = [p.exit_target for p in pairs]
+    succ[exit] = exit_target
     return LevelGraph.from_successors(g.level + 1, succ)
+
+
+def merge_record(nxt: LevelGraph, target_pair, exit, exit_target, merge_sq) -> Merges:
+    """The merge columns of the level below `nxt`, with each pair's parent.
+
+    Following target_pair leads every pair to a 2-cycle of pairs, whose
+    exits link each other at level nxt; the parent is the pair of nxt whose
+    low head is the lower of those two exits.
+    """
+    _, reach = _reach_two_cycles(target_pair)
+    low = np.minimum(exit[reach], exit[target_pair[reach]])
+    parent = np.searchsorted(nxt.pairs[:, 0], low)
+    return Merges(target_pair, exit, exit_target, merge_sq, parent)
 
 
 @dataclass
 class Hierarchy:
-    """The full level sequence with pair genealogy up to termination."""
+    """The level sequence up to termination, with the merge columns of
+    every level but the last."""
 
     sample: Sample
     metric: Metric
     levels: list
-    pairs_by_level: list
-    genealogy: dict
+    merges: list
     termination: str
 
     @property
     def termination_level(self) -> int:
         return len(self.levels) - 1
+
+
+def _termination(levels) -> str:
+    if not levels:
+        return DEGENERATE
+    return SINGLE_PAIR if levels[-1].n_components == 1 else MAX_LEVELS
 
 
 def build_hierarchy(
@@ -263,45 +272,16 @@ def build_hierarchy(
     first (it cannot, given halving, unless max_levels is set very low).
     """
     metric = metric or Metric.euclidean()
-    if sample.n < 2:
-        return Hierarchy(sample, metric, [], [], {}, DEGENERATE)
-
-    coords = sample.points
-    g = level0(sample, metric)
-    levels = [g]
-    pairs_by_level = []
-    genealogy = {}
-    termination = None
-    while True:
-        pairs = extract_pairs(g)
-        pairs_by_level.append(pairs)
-        if len(pairs) == 1:
-            termination = SINGLE_PAIR
-            break
-        if g.level >= max_levels:
-            termination = MAX_LEVELS
-            break
-        step = nn_k_step(pairs, coords, metric)
-        for pair, (exit_id, target_id, sq), j in zip(pairs, step.exits, step.nn_map):
-            pair.exit = int(exit_id)
-            pair.exit_target = int(target_id)
-            pair.merge_sq = float(sq)
-            pair.target_pair = int(j)
-        g = advance_level(g, pairs)
+    levels, merges = [], []
+    if sample.n >= 2:
+        g = level0(sample, metric)
         levels.append(g)
-
-        # Every pair's component joins the component headed by the mutual
-        # link of its pair-level cluster; record that as its parent.
-        pair_comp, pair_cycles, _ = functional_structure(step.nn_map)
-        new_index_of_head = {min(c): idx for idx, c in enumerate(g.cycles)}
-        comp_to_new = {}
-        for cyc in pair_cycles:
-            exit_heads = [pairs[i].exit for i in cyc]
-            comp_to_new[pair_comp[cyc[0]]] = new_index_of_head[min(exit_heads)]
-        k = pairs[0].level
-        for pair in pairs:
-            genealogy[(k, pair.index)] = (k + 1, comp_to_new[pair_comp[pair.index]])
-    return Hierarchy(sample, metric, levels, pairs_by_level, genealogy, termination)
+        while g.n_components > 1 and g.level < max_levels:
+            target_pair, exits, targets, merge_sq = nn_k_step(g.pairs, sample.points, metric)
+            g = advance_level(g, exits, targets)
+            levels.append(g)
+            merges.append(merge_record(g, target_pair, exits, targets, merge_sq))
+    return Hierarchy(sample, metric, levels, merges, _termination(levels))
 
 
 def cluster_subtrees(g: LevelGraph) -> dict:
@@ -310,57 +290,45 @@ def cluster_subtrees(g: LevelGraph) -> dict:
     Maps each head to the sorted ids of the vertices whose directed path
     reaches it first; the subtrees partition all ids.
     """
-    _, _, head_of = functional_structure(g.successor)
-    out = {}
-    for head in g.heads:
-        out[int(head)] = np.flatnonzero(head_of == head)
-    return out
+    _, head_of = _reach_two_cycles(g.successor)
+    order = np.argsort(head_of, kind="stable")
+    cuts = np.flatnonzero(np.diff(head_of[order])) + 1
+    return dict(zip(g.heads.tolist(), np.split(order, cuts)))
+
+
+def _merge_json(h: Hierarchy) -> dict:
+    """The pairs, genealogy and termination fields of hierarchy JSON v2."""
+    pairs, genealogy = [], []
+    for k, g in enumerate(h.levels):
+        if k < len(h.merges):
+            mg = h.merges[k]
+            columns = zip(
+                mg.exit.tolist(), mg.exit_target.tolist(),
+                np.sqrt(mg.merge_sq).tolist(), mg.target_pair.tolist(),
+            )
+            genealogy += [[[k, i], [k + 1, j]] for i, j in enumerate(mg.parent.tolist())]
+        else:
+            columns = [(None, None, None, None)] * g.n_components
+        pairs += [
+            {
+                "level": k, "index": i, "heads": heads, "exit": x, "exit_target": y,
+                "merge_distance": d, "target_pair": t,
+            }
+            for i, (heads, (x, y, d, t)) in enumerate(zip(g.pairs.tolist(), columns))
+        ]
+    return {"pairs": pairs, "genealogy": genealogy, "termination": h.termination}
 
 
 def hierarchy_to_json(h: Hierarchy) -> dict:
     """Hierarchy JSON version 2: level 0's successors and the pairs, whose
     exits give every later level (see `advance_level`)."""
-    pairs = []
-    for level_pairs in h.pairs_by_level:
-        for p in level_pairs:
-            pairs.append(
-                {
-                    "level": p.level,
-                    "index": p.index,
-                    "heads": list(p.heads),
-                    "exit": p.exit,
-                    "exit_target": p.exit_target,
-                    "merge_distance": p.merge_distance,
-                    "target_pair": p.target_pair,
-                }
-            )
-    genealogy = [[list(child), list(parent)] for child, parent in sorted(h.genealogy.items())]
     return {
         "version": 2,
         "sample": h.sample.to_json(),
         "metric": h.metric.to_json(),
         "level0": h.levels[0].successor.tolist() if h.levels else [],
-        "pairs": pairs,
-        "genealogy": genealogy,
-        "termination": h.termination,
+        **_merge_json(h),
     }
-
-
-def _optional(value, kind):
-    return None if value is None else kind(value)
-
-
-def _pair_from_json(rec: dict) -> Pair:
-    """The pair without `merge_sq`, which the loader recomputes from the
-    exit and its target rather than squaring the stored distance back."""
-    return Pair(
-        index=int(rec["index"]),
-        level=int(rec["level"]),
-        heads=tuple(int(x) for x in rec["heads"]),
-        exit=_optional(rec["exit"], int),
-        exit_target=_optional(rec["exit_target"], int),
-        target_pair=_optional(rec["target_pair"], int),
-    )
 
 
 def hierarchy_from_json(obj: dict) -> Hierarchy:
@@ -368,9 +336,11 @@ def hierarchy_from_json(obj: dict) -> Hierarchy:
 
     Reads versions 2 and 1. A version-1 object carries level 0 as
     `levels[0].successors`; its other level arrays follow from level 0 and
-    the pairs, and are ignored. Each `merge_sq` is recomputed from the
-    exit and its target, and its root must be the stored `merge_distance`.
-    Every rebuilt level is checked, and any defect raises HierarchyError.
+    the pairs, and are ignored. The exits of every non-terminal level are
+    relinked through `advance_level` and `merge_record`, as in the build;
+    every other stored field (heads, merge distances, target pairs,
+    genealogy, termination) must then be what that rebuild writes, in any
+    listing order. Any defect raises HierarchyError.
     """
     try:
         version = obj.get("version", 1)
@@ -382,45 +352,48 @@ def hierarchy_from_json(obj: dict) -> Hierarchy:
             succ0 = obj["level0"]
         else:
             succ0 = obj["levels"][0]["successors"] if obj["levels"] else []
-        by_level, stored = {}, {}
-        for rec in obj["pairs"]:
-            p = _pair_from_json(rec)
-            by_level.setdefault(p.level, []).append(p)
-            stored[p.level, p.index] = _optional(rec["merge_distance"], float)
-        if sorted(by_level) != list(range(len(by_level))):
-            raise HierarchyError("pair levels are not 0, 1, ..., K")
-        pairs_by_level = [
-            sorted(by_level[k], key=lambda p: p.index) for k in range(len(by_level))
-        ]
-        levels = []
-        if len(succ0) or pairs_by_level:
-            if len(succ0) != sample.n or not pairs_by_level:
-                raise HierarchyError("level 0 and the pairs do not fit the sample")
+        stored = {
+            "pairs": sorted(obj["pairs"], key=lambda rec: (rec["level"], rec["index"])),
+            "genealogy": sorted(obj["genealogy"]),
+            "termination": obj["termination"],
+        }
+        if len(succ0) != (sample.n if sample.n >= 2 else 0):
+            raise HierarchyError("level 0 does not fit the sample")
+        recs = stored["pairs"]
+        levels, merges, done = [], [], 0
+        if len(succ0):
             levels.append(LevelGraph.from_successors(0, succ0))
-            for pairs in pairs_by_level[:-1]:
-                levels.append(advance_level(levels[-1], pairs))
-                sq = sq_dist_many(
-                    sample.points[[p.exit_target for p in pairs]],
-                    sample.points[[p.exit for p in pairs]],
-                    metric,
-                )
-                for p, s in zip(pairs, sq.tolist()):
-                    p.merge_sq = s
-            _match_pairs(levels[-1], pairs_by_level[-1])
-        all_pairs = [p for level_pairs in pairs_by_level for p in level_pairs]
-        if any(p.merge_distance != stored[p.level, p.index] for p in all_pairs):
-            raise HierarchyError("a merge_distance is not its exit's distance to its target")
-        genealogy = {tuple(child): tuple(parent) for child, parent in obj["genealogy"]}
-        termination = obj["termination"]
-        if termination not in (SINGLE_PAIR, MAX_LEVELS, DEGENERATE):
-            raise HierarchyError(f"unknown termination {termination!r}")
+            if levels[0].successor.tolist() != succ0:
+                raise HierarchyError("level 0 is not a list of point ids")
+            done = levels[0].n_components
+        while levels and done < len(recs):
+            g = levels[-1]
+            level_recs = recs[done - g.n_components:done]
+            exits = np.array([rec["exit"] for rec in level_recs], dtype=np.int64)
+            targets = np.array([rec["exit_target"] for rec in level_recs], dtype=np.int64)
+            nxt = advance_level(g, exits, targets)
+            pair_of = np.full(g.n, -1)
+            pair_of[g.pairs] = np.arange(g.n_components)[:, None]
+            target_pair = pair_of[targets]
+            if np.any((target_pair < 0) | (target_pair == np.arange(g.n_components))):
+                raise HierarchyError(f"level {g.level}: an exit target is not a foreign head")
+            merge_sq = sq_dist_many(sample.points[targets], sample.points[exits], metric)
+            levels.append(nxt)
+            merges.append(merge_record(nxt, target_pair, exits, targets, merge_sq))
+            done += nxt.n_components
+        h = Hierarchy(sample, metric, levels, merges, _termination(levels))
+        for key, value in _merge_json(h).items():
+            if stored[key] != value:
+                raise HierarchyError(f"stored {key!r} is not what level 0 and the exits give")
     except HierarchyError:
         raise
-    except (LookupError, TypeError, ValueError, AttributeError, StructureError) as exc:
+    except (
+        LookupError, TypeError, ValueError, AttributeError, OverflowError, StructureError
+    ) as exc:
         raise HierarchyError(
             f"malformed hierarchy object: {type(exc).__name__}: {exc}"
         ) from exc
-    return Hierarchy(sample, metric, levels, pairs_by_level, genealogy, termination)
+    return h
 
 
 def save_hierarchy(h: Hierarchy, path) -> None:
@@ -444,12 +417,13 @@ def genealogy_newick(h: Hierarchy) -> str:
     so leaf depth equals the level at which its lineage reaches the root.
     """
     children = {}
-    for child, parent in h.genealogy.items():
-        children.setdefault(parent, []).append(child)
+    for k, mg in enumerate(h.merges):
+        for i, j in enumerate(mg.parent.tolist()):
+            children.setdefault((k + 1, j), []).append((k, i))
 
     def render(node):
         level, idx = node
-        kids = sorted(children.get(node, []))
+        kids = children.get(node, [])
         if not kids:
             return f"P{idx}" if level == 0 else f"L{level}_{idx}"
         inner = ",".join(render(c) + ":1" for c in kids)
@@ -458,6 +432,5 @@ def genealogy_newick(h: Hierarchy) -> str:
     lines = []
     if h.levels:
         top = len(h.levels) - 1
-        for p in h.pairs_by_level[top]:
-            lines.append(render((top, p.index)) + ";")
+        lines = [render((top, i)) + ";" for i in range(h.levels[top].n_components)]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -35,6 +35,8 @@ import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .geometry import Metric, Window
 from .hierarchy import Hierarchy, build_hierarchy
 from .pointprocess import derive_seed, gen_poisson
@@ -76,12 +78,9 @@ def level_stats(h: Hierarchy, window: Window | None = None) -> list:
     window = window or h.sample.window
     volume = window.volume
     rows = []
-    last = len(h.levels) - 1
-    for k, (g, pairs) in enumerate(zip(h.levels, h.pairs_by_level)):
-        merged = [p.merge_distance for p in pairs if p.merge_sq is not None]
+    for k, g in enumerate(h.levels):
+        merged = np.sqrt(h.merges[k].merge_sq).tolist() if k < len(h.merges) else []
         n_exit = len(merged)
-        if k < last and n_exit != g.n_components:
-            raise SeriesError("non-terminal level with incomplete merge data")
         rows.append(
             LevelStats(
                 level=k,

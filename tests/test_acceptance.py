@@ -166,7 +166,8 @@ def test_criterion_1_structural_invariants(corpus):
                 violations.append((sample.seed, g.level, "cycle count"))
             if any(len(c) != 2 for c in cycles):
                 violations.append((sample.seed, g.level, "cycle length"))
-            if sorted(tuple(sorted(c)) for c in cycles) != sorted(g.cycles):
+            pairs = sorted(map(tuple, g.pairs.tolist()))
+            if sorted(tuple(sorted(c)) for c in cycles) != pairs:
                 violations.append((sample.seed, g.level, "cycle mismatch"))
             if g.level == 0:
                 for cyc in cycles:
@@ -504,10 +505,11 @@ def test_criterion_6_scale_translation_invariance():
                 and len(h.levels) == len(hv.levels)
                 and all(
                     np.array_equal(a.successor, b.successor)
-                    and a.cycles == b.cycles
+                    and np.array_equal(a.pairs, b.pairs)
                     for a, b in zip(h.levels, hv.levels)
                 )
-                and h.genealogy == hv.genealogy
+                and [m.parent.tolist() for m in h.merges]
+                == [m.parent.tolist() for m in hv.merges]
             )
             if not same:
                 failures.append(i)

@@ -106,7 +106,7 @@ def test_cluster_two_points(tmp_path):
     assert run("cluster", "--input", sample, "--out", hier) == 0
     h = load_hierarchy(hier)
     assert h.termination_level == 0
-    assert len(h.pairs_by_level[0]) == 1
+    assert h.levels[0].n_components == 1
 
 
 def test_detect_identical_files_yields_none(tmp_path, capsys):
@@ -225,10 +225,12 @@ def test_malformed_hierarchy_one_line_error(tmp_path, capsys):
     del no_levels["levels"]
     bad_exit = json.loads(text)
     bad_exit["pairs"][0]["exit_target"] = 4  # 1 -> 4 -> 3 -> 2 -> 1
+    bad_parent = json.loads(text)
+    bad_parent["genealogy"][1][1] = [1, 1]  # level 1 has only pair 0
     capsys.readouterr()
     for i, body in enumerate([
         json.dumps(no_level0), json.dumps(no_levels), json.dumps(bad_exit),
-        text[: len(text) // 2],
+        json.dumps(bad_parent), text[: len(text) // 2],
     ]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(body)

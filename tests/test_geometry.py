@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chn2.geometry import GeometryError, Metric, Window, sq_dist
-from chn2.hierarchy import HierarchyError, Pair, nn_k_step
+from chn2.hierarchy import HierarchyError, nn_k_step
 from chn2.pointprocess import Sample, SampleError
 from conftest import oracle_single_linkage_sq, oracle_sq_dist
 
@@ -63,8 +63,8 @@ def test_window_validation():
 # The single-linkage pseudo-distance between two pairs is what nn_k_step's
 # exit witness computes: each pair's (exit, exit target, squared distance).
 def two_pair_exits(S, T):
-    pairs = [Pair(0, 0, (0, 1)), Pair(1, 0, (2, 3))]
-    return nn_k_step(pairs, np.asarray(S + T, float), EUCLID).exits
+    _, exits, targets, sq = nn_k_step([[0, 1], [2, 3]], np.asarray(S + T, float), EUCLID)
+    return list(zip(exits.tolist(), targets.tolist(), sq.tolist()))
 
 
 def test_single_linkage_bruteforce_min():
@@ -90,4 +90,4 @@ def test_single_linkage_symmetric_value(rng):
 
 def test_single_linkage_empty_errors():
     with pytest.raises(HierarchyError):
-        nn_k_step([Pair(0, 0, (0, 1))], np.zeros((2, 2)), EUCLID)
+        nn_k_step([[0, 1]], np.zeros((2, 2)), EUCLID)

@@ -10,6 +10,7 @@ from chn2 import hierarchy
 from chn2.geometry import Metric, Window
 from chn2.hierarchy import (
     DEGENERATE,
+    MAX_LEVELS,
     SINGLE_PAIR,
     HierarchyError,
     LevelGraph,
@@ -17,7 +18,6 @@ from chn2.hierarchy import (
     advance_level,
     build_hierarchy,
     cluster_subtrees,
-    extract_pairs,
     functional_structure,
     genealogy_newick,
     hierarchy_from_json,
@@ -48,28 +48,29 @@ def mutual_links(nn_map):
     return [(i, int(j)) for i, j in enumerate(nn_map) if nn_map[j] == i and i < j]
 
 
-def record_exits(pairs, step):
-    for p, (exit_id, target_id, _) in zip(pairs, step.exits):
-        p.exit, p.exit_target = exit_id, target_id
+def step_exits(step):
+    """(exit, exit target, squared distance) per pair of an nn_k_step result."""
+    _, exits, targets, sq = step
+    return list(zip(exits.tolist(), targets.tolist(), sq.tolist()))
 
 
 def test_level0_four_points():
     g = level0(line_sample([0, 1, 3, 7]))
     assert g.successor.tolist() == [1, 0, 1, 2]
     assert g.n_components == 1
-    assert g.cycles == ((0, 1),)
-    assert [(p.heads, p.exit) for p in extract_pairs(g)] == [((0, 1), None)]
+    assert g.pairs.tolist() == [[0, 1]]
+    assert build_hierarchy(line_sample([0, 1, 3, 7])).merges == []
 
 
 def test_level0_two_components():
     g = level0(line_sample([0, 1, 5, 6, 20]))
-    assert g.cycles == ((0, 1), (2, 3))
+    assert g.pairs.tolist() == [[0, 1], [2, 3]]
     assert functional_structure(g.successor)[0].tolist() == [0, 0, 1, 1, 1]
 
 
 def test_level0_two_points():
     g = level0(line_sample([2, 9]))
-    assert g.cycles == ((0, 1),)
+    assert g.pairs.tolist() == [[0, 1]]
 
 
 def test_level0_needs_two_points():
@@ -77,66 +78,61 @@ def test_level0_needs_two_points():
         level0(line_sample([4]))
 
 
-def test_extract_pairs_matches_components():
+def test_level_pairs_match_components():
     g = level0(line_sample([0, 1, 5, 6, 20]))
-    pairs = extract_pairs(g)
-    assert [p.heads for p in pairs] == [(0, 1), (2, 3)]
-    assert [p.index for p in pairs] == [0, 1]
-    assert len(pairs) == g.n_components
+    assert g.pairs.tolist() == [[0, 1], [2, 3]]
+    assert g.pairs.dtype == np.int64
+    assert len(g.pairs) == g.n_components
 
 
 def test_nn_step_two_pairs():
     s = line_sample([0, 1, 5, 6, 20])
     g = level0(s)
-    pairs = extract_pairs(g)
-    step = nn_k_step(pairs, s.points, Metric.euclidean())
-    assert step.nn_map.tolist() == [1, 0]
-    assert mutual_links(step.nn_map) == [(0, 1)]
+    step = nn_k_step(g.pairs, s.points, Metric.euclidean())
+    assert step[0].tolist() == [1, 0]
+    assert mutual_links(step[0]) == [(0, 1)]
     # exits: point 1 (coord 1) <-> point 2 (coord 5), distance 4
-    assert step.exits[0] == (1, 2, 16.0)
-    assert step.exits[1] == (2, 1, 16.0)
+    assert step_exits(step)[0] == (1, 2, 16.0)
+    assert step_exits(step)[1] == (2, 1, 16.0)
 
 
 def test_nn_step_eight_point_example():
     s = line_sample([0, 1, 10, 11, 14, 15, 30, 31])
     g = level0(s)
-    pairs = extract_pairs(g)
-    step = nn_k_step(pairs, s.points, Metric.euclidean())
+    step = nn_k_step(g.pairs, s.points, Metric.euclidean())
     # pairs: A=(0,1) B=(2,3) C=(4,5) D=(6,7) by ids
-    assert step.nn_map.tolist() == [1, 2, 1, 2]
-    assert mutual_links(step.nn_map) == [(1, 2)]
-    assert step.exits[0] == (1, 2, 81.0)  # coord 1 -> coord 10
-    assert step.exits[1] == (3, 4, 9.0)  # coord 11 -> coord 14
-    assert step.exits[2] == (4, 3, 9.0)
-    assert step.exits[3] == (6, 5, 225.0)  # coord 30 -> coord 15
+    assert step[0].tolist() == [1, 2, 1, 2]
+    assert mutual_links(step[0]) == [(1, 2)]
+    exits = step_exits(step)
+    assert exits[0] == (1, 2, 81.0)  # coord 1 -> coord 10
+    assert exits[1] == (3, 4, 9.0)  # coord 11 -> coord 14
+    assert exits[2] == (4, 3, 9.0)
+    assert exits[3] == (6, 5, 225.0)  # coord 30 -> coord 15
 
 
 def test_globally_closest_pair_is_mutual(rng):
     for _ in range(20):
         s = plane_sample(rng.uniform(0, 100, size=(60, 2)), 0, 100)
         g = level0(s)
-        pairs = extract_pairs(g)
-        if len(pairs) < 2:
+        if g.n_components < 2:
             continue
-        step = nn_k_step(pairs, s.points, Metric.euclidean())
-        best = min(range(len(pairs)), key=lambda i: (step.exits[i][2], i))
-        j = int(step.nn_map[best])
-        assert step.nn_map[j] == best
+        nn_map, _, _, sq = nn_k_step(g.pairs, s.points, Metric.euclidean())
+        best = min(range(g.n_components), key=lambda i: (sq[i], i))
+        j = int(nn_map[best])
+        assert nn_map[j] == best
 
 
 def test_advance_level_five_points():
     s = line_sample([0, 1, 5, 6, 20])
     g = level0(s)
-    pairs = extract_pairs(g)
-    step = nn_k_step(pairs, s.points, Metric.euclidean())
-    record_exits(pairs, step)
-    g1 = advance_level(g, pairs)
+    _, exits, targets, _ = nn_k_step(g.pairs, s.points, Metric.euclidean())
+    g1 = advance_level(g, exits, targets)
     assert g1.level == 1
     assert g1.successor.tolist() == [1, 2, 1, 2, 3]
-    assert g1.cycles == ((1, 2),)
+    assert g1.pairs.tolist() == [[1, 2]]
     assert g1.n_components == 1
     # only the exits 1 and 2 are relinked; every other image stays
-    assert [(p.exit, p.exit_target) for p in pairs] == [(1, 2), (2, 1)]
+    assert list(zip(exits.tolist(), targets.tolist())) == [(1, 2), (2, 1)]
     changed = np.flatnonzero(g1.successor != g.successor)
     assert changed.tolist() == [1, 2]
 
@@ -144,12 +140,10 @@ def test_advance_level_five_points():
 def test_advance_level_eight_points():
     s = line_sample([0, 1, 10, 11, 14, 15, 30, 31])
     g = level0(s)
-    pairs = extract_pairs(g)
-    step = nn_k_step(pairs, s.points, Metric.euclidean())
-    record_exits(pairs, step)
-    g1 = advance_level(g, pairs)
+    _, exits, targets, _ = nn_k_step(g.pairs, s.points, Metric.euclidean())
+    g1 = advance_level(g, exits, targets)
     assert g1.n_components == 1
-    assert g1.cycles == ((3, 4),)  # coords 11 and 14
+    assert g1.pairs.tolist() == [[3, 4]]  # coords 11 and 14
 
 
 def test_component_count_halves(rng):
@@ -168,7 +162,7 @@ def test_build_hierarchy_terminations():
     h2 = build_hierarchy(line_sample([0, 1, 5, 6, 20]))
     assert h2.termination == SINGLE_PAIR
     assert h2.termination_level == 1
-    assert h2.levels[1].cycles == ((1, 2),)
+    assert h2.levels[1].pairs.tolist() == [[1, 2]]
 
     assert build_hierarchy(line_sample([3])).termination == DEGENERATE
     assert build_hierarchy(line_sample([])).termination == DEGENERATE
@@ -179,21 +173,31 @@ def test_build_hierarchy_max_levels_guard():
     h = build_hierarchy(s, max_levels=0)
     assert h.termination == "max_levels"
     assert len(h.levels) == 1
+    # one tree per terminal pair, here the two unmerged level-0 pairs
+    assert genealogy_newick(h) == "P0;\nP1;\n"
+    rng = np.random.default_rng(3)
+    h = build_hierarchy(plane_sample(rng.uniform(0, 10, size=(200, 2)), 0, 10), max_levels=1)
+    trees = genealogy_newick(h).splitlines()
+    assert h.termination == MAX_LEVELS and len(trees) == h.levels[1].n_components > 1
+    assert all(t.count(";") == 1 and t.count("(") == t.count(")") for t in trees)
+    assert sum(t.count("P") for t in trees) == h.levels[0].n_components
 
 
 def test_genealogy_total_and_consistent(rng):
     s = plane_sample(rng.uniform(0, 30, size=(80, 2)), 0, 30)
     h = build_hierarchy(s)
-    for k, pairs in enumerate(h.pairs_by_level[:-1]):
-        for p in pairs:
-            parent = h.genealogy[(k, p.index)]
-            assert parent[0] == k + 1
-            assert parent[1] < len(h.pairs_by_level[k + 1])
+    genealogy = hierarchy_to_json(h)["genealogy"]
+    assert len(genealogy) == sum(g.n_components for g in h.levels[:-1])
+    assert all(parent[0] == child[0] + 1 for child, parent in genealogy)
+    assert len(h.merges) == len(h.levels) - 1
+    for k, mg in enumerate(h.merges):
+        next_g = h.levels[k + 1]
+        comp = functional_structure(next_g.successor)[0]
+        assert len(mg.parent) == h.levels[k].n_components
+        for heads, parent in zip(h.levels[k].pairs, mg.parent):
+            assert parent < next_g.n_components
             # the pair's heads live inside the parent's component
-            next_g = h.levels[k + 1]
-            parent_heads = h.pairs_by_level[k + 1][parent[1]].heads
-            comp = functional_structure(next_g.successor)[0]
-            assert comp[p.heads[0]] == comp[parent_heads[0]]
+            assert comp[heads[0]] == comp[next_g.pairs[parent][0]]
 
 
 def test_cluster_subtrees_examples():
@@ -214,6 +218,11 @@ def test_subtrees_partition(rng):
     h = build_hierarchy(s)
     for g in h.levels:
         trees = cluster_subtrees(g)
+        # the reference: one scan of functional_structure's head_of per head
+        head_of = functional_structure(g.successor)[2]
+        assert list(trees) == g.heads.tolist()
+        for head, ids in trees.items():
+            assert np.array_equal(ids, np.flatnonzero(head_of == head))
         sizes = sum(ids.size for ids in trees.values())
         assert sizes == s.n
         united = np.sort(np.concatenate([ids for ids in trees.values()]))
@@ -287,8 +296,8 @@ def test_from_successors_matches_functional_structure(rng, monkeypatch):
         else:
             before = len(calls)
             g = LevelGraph.from_successors(3, succ)
-            assert g.cycles == want
-            assert all(type(v) is int for c in g.cycles for v in c)
+            assert tuple(map(tuple, g.pairs.tolist())) == want
+            assert g.pairs.dtype == np.int64 and g.pairs.shape == (len(want), 2)
             assert len(calls) == before
     assert kinds == {True, False}
 
@@ -341,8 +350,8 @@ def test_scale_and_translation_invariance(rng):
         hc = build_hierarchy(scaled)
         for g, gc in zip(h.levels, hc.levels):
             assert np.array_equal(g.successor, gc.successor)
-            assert g.cycles == gc.cycles
-        assert h.genealogy == hc.genealogy
+            assert np.array_equal(g.pairs, gc.pairs)
+        assert [m.parent.tolist() for m in h.merges] == [m.parent.tolist() for m in hc.merges]
     shifted = Sample(s.points + 37.25, Window([0, 0], [1e3, 1e3]), 2, s.generator, 0)
     hs = build_hierarchy(shifted)
     for g, gs in zip(h.levels, hs.levels):
@@ -357,12 +366,15 @@ def test_hierarchy_determinism(rng):
 
 
 def test_hierarchy_json_roundtrip(tmp_path, rng):
-    samples = [
-        line_sample([0, 1, 5, 6, 20]),
-        plane_sample(rng.uniform(0, 10, size=(300, 2)), 0, 10),
+    plane = plane_sample(rng.uniform(0, 10, size=(300, 2)), 0, 10)
+    cases = [
+        (build_hierarchy(line_sample([0, 1, 5, 6, 20])), SINGLE_PAIR),
+        (build_hierarchy(plane), SINGLE_PAIR),
+        # stopped by the guard: the terminal level keeps several pairs
+        (build_hierarchy(plane, max_levels=1), MAX_LEVELS),
     ]
-    for s in samples:
-        h = build_hierarchy(s)
+    assert cases[2][0].levels[-1].n_components > 1
+    for h, termination in cases:
         obj = hierarchy_to_json(h)
         h2 = hierarchy_from_json(obj)
         assert hierarchy_to_json(h2) == obj
@@ -370,10 +382,14 @@ def test_hierarchy_json_roundtrip(tmp_path, rng):
         save_hierarchy(h, path)
         h3 = load_hierarchy(path)
         assert hierarchy_to_json(h3) == obj
-        assert json.loads(path.read_text())["termination"] == SINGLE_PAIR
+        assert json.loads(path.read_text())["termination"] == termination
+        top = [p for p in obj["pairs"] if p["level"] == h.termination_level]
+        assert len(top) == h.levels[-1].n_components
+        assert all(p["exit"] is None and p["merge_distance"] is None for p in top)
         for loaded in (h2, h3):
-            built = [(p.merge_sq, p.merge_distance) for ps in h.pairs_by_level for p in ps]
-            got = [(p.merge_sq, p.merge_distance) for ps in loaded.pairs_by_level for p in ps]
+            assert loaded.termination == termination
+            built = [m.merge_sq.tolist() for m in h.merges]
+            got = [m.merge_sq.tolist() for m in loaded.merges]
             assert got == built
 
 
@@ -389,9 +405,11 @@ def test_v1_file_loads_as_built(name, tmp_path):
     for g, want, stored in zip(h.levels, ref.levels, v1["levels"]):
         assert np.array_equal(g.successor, want.successor)
         assert g.successor.tolist() == stored["successors"]
-        assert g.cycles == want.cycles == tuple(map(tuple, stored["cycles"]))
+        assert g.pairs.tolist() == want.pairs.tolist() == stored["cycles"]
     assert hierarchy_to_json(h) == hierarchy_to_json(ref)
-    assert h.genealogy == ref.genealogy and h.termination == ref.termination
+    parents = [m.parent.tolist() for m in h.merges]
+    assert parents == [m.parent.tolist() for m in ref.merges]
+    assert h.termination == ref.termination
     save_hierarchy(h, tmp_path / "h.json")
     resaved = json.loads((tmp_path / "h.json").read_text())
     assert resaved["version"] == 2 and "levels" not in resaved
@@ -420,6 +438,12 @@ def _set(path, value):
         lambda obj: obj.pop("genealogy"),
         _set(["pairs", 0, "merge_distance"], 4.000000000000001),  # one ulp above 4
         _set(["pairs", 2, "merge_distance"], 0.0),  # the last level merges nothing
+        _set(["pairs", 0, "target_pair"], 0),  # its exit target lies in pair 1
+        _set(["genealogy", 1, 1], [1, 1]),  # level 1 has only pair 0
+        _set(["termination"], MAX_LEVELS),  # a single pair is left
+        _set(["pairs", 2, "exit"], 1),  # the terminal pair has no exit
+        _set(["pairs", 0, "exit_target"], 2**70),  # beyond any int64 id
+        _set(["level0", 0], 1.5),  # read as point 1, but not an id
     ],
 )
 def test_malformed_hierarchy_raises_hierarchy_error(edit):
@@ -427,6 +451,13 @@ def test_malformed_hierarchy_raises_hierarchy_error(edit):
     edit(obj)
     with pytest.raises(HierarchyError):
         hierarchy_from_json(obj)
+
+
+def test_hierarchy_loads_in_any_listing_order(rng):
+    h = build_hierarchy(plane_sample(rng.uniform(0, 10, size=(120, 2)), 0, 10))
+    obj = hierarchy_to_json(h)
+    flipped = dict(obj, pairs=obj["pairs"][::-1], genealogy=obj["genealogy"][::-1])
+    assert hierarchy_to_json(hierarchy_from_json(flipped)) == obj
 
 
 def test_newick_export():
@@ -444,7 +475,7 @@ def test_newick_deeper(rng):
     s = plane_sample(rng.uniform(0, 25, size=(70, 2)), 0, 25)
     h = build_hierarchy(s)
     tree = genealogy_newick(h)
-    assert tree.count("P") >= len(h.pairs_by_level[0])
+    assert tree.count("P") >= h.levels[0].n_components
     assert tree.count("(") == tree.count(")")
 
 
@@ -514,7 +545,7 @@ def test_degenerate_hierarchy_roundtrip_and_stats():
 
     h = build_hierarchy(line_sample([3.0]))
     assert h.termination == DEGENERATE
-    assert h.levels == [] and h.pairs_by_level == []
+    assert h.levels == [] and h.merges == []
     assert level_stats(h) == []
     assert mean_distance_series(h) == []
     assert genealogy_newick(h) == ""
@@ -528,7 +559,8 @@ def test_torus_hierarchy_valid(rng):
     h = build_hierarchy(s, Metric.torus(w))
     assert h.termination == SINGLE_PAIR
     for g in h.levels:
-        assert all(len(c) == 2 for c in g.cycles)
+        low, high = g.pairs.T
+        assert np.array_equal(g.successor[low], high) and np.array_equal(g.successor[high], low)
     obj = hierarchy_to_json(h)
     assert hierarchy_to_json(hierarchy_from_json(obj)) == obj
     assert obj["metric"]["kind"] == "torus"
