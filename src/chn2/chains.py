@@ -16,7 +16,10 @@ and the two-step recursion
 
     E[X_{R,n+2}] = lam^2 int int E[X_{max(|x|,|y-x|),n}] dy dx
 
-are mutually inconsistent at odd n >= 3 (the recursion gives
+are, with a = lam w_d R^d, both a^(n mod 2) times a product of floor(n/2)
+factors: a^2/i for the closed form, a^2/(i + (n mod 2)/2) for the recursion,
+whose radial integral is exact. Both are evaluated by plain multiplication.
+They are mutually inconsistent at odd n >= 3 (the recursion gives
 (2/3) lam^3 w_d^3 R^(3d) at n = 3, the closed form lam^3 w_d^3 R^(3d); both
 values are reported, and Monte Carlo sides with the recursion). Moreover,
 conditioning on the first two points shows the recursion replaces the true
@@ -49,7 +52,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
 from .pointprocess import derive_seed
@@ -140,10 +142,10 @@ def _count_block(coords, owner, origins, n: int, R: float) -> np.ndarray:
         sample, prev, last = sample[row], last[row], key[edge] - v[row] * stride
 
 
-def count_chains_from_origin(points, n: int, R: float, origin: int = 0) -> int:
-    """Exact number of length-n second-order descending chains from `origin`.
+def count_chains_from_origin(points, n: int, R: float) -> int:
+    """Exact number of length-n second-order descending chains from row 0.
 
-    `points` holds all coordinates including the origin row. Vertices may
+    `points` holds all coordinates, the origin first. Vertices may
     not repeat; d_0 < R, d_1 < R, and the descent constraint applies from
     the third step on. Every admissible step is < R, so extending partial
     chains along the within-R neighbour graph, one step at a time for all of
@@ -156,135 +158,43 @@ def count_chains_from_origin(points, n: int, R: float, origin: int = 0) -> int:
     if pts.shape[0] == 0:
         return 0
     owner = np.zeros(len(pts), dtype=np.intp)
-    return int(_count_block(pts, owner, [origin], n, R)[0])
+    return int(_count_block(pts, owner, [0], n, R)[0])
 
 
-def _longest_walk_bounds(dist, m):
-    """Longest admissible continuation from each state (w, u, v), allowing
-    vertex revisits.
+def _expectation(lam: float, R: float, d: int, n: int, shift: float) -> float:
+    """a^(n mod 2) times the product over i = 1..floor(n/2) of a^2 / (i + shift),
+    with a = lam w_d R^d.
 
-    No closed admissible walk exists (the largest edge of a loop would have
-    to be strictly below the maximum of its two predecessors), so the state
-    graph is acyclic and the walk optimum is a finite upper bound for the
-    repetition-free chain optimum. Computed by iterative memoized DFS.
+    Built by repeated multiplication, so a product beyond float range ends
+    in 0 or inf instead of raising.
     """
-    memo = {}
-    opened = set()
-    stack = []
-
-    def continuation(state):
-        if state in memo:
-            return memo[state]
-        stack.append((state, 0))
-        while stack:
-            (w, u, v), phase = stack.pop()
-            if phase == 0:
-                if (w, u, v) in memo or (w, u, v) in opened:
-                    continue
-                opened.add((w, u, v))
-                stack.append(((w, u, v), 1))
-                bound = max(dist[u, v], dist[w, u])
-                for x in range(m):
-                    if x != v and dist[v, x] < bound and (u, v, x) not in memo:
-                        stack.append(((u, v, x), 0))
-            else:
-                bound = max(dist[u, v], dist[w, u])
-                best = 0
-                for x in range(m):
-                    if x != v and dist[v, x] < bound:
-                        best = max(best, 1 + memo[(u, v, x)])
-                memo[(w, u, v)] = best
-        return memo[state]
-
-    return continuation
-
-
-def longest_so_chain(points, cap: int = 40) -> int:
-    """Length (edge count) of the longest second-order descending chain.
-
-    Exhaustive over all starting points; `cap` bounds the input size since
-    the repetition-free search is exponential in the worst case. A walk
-    relaxation prunes branches that cannot beat the incumbent.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m = pts.shape[0]
-    if m > cap:
-        raise ValueError(f"point count {m} exceeds cap {cap}")
-    if m < 2:
-        return 0
-    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
-    walk_bound = _longest_walk_bounds(dist, m)
-
-    best = 1
-    # Long steps first: they keep the running maximum high, so a maximal
-    # chain (usually Hamiltonian on scattered points) is found early and the
-    # vertex-count bound then closes the rest of the search.
-    starts = sorted(
-        ((u, v) for u in range(m) for v in range(m) if u != v),
-        key=lambda p: -dist[p],
-    )
-    for u0, v0 in starts:
-        if m - 1 <= best:
-            break
-        # (prev vertex, current vertex, depth, d_prev, d_prev2, visited-mask)
-        stack = [(u0, v0, 1, dist[u0, v0], 0.0, (1 << u0) | (1 << v0))]
-        while stack:
-            u, v, depth, d1, d2, visited = stack.pop()
-            used = bin(visited).count("1")
-            cands = []
-            for x in range(m):
-                if visited >> x & 1:
-                    continue
-                step = dist[v, x]
-                if depth >= 2 and not step < max(d1, d2):
-                    continue
-                cands.append((step, x))
-            cands.sort()
-            for step, x in cands:
-                nd = depth + 1
-                if nd > best:
-                    best = nd
-                bound = min(walk_bound((u, v, x)), m - used - 1)
-                if nd + bound > best:
-                    stack.append((v, x, nd, step, d1, visited | (1 << x)))
-    return best
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    a = lam * ball_volume(d) * R**d
+    value = a if n % 2 else 1.0
+    for i in range(1, n // 2 + 1):
+        value *= a * a / (i + shift)
+    return value
 
 
 def expected_chain_count_formula(lam: float, R: float, d: int, n: int) -> float:
     """The closed-form expected count (exact only for n <= 2; see module note)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    w = ball_volume(d)
-    half = n // 2
-    return (lam**2 * w**2 * R ** (2 * d)) ** half / math.factorial(half) * (
-        lam * w * R**d
-    ) ** (n % 2)
+    return _expectation(lam, R, d, n, 0.0)
 
 
 def expected_chain_count_recursive(lam: float, R: float, d: int, n: int) -> float:
-    """Expected count by numerically iterating the two-step recursion.
+    """Expected count by the two-step recursion.
 
     Scaling the process reduces E[X_{r,m}] to u_m * (lam r^d)^m with u_m
     independent of r, and the double ball integral reduces radially to
 
-        u_{m+2} = 2 d w_d^2 * int_0^1 u_m t^(md) t^(2d-1) dt,
+        u_{m+2} = 2 d w_d^2 * int_0^1 u_m t^(md) t^(2d-1) dt = 2 w_d^2 u_m / (m + 2),
 
-    evaluated here by adaptive quadrature. Matches the even closed form to
-    better than 1e-6 relative error; exact for n <= 3, an upper bound on
-    the true expectation beyond that (see module note).
+    since the integral is exactly 1 / ((m + 2) d). Equal to the closed form
+    at even n; exact for n <= 3, an upper bound on the true expectation
+    beyond that (see module note).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    w = ball_volume(d)
-    m = n % 2
-    u = 1.0 if m == 0 else w
-    while m < n:
-        integral, _ = quad(
-            lambda t, md=m * d: t**md * t ** (2 * d - 1), 0.0, 1.0, epsabs=0, epsrel=1e-8
-        )
-        u = 2.0 * d * w**2 * u * integral
-        m += 2
-    return u * (lam * R**d) ** n
+    return _expectation(lam, R, d, n, (n % 2) / 2)
 
 
 @dataclass(frozen=True)
@@ -324,9 +234,13 @@ def _check_budget(cfg: ChainCountConfig) -> None:
             f"expected {points:.4g} points per chain trial exceeds the limit "
             f"MAX_POINTS_PER_TRIAL = {MAX_POINTS_PER_TRIAL}"
         )
-    expected = [1.0]
+    # E_0 = 1, E_1 = a and E_j = E_{j-2} * a^2 / (j / 2) by the recursion,
+    # with a = lam w_d R^d: the factors of `expected_chain_count_recursive`.
+    a = cfg.lam * ball_volume(cfg.d) * cfg.R**cfg.d
+    expected = [1.0, a]
     for j in range(1, cfg.n + 1):
-        expected.append(expected_chain_count_recursive(cfg.lam, cfg.R, cfg.d, j))
+        if j >= 2:
+            expected.append(expected[j - 2] * a * a / (j / 2))
         if expected[j] > MAX_PARTIAL_CHAINS:
             raise ValueError(
                 f"expected {expected[j]:.4g} partial chains of length {j} per trial "

@@ -72,9 +72,6 @@ class Sample:
             obj["warning"] = self.warning
         return obj
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
     @classmethod
     def from_json(cls, obj: dict) -> "Sample":
         try:
@@ -92,10 +89,6 @@ class Sample:
             raise SampleError(
                 f"malformed sample object: {type(exc).__name__}: {exc}"
             ) from exc
-
-    @classmethod
-    def loads(cls, text: str) -> "Sample":
-        return cls.from_json(json.loads(text))
 
 
 def _uniform_points(rng, n, window: Window) -> np.ndarray:

@@ -59,9 +59,6 @@ class NnIndex:
             self._tree = cKDTree(coords)
         self._abs_slack = 16 * np.finfo(float).eps * max(scale)
 
-    def __len__(self) -> int:
-        return self.n
-
     def _cut(self, dist: float) -> float:
         return dist * (1.0 + _REL_SLACK) + self._abs_slack
 

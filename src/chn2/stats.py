@@ -72,11 +72,10 @@ LEVELS_CSV_FIELDS = (
 )
 
 
-def level_stats(h: Hierarchy, window: Window | None = None) -> list:
+def level_stats(h: Hierarchy) -> list:
     """One row per level. Exit points exist at every non-terminal level,
     one per component; the terminal level has none."""
-    window = window or h.sample.window
-    volume = window.volume
+    volume = h.sample.window.volume
     rows = []
     for k, g in enumerate(h.levels):
         merged = np.sqrt(h.merges[k].merge_sq).tolist() if k < len(h.merges) else []
@@ -146,7 +145,6 @@ def poisson_baseline(
     n_seeds: int,
     metric: Metric | None = None,
     master_seed: int = 0,
-    dim: int | None = None,
     seeds=None,
 ) -> BaselineSeries:
     """Arithmetic mean over seeds of the Poisson mean-distance series.
@@ -164,11 +162,10 @@ def poisson_baseline(
     if n_seeds < 1:
         raise SeriesError("n_seeds must be >= 1")
     metric = metric or Metric.euclidean()
-    dim = dim or window.dim
     lam = expected_count / window.volume
 
     def one(seed):
-        sample = gen_poisson(lam, window, dim, seed)
+        sample = gen_poisson(lam, window, window.dim, seed)
         return mean_distance_series(build_hierarchy(sample, metric))
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,6 @@ from chn2.chains import (
     expected_chain_count_formula,
     expected_chain_count_recursive,
     is_second_order_descending,
-    longest_so_chain,
     mc_chain_count,
 )
 from conftest import oracle_chain_lengths, oracle_count_chains, oracle_count_chains_dfs
@@ -152,28 +156,6 @@ def test_budget_admits_the_acceptance_settings():
         chains._check_budget(ChainCountConfig(lam=1.0, R=1.0, d=d, n=n, trials=1, seed=0))
 
 
-def test_longest_chain_examples():
-    assert longest_so_chain(np.array([[0.0], [1.0]])) == 1
-    pts = np.array([[0.0], [1.0], [1.5], [1.75]])
-    assert longest_so_chain(pts) >= 3
-    with pytest.raises(ValueError):
-        longest_so_chain(np.zeros((41, 1)))
-
-
-def test_longest_chain_bounded_on_uniform_samples():
-    # Reported, not pinned: with the first two steps unconstrained, scattered
-    # samples almost always admit a full-length (m-1 edge) chain, so the
-    # interesting fact is only that the length is capped by the vertex count
-    # and does not grow under repeated sampling at fixed m.
-    lengths = []
-    for seed in range(5):
-        r = np.random.default_rng(seed)
-        pts = r.uniform(0, 5.5, size=(24, 2))
-        lengths.append(longest_so_chain(pts))
-    assert all(v <= 23 for v in lengths)
-    assert max(lengths) == max(lengths[:3])  # stable across further samples
-
-
 def test_even_closed_form_values():
     assert expected_chain_count_formula(1.0, 1.0, 2, 0) == 1.0
     assert expected_chain_count_formula(1.0, 1.0, 2, 2) == pytest.approx(math.pi**2)
@@ -188,7 +170,7 @@ def test_recursive_matches_even_closed_form():
             for lam, R in ((1.0, 1.0), (0.7, 1.3)):
                 closed = expected_chain_count_formula(lam, R, d, n)
                 rec = expected_chain_count_recursive(lam, R, d, n)
-                assert rec == pytest.approx(closed, rel=1e-6)
+                assert rec == pytest.approx(closed, rel=1e-12)
 
 
 def test_recursive_odd_base_case():
@@ -204,9 +186,44 @@ def test_recursive_odd_disagrees_with_formula_by_two_thirds():
     # n=3 the recursion is exact and Monte Carlo sides with it.
     rec = expected_chain_count_recursive(1.0, 1.0, 2, 3)
     formula = expected_chain_count_formula(1.0, 1.0, 2, 3)
-    assert rec == pytest.approx((2.0 / 3.0) * math.pi**3, rel=1e-6)
+    assert rec == pytest.approx((2.0 / 3.0) * math.pi**3, rel=1e-12)
     assert formula == pytest.approx(math.pi**3, rel=1e-12)
-    assert rec / formula == pytest.approx(2.0 / 3.0, rel=1e-6)
+    assert rec / formula == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+
+# Both evaluators at n = 0..12 as computed before they became closed
+# arithmetic (the recursion then integrated numerically).
+EXPECTATIONS = json.loads(
+    (Path(__file__).parent / "data" / "chain_expectations.json").read_text()
+)
+
+
+@pytest.mark.parametrize("row", EXPECTATIONS, ids=lambda r: f"lam{r['lam']}-R{r['R']}-d{r['d']}")
+def test_evaluators_match_recorded_values(row):
+    lam, R, d = row["lam"], row["R"], row["d"]
+    for n, (closed, rec) in enumerate(zip(row["formula"], row["recursive"])):
+        assert expected_chain_count_formula(lam, R, d, n) == pytest.approx(closed, rel=1e-12)
+        assert expected_chain_count_recursive(lam, R, d, n) == pytest.approx(rec, rel=1e-12)
+
+
+def test_evaluators_leave_float_range_without_raising():
+    assert 0 < expected_chain_count_formula(1.0, 1.0, 2, 400) < 1e-170
+    assert expected_chain_count_recursive(1.0, 1.0, 2, 400) == pytest.approx(
+        expected_chain_count_formula(1.0, 1.0, 2, 400), rel=1e-12
+    )
+    for n in (400, 401):
+        assert expected_chain_count_formula(100.0, 1.0, 2, n) == math.inf
+        assert expected_chain_count_recursive(100.0, 1.0, 2, n) == math.inf
+    assert expected_chain_count_formula(1e-3, 1.0, 2, 4000) == 0.0
+
+
+def test_chain_modules_do_not_load_numerical_integration():
+    code = (
+        "import chn2, chn2.cli, chn2.chains, sys; "
+        "assert 'scipy.integrate' not in sys.modules"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def test_mc_agrees_with_theory_quick():

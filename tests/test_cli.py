@@ -162,7 +162,22 @@ def test_chains_formula_output(tmp_path, capsys):
     out = capsys.readouterr().out
     row = out.splitlines()[1].split(",")
     assert float(row[1]) == pytest.approx(math.pi**2)
-    assert float(row[2]) == pytest.approx(math.pi**2, rel=1e-6)
+    assert float(row[2]) == pytest.approx(math.pi**2, rel=1e-12)
+
+
+def test_chains_formula_beyond_float_range(capsys):
+    assert run("chains", "formula", "--n", 400) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[0] == "400" and 0 < float(row[1]) < 1e-170 and 0 < float(row[2]) < 1e-170
+    assert run("chains", "formula", "--lambda", 100, "--n", 400) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[:3] == ["400", "inf", "inf"]
+
+
+def test_chains_mc_beyond_float_range_is_one_error_line(capsys):
+    assert run("chains", "mc", "--n", 400) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_POINTS_PER_TRIAL" in err and err.count("\n") == 1, err
 
 
 def test_chains_mc_csv(tmp_path):

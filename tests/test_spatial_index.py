@@ -8,7 +8,7 @@ from conftest import nearest_foreign, oracle_nearest_foreign, oracle_successor_m
 
 def test_single_point_index():
     idx = NnIndex(np.array([[1.0, 2.0]]), np.array([0]))
-    assert len(idx) == 1
+    assert idx.n == 1
     with pytest.raises(NoForeignNeighborError):
         nearest_foreign(idx, [1.0, 2.0], own_group=0)
     with pytest.raises(NoForeignNeighborError):
