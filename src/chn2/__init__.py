@@ -15,8 +15,7 @@ from .pointprocess import CoxBallSpec, Sample, gen_binomial, gen_cox_balls, gen_
 from .spatial_index import NnIndex
 from .stats import (
     DetectorConfig,
-    detect_aggregation,
-    decay_ratios,
+    detect_against_baseline,
     level_stats,
     mean_distance_series,
     poisson_baseline,
@@ -41,8 +40,7 @@ __all__ = [
     "gen_poisson",
     "NnIndex",
     "DetectorConfig",
-    "detect_aggregation",
-    "decay_ratios",
+    "detect_against_baseline",
     "level_stats",
     "mean_distance_series",
     "poisson_baseline",

@@ -75,6 +75,23 @@ def ball_volume(d: int) -> float:
     return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
 
 
+def _ball_mass(lam: float, radius: float, d: int) -> float:
+    """lam w_d radius^d, the mean point count of a Poisson(lam) sample in a
+    ball of that radius. Past float range it is 0 or inf, not an
+    OverflowError."""
+    try:
+        return lam * (ball_volume(d) * radius**d)
+    except OverflowError:
+        pass
+    if lam == 0 or radius == 0:
+        return 0.0
+    log_mass = math.log(lam) + d * math.log(radius) + d / 2 * math.log(math.pi)
+    try:
+        return math.exp(log_mass - math.lgamma(d / 2 + 1))
+    except OverflowError:
+        return math.inf
+
+
 def is_second_order_descending(lengths) -> bool:
     """True iff d_i < max(d_{i-1}, d_{i-2}) for every i >= 2."""
     ds = list(lengths)
@@ -170,7 +187,9 @@ def _expectation(lam: float, R: float, d: int, n: int, shift: float) -> float:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    a = lam * ball_volume(d) * R**d
+    if not (lam >= 0 and R >= 0):
+        raise ValueError(f"lam and R must be >= 0, got lam = {lam!r}, R = {R!r}")
+    a = _ball_mass(lam, R, d)
     value = a if n % 2 else 1.0
     for i in range(1, n // 2 + 1):
         value *= a * a / (i + shift)
@@ -223,7 +242,7 @@ def _uniform_ball(rng, count, d, radius):
 
 def _expected_points(cfg: ChainCountConfig) -> float:
     """Mean point count of a trial's Poisson sample on the ball of radius n*R."""
-    return cfg.lam * (ball_volume(cfg.d) * (cfg.n * cfg.R) ** cfg.d)
+    return _ball_mass(cfg.lam, cfg.n * cfg.R, cfg.d)
 
 
 def _check_budget(cfg: ChainCountConfig) -> None:
@@ -236,7 +255,7 @@ def _check_budget(cfg: ChainCountConfig) -> None:
         )
     # E_0 = 1, E_1 = a and E_j = E_{j-2} * a^2 / (j / 2) by the recursion,
     # with a = lam w_d R^d: the factors of `expected_chain_count_recursive`.
-    a = cfg.lam * ball_volume(cfg.d) * cfg.R**cfg.d
+    a = _ball_mass(cfg.lam, cfg.R, cfg.d)
     expected = [1.0, a]
     for j in range(1, cfg.n + 1):
         if j >= 2:

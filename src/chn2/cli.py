@@ -157,7 +157,7 @@ def cmd_detect(args) -> int:
     result = statsmod.detect_against_baseline(target, baseline, cfg)
     t, b = statsmod.align_series(target, baseline.values)
     statsmod.write_detector_csv(t, b, result, args.out)
-    m = len(baseline.seed_series)
+    m = baseline.n_seeds
     if result.rule == "monte-carlo":
         how = (
             f"(monte-carlo rule: p = {result.p_value:.3g} against {m} seed "
@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         "Carlo test when the baseline CSV carries enough per-seed columns",
     )
     d.add_argument("--target", required=True, help="levels CSV of the target")
-    d.add_argument("--baseline", required=True, help="levels CSV of the baseline")
+    d.add_argument("--baseline", required=True,
+                   help="baseline CSV, or a levels CSV read as a one-seed baseline")
     d.add_argument("--tau", type=float, default=0.3)
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_detect)

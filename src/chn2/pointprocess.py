@@ -95,39 +95,39 @@ def _uniform_points(rng, n, window: Window) -> np.ndarray:
     return rng.uniform(window.lo, window.hi, size=(n, window.dim))
 
 
-def _dedupe(rng, pts, window: Window) -> np.ndarray:
-    # Duplicate coordinates have probability ~0 but would create spurious
-    # zero-length cycles downstream; redraw offenders until distinct.
-    while pts.shape[0]:
-        _, first = np.unique(pts, axis=0, return_index=True)
-        dup = np.setdiff1d(np.arange(pts.shape[0]), first)
-        if dup.size == 0:
-            break
-        pts[dup] = _uniform_points(rng, dup.size, window)
-    return pts
+def _distinct(pts) -> np.ndarray:
+    """The draws without those that repeat an earlier one, in draw order.
+    Coincident draws have probability ~0 in a wide window but would create
+    spurious zero-length cycles downstream; a redraw could loop forever in
+    a window that holds only a few floats, or land outside a ball union."""
+    _, first = np.unique(pts, axis=0, return_index=True)
+    return pts[np.sort(first)]
 
 
 def gen_poisson(lam: float, window: Window, dim: int, seed: int) -> Sample:
     """Homogeneous Poisson sample: count ~ Poisson(lam * volume), uniform positions."""
-    if lam < 0:
-        raise SampleError("intensity must be nonnegative")
+    if not lam >= 0:
+        raise SampleError(f"intensity must be nonnegative, got {lam!r}")
     if window.dim != dim:
         raise SampleError("window dimension does not match dim")
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(lam * window.volume)) if lam > 0 else 0
-    pts = _dedupe(rng, _uniform_points(rng, n, window), window)
+    pts = _distinct(_uniform_points(rng, n, window))
     gen = {"kind": "poisson", "lambda": lam}
     return Sample(pts, window, dim, gen, seed)
 
 
 def gen_binomial(n: int, window: Window, dim: int, seed: int) -> Sample:
-    """Exactly n i.i.d. uniform points in the window."""
+    """Exactly n i.i.d. uniform points in the window; SampleError if fewer
+    than n of the draws are distinct."""
     if n < 0:
         raise SampleError("count must be nonnegative")
     if window.dim != dim:
         raise SampleError("window dimension does not match dim")
     rng = np.random.default_rng(seed)
-    pts = _dedupe(rng, _uniform_points(rng, n, window), window)
+    pts = _distinct(_uniform_points(rng, n, window))
+    if pts.shape[0] < n:
+        raise SampleError(f"only {pts.shape[0]} of {n} uniform draws are distinct in this window")
     gen = {"kind": "binomial", "count": n}
     return Sample(pts, window, dim, gen, seed)
 
@@ -213,11 +213,7 @@ def gen_cox_balls(spec: CoxBallSpec, window: Window, dim: int, seed: int) -> Sam
         pts = candidates[:0]
     if pts.shape[0] == 0:
         warning = "empty region: the ball union does not meet the window"
-    if pts.shape[0]:
-        # Drop float-collision duplicates in draw order; a uniform redraw
-        # could land outside the ball union.
-        _, first = np.unique(pts, axis=0, return_index=True)
-        pts = pts[np.sort(first)]
+    pts = _distinct(pts)
 
     gen = {
         "kind": "cox_balls",

@@ -1,5 +1,5 @@
-"""Per-level statistics, intensity decay, Poisson baselines, and the
-ratio-jump aggregation detector.
+"""Per-level statistics, Poisson baselines, and the ratio-jump aggregation
+detector.
 
 The "mean distance between clusters at level k" is the mean merge-edge
 length over all level-k pairs, i.e. the single-linkage distance from each
@@ -11,19 +11,20 @@ and fires at the first level whose relative increase in R exceeds tau.
 tau is an effect size, not a false-alarm rate. At the last merge levels
 only a handful of pairs are averaged, and the rel-increase of a plain
 Poisson target spreads well past tau = 0.3 there (one in five to one in
-four matched Poisson targets fire). So when the baseline carries its
-per-seed series, `detect_against_baseline` asks first whether the target
-differs from Poisson at all, by a global Monte Carlo test (Besag & Diggle
-1977; Baddeley et al. 2014) at significance level ALPHA, and only then
-where, by the tau rule. The test statistic of a sample is its largest
-studentised deviation over levels, max_k |x_k - mean_k| / sd_k, where x is
-the log mean-distance series and mean_k, sd_k are taken over the other
-samples at level k, on the levels that every sample reaches. The target and
-the m baseline seeds are treated alike, so under the null all m + 1
-statistics are exchangeable and p = (1 + #{seeds at least as extreme}) /
-(m + 1) is a valid p-value: a matched Poisson target is detected with
-probability at most ALPHA. With fewer than MIN_SEEDS seeds the test
-cannot reach ALPHA, so the tau rule decides alone, and the result says so.
+four matched Poisson targets fire). So `detect_against_baseline` asks
+first whether the target differs from Poisson at all, by a global Monte
+Carlo test (Besag & Diggle 1977; Baddeley et al. 2014) at significance
+level ALPHA, and only then where, by the tau rule. The test statistic of a
+sample is its largest studentised deviation over levels,
+max_k |x_k - mean_k| / sd_k, where x is the log mean-distance series and
+mean_k, sd_k are taken over the other samples at level k, on the levels
+that every sample reaches. The target and the m baseline seeds are treated
+alike, so under the null all m + 1 statistics are exchangeable and
+p = (1 + #{seeds at least as extreme}) / (m + 1) is a valid p-value: a
+matched Poisson target is detected with probability at most ALPHA. With
+fewer than MIN_SEEDS seed series (a plain levels CSV reads as one) the
+test cannot reach ALPHA, so the tau rule decides alone, and the result
+says so.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,18 +95,6 @@ def level_stats(h: Hierarchy) -> list:
     return rows
 
 
-def decay_ratios(stats) -> list:
-    """exit_intensity(k+1)/exit_intensity(k) over non-terminal levels."""
-    if len(stats) < 2:
-        return []
-    out = []
-    for a, b in zip(stats[:-1], stats[1:]):
-        if b.n_exit_points == 0 or a.exit_intensity == 0:
-            continue
-        out.append(b.exit_intensity / a.exit_intensity)
-    return out
-
-
 def mean_distance_series(h: Hierarchy) -> list:
     """Mean merge distance per level, for levels that performed a merge."""
     return [
@@ -130,13 +119,27 @@ def _worker_count() -> int:
 
 @dataclass(frozen=True)
 class BaselineSeries:
-    """Seed-averaged mean-distance series with per-level seed support, and
-    the per-seed series it averages, in seed order."""
+    """The per-seed mean-distance series of a Poisson baseline, in seed
+    order. `values` averages level k over the seeds whose hierarchy reaches
+    it, and `support` counts those seeds."""
 
-    values: list
-    support: list
-    n_seeds: int
-    seed_series: tuple = ()
+    seed_series: tuple
+
+    @property
+    def n_seeds(self) -> int:
+        return len(self.seed_series)
+
+    def _at_levels(self):
+        depth = max(map(len, self.seed_series), default=0)
+        return [[s[k] for s in self.seed_series if len(s) > k] for k in range(depth)]
+
+    @property
+    def values(self) -> list:
+        return [sum(at_k) / len(at_k) for at_k in self._at_levels()]
+
+    @property
+    def support(self) -> list:
+        return [len(at_k) for at_k in self._at_levels()]
 
 
 def poisson_baseline(
@@ -147,12 +150,11 @@ def poisson_baseline(
     master_seed: int = 0,
     seeds=None,
 ) -> BaselineSeries:
-    """Arithmetic mean over seeds of the Poisson mean-distance series.
+    """The Poisson mean-distance series of every seed.
 
     The intensity is expected_count/volume so the baseline is comparable to
     the target sample. Seeds are derived from master_seed unless given
-    explicitly. Level k is averaged over the seeds whose hierarchy reaches
-    it; `support` records how many did.
+    explicitly.
     """
     if seeds is None:
         seeds = [derive_seed(master_seed, i) for i in range(n_seeds)]
@@ -169,20 +171,7 @@ def poisson_baseline(
         return mean_distance_series(build_hierarchy(sample, metric))
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        series_list = list(pool.map(one, seeds))
-
-    depth = max((len(s) for s in series_list), default=0)
-    values, support = [], []
-    for k in range(depth):
-        at_k = [s[k] for s in series_list if len(s) > k]
-        values.append(sum(at_k) / len(at_k))
-        support.append(len(at_k))
-    return BaselineSeries(
-        values=values,
-        support=support,
-        n_seeds=n_seeds,
-        seed_series=tuple(tuple(s) for s in series_list),
-    )
+        return BaselineSeries(tuple(tuple(s) for s in pool.map(one, seeds)))
 
 
 # Significance level of the detector's global Monte Carlo test, and the
@@ -203,56 +192,23 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """`rule` names what decided: "tau" for the tau rule alone,
-    "monte-carlo" for the tau rule behind the global test. `p_value` is the
-    test's p-value: None where no test applies (`detect_aggregation`), nan
-    if the baseline had fewer than MIN_SEEDS seed series."""
+    """`p_value` is the global test's p-value, nan if the baseline had fewer
+    than MIN_SEEDS seed series; `rule` names what decided: "monte-carlo"
+    for the tau rule behind the global test, "tau" for the tau rule alone."""
 
     level: int | None
     ratios: list
     rel_increase: list
-    flagged: list = field(default_factory=list)
-    rule: str = "tau"
-    p_value: float | None = None
+    flagged: list
+    p_value: float
+
+    @property
+    def rule(self) -> str:
+        return "tau" if math.isnan(self.p_value) else "monte-carlo"
 
     @property
     def detected(self) -> bool:
         return self.level is not None
-
-
-def detect_aggregation(
-    target_series, baseline_series, cfg: DetectorConfig | None = None
-) -> DetectionResult:
-    """First level k >= 1 with (R_k - R_{k-1})/R_{k-1} > tau, if any.
-
-    Both series must already be aligned level by level; `flagged` lists all
-    super-threshold levels, `level` the first one.
-    """
-    cfg = cfg or DetectorConfig()
-    target = list(target_series)
-    baseline = list(baseline_series)
-    if len(target) != len(baseline):
-        raise SeriesError(
-            f"series length mismatch: {len(target)} vs {len(baseline)}"
-        )
-    if len(target) < 2:
-        raise SeriesError("need at least 2 levels to detect a jump")
-    if any(not b > 0 for b in baseline):
-        raise SeriesError("baseline entries must be positive")
-    ratios = [t / b for t, b in zip(target, baseline)]
-    rel = [float("nan")]
-    flagged = []
-    for k in range(1, len(ratios)):
-        inc = (ratios[k] - ratios[k - 1]) / ratios[k - 1]
-        rel.append(inc)
-        if inc > cfg.tau:
-            flagged.append(k)
-    return DetectionResult(
-        level=flagged[0] if flagged else None,
-        ratios=ratios,
-        rel_increase=rel,
-        flagged=flagged,
-    )
 
 
 def align_series(target, baseline):
@@ -273,21 +229,27 @@ def detect_against_baseline(
     """Detect aggregation in `target` (a Hierarchy or its mean-distance
     series) against `baseline` over their common levels.
 
-    The tau rule on the seed-averaged values gives the level, which stands
-    only if the global Monte Carlo test of the module note rejects at
-    ALPHA. With fewer than MIN_SEEDS per-seed series the tau rule decides
-    alone.
+    The tau rule on R_k = target_k / baseline.values_k flags every level
+    k >= 1 with (R_k - R_{k-1})/R_{k-1} > tau, and `level` is the first.
+    With at least MIN_SEEDS seed series the flags stand only if the global
+    Monte Carlo test of the module note rejects at ALPHA.
     """
     cfg = cfg or DetectorConfig()
     if isinstance(target, Hierarchy):
         target = mean_distance_series(target)
-    target = list(target)
-    plain = detect_aggregation(*align_series(target, baseline.values), cfg)
-    if len(baseline.seed_series) < MIN_SEEDS:
-        return replace(plain, p_value=math.nan)
-    p = _monte_carlo_p_value(target, baseline.seed_series)
-    result = replace(plain, rule="monte-carlo", p_value=p)
-    return result if p <= ALPHA else replace(result, level=None, flagged=[])
+    t, b = align_series(target, baseline.values)
+    if any(not v > 0 for v in t + b):
+        raise SeriesError("target and baseline distances must be positive")
+    ratios = [x / y for x, y in zip(t, b)]
+    rel = [math.nan]
+    rel += [(ratios[k] - ratios[k - 1]) / ratios[k - 1] for k in range(1, len(ratios))]
+    flagged = [k for k in range(1, len(ratios)) if rel[k] > cfg.tau]
+    p = math.nan
+    if baseline.n_seeds >= MIN_SEEDS:
+        p = _monte_carlo_p_value(target, baseline.seed_series)
+        if p > ALPHA:
+            flagged = []
+    return DetectionResult(flagged[0] if flagged else None, ratios, rel, flagged, p)
 
 
 def _monte_carlo_p_value(target, seed_series) -> float:
@@ -295,8 +257,6 @@ def _monte_carlo_p_value(target, seed_series) -> float:
     among the m + 1 samples' own (see the module note)."""
     samples = [target, *seed_series]
     depth = min(map(len, samples))
-    if any(not v > 0 for v in target[:depth]):
-        raise SeriesError("target distances must be positive")
     logs = [[math.log(v) for v in s[:depth]] for s in samples]
     stat = [_max_deviation(logs, i) for i in range(len(logs))]
     return (1 + sum(s >= stat[0] for s in stat[1:])) / len(stat)
@@ -368,31 +328,31 @@ SEED_COLUMN_PREFIX = "seed_"
 
 
 def write_baseline_csv(baseline: BaselineSeries, seeds, path) -> None:
-    """The levels CSV schema with the seed support in `n_exit`, the averaged
-    series in `mean_merge_distance`, and one `seed_<s>` column per seed
-    holding that seed's own series for the detector's Monte Carlo test."""
+    """`level,support,mean_merge_distance`, then one `seed_<s>` column per
+    seed holding that seed's own series for the detector's Monte Carlo
+    test."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(LEVELS_CSV_FIELDS + tuple(f"{SEED_COLUMN_PREFIX}{s}" for s in seeds))
+        seed_columns = [f"{SEED_COLUMN_PREFIX}{s}" for s in seeds]
+        writer.writerow(["level", "support", SERIES_COLUMN, *seed_columns])
         for k, (val, sup) in enumerate(zip(baseline.values, baseline.support)):
             per_seed = [repr(s[k]) if len(s) > k else "" for s in baseline.seed_series]
-            writer.writerow([k, "", "", sup, "", "", repr(val)] + per_seed)
+            writer.writerow([k, sup, repr(val), *per_seed])
 
 
 def read_baseline_csv(path) -> BaselineSeries:
-    """Baseline from a CSV that `write_baseline_csv` wrote. A CSV without
-    `seed_<s>` columns, such as one sample's levels CSV, reads as a
-    single-sample baseline with no per-seed series."""
+    """Baseline from the `seed_<s>` columns of a CSV, or, in a CSV without
+    them such as one sample's levels CSV, from `mean_merge_distance` as its
+    single series. Every distance must be positive and finite, and
+    `mean_merge_distance` must be the mean of the seed columns."""
     rows, fields = _read_series_rows(path)
-    columns = [c for c in fields if c.startswith(SEED_COLUMN_PREFIX)]
-    values = _column_series(rows, SERIES_COLUMN, path)
-    seed_series = tuple(tuple(_column_series(rows, c, path)) for c in columns)
-    if any(not (0 < v < math.inf) for s in seed_series for v in s):
-        raise SeriesError(f"{path}: per-seed distances must be positive and finite")
-    if not columns:
-        return BaselineSeries(values, [1] * len(values), 1)
-    support = [sum(len(s) > k for s in seed_series) for k in range(len(values))]
-    return BaselineSeries(values, support, len(columns), seed_series)
+    columns = [c for c in fields if c.startswith(SEED_COLUMN_PREFIX)] or [SERIES_COLUMN]
+    baseline = BaselineSeries(tuple(tuple(_column_series(rows, c, path)) for c in columns))
+    if any(not (0 < v < math.inf) for s in baseline.seed_series for v in s):
+        raise SeriesError(f"{path}: distances must be positive and finite")
+    if _column_series(rows, SERIES_COLUMN, path) != baseline.values:
+        raise SeriesError(f"{path}: {SERIES_COLUMN} is not the mean of the seed columns")
+    return baseline
 
 
 DETECTOR_CSV_FIELDS = (
@@ -402,16 +362,16 @@ DETECTOR_CSV_FIELDS = (
     "R",
     "rel_increase",
     "detected_flag",
+    "rule",
 )
 
 
 def write_detector_csv(target, baseline, result: DetectionResult, path) -> None:
-    """One row per aligned level. A result of `detect_against_baseline` also
-    names, in a `rule` column, the rule that decided."""
-    extra = () if result.p_value is None else (result.rule,)
+    """One row per aligned level; the `rule` column names the rule that
+    decided."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(DETECTOR_CSV_FIELDS + (("rule",) if extra else ()))
+        writer.writerow(DETECTOR_CSV_FIELDS)
         for k, (t, b, r) in enumerate(zip(target, baseline, result.ratios)):
             inc = result.rel_increase[k]
             writer.writerow(
@@ -422,6 +382,6 @@ def write_detector_csv(target, baseline, result: DetectionResult, path) -> None:
                     repr(r),
                     "" if math.isnan(inc) else repr(inc),
                     int(k in result.flagged),
-                    *extra,
+                    result.rule,
                 ]
             )

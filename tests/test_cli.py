@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -153,7 +156,7 @@ def test_baseline_command(tmp_path):
     rows = list(csv.DictReader(out.open()))
     assert len(rows) >= 2
     assert float(rows[0]["mean_merge_distance"]) > 0
-    assert rows[0]["n_exit"] == "4"  # all four seeds reach level 0
+    assert rows[0]["support"] == "4"  # all four seeds reach level 0
 
 
 def test_chains_formula_output(tmp_path, capsys):
@@ -202,6 +205,43 @@ def test_chains_mc_budget_is_one_error_line(monkeypatch, capsys):
         assert run("chains", "mc", "--lambda", lam, "--n", n, "--trials", 10**9) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and bound in err and err.count("\n") == 1, err
+
+
+TINY_WINDOW = "1,1.000000000000001"  # about five representable floats wide
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["generate", "binomial", "--count", "10", "--window", TINY_WINDOW], 1),
+    (["generate", "poisson", "--lambda", "1e16", "--window", TINY_WINDOW], 0),
+    (["chains", "formula", "--dim", "400", "--n", "2"], 0),
+    (["chains", "formula", "--R", "1e200", "--n", "2"], 0),
+    (["chains", "mc", "--R", "1e200", "--n", "2"], 1),
+    (["chains", "formula", "--lambda", "-1", "--n", "2"], 1),
+    (["chains", "formula", "--R", "-1", "--dim", "3", "--n", "1"], 1),
+    (["chains", "formula", "--lambda", "nan", "--n", "2"], 1),
+    (["generate", "poisson", "--lambda", "nan", "--window", "0,0,1,1"], 1),
+    (["baseline", "--window", "0,0,1,1", "--count", "nan", "--seeds", "0"], 1),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_cli_extreme_inputs_give_a_row_or_one_error_line(argv, code, tmp_path):
+    """In a fresh process with a deadline: a hang or a traceback fails."""
+    out = tmp_path / "out"
+    if argv[0] != "chains":
+        argv = argv + ["--out", str(out)] + (["--seed", "1"] if argv[0] == "generate" else [])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "chn2.cli", *argv], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == code, proc.stderr
+    if code == 1:
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    elif argv[0] == "chains":
+        header, row = proc.stdout.splitlines()
+        assert header.startswith("n,closed_form,recursive") and row.startswith("2,")
+        assert all(not math.isnan(float(v)) for v in row.split(",")[:3]), row
+    else:
+        assert load_sample(out).n >= 1
 
 
 def test_detect_target_without_series_column_is_one_error_line(tmp_path, capsys):

@@ -10,17 +10,15 @@ from chn2.stats import (
     DetectorConfig,
     DetectionResult,
     InsufficientDepthError,
-    LevelStats,
     SeriesError,
     align_series,
-    decay_ratios,
     detect_against_baseline,
-    detect_aggregation,
     level_stats,
     mean_distance_series,
     poisson_baseline,
     read_baseline_csv,
     read_series_csv,
+    write_baseline_csv,
     write_detector_csv,
     write_levels_csv,
 )
@@ -33,8 +31,9 @@ def line_sample(coords):
     return Sample(pts, WIDE, 1, {"kind": "manual"}, 0)
 
 
-def stats_row(level, n_exit, exit_intensity):
-    return LevelStats(level, n_exit or 1, 2 * (n_exit or 1), n_exit, 0.0, exit_intensity, 1.0)
+def tau_rule(target, baseline, cfg=None):
+    """The detector against a one-series baseline: the tau rule alone."""
+    return detect_against_baseline(target, BaselineSeries((tuple(baseline),)), cfg)
 
 
 def test_level_stats_fixture():
@@ -64,16 +63,6 @@ def test_level_stats_counts_structural(rng):
         assert b.n_exit_points <= a.n_exit_points / 2
 
 
-def test_decay_ratios_arithmetic():
-    rows = [stats_row(0, 8, 8.0), stats_row(1, 4, 4.0), stats_row(2, 2, 2.0)]
-    assert decay_ratios(rows) == [0.5, 0.5]
-
-
-def test_decay_ratios_skips_terminal():
-    rows = [stats_row(0, 4, 4.0), stats_row(1, 2, 2.0), stats_row(2, 0, 0.0)]
-    assert decay_ratios(rows) == [0.5]
-
-
 def test_mean_distance_series_fixture():
     assert mean_distance_series(build_hierarchy(line_sample([0, 1, 5, 6, 20]))) == [4.0]
     # terminates at level 0: no merges performed
@@ -83,21 +72,21 @@ def test_mean_distance_series_fixture():
 def test_detect_example_from_ratios():
     target = [1.0, 1.05, 1.1, 1.6]
     baseline = [1.0, 1.0, 1.0, 1.0]
-    r = detect_aggregation(target, baseline, DetectorConfig(tau=0.3))
+    r = tau_rule(target, baseline, DetectorConfig(tau=0.3))
     assert r.level == 3
     assert r.flagged == [3]
     assert r.rel_increase[3] == pytest.approx((1.6 - 1.1) / 1.1)
 
 
 def test_detect_constant_ratio_none():
-    r = detect_aggregation([2.0, 2.0, 2.0], [1.0, 1.0, 1.0])
+    r = tau_rule([2.0, 2.0, 2.0], [1.0, 1.0, 1.0])
     assert r.level is None
     assert not r.detected
 
 
 def test_detect_identical_series_none():
     series = [1.0, 2.1, 4.4, 9.0]
-    assert detect_aggregation(series, series).level is None
+    assert tau_rule(series, series).level is None
 
 
 def test_detect_tau_monotone(rng):
@@ -106,18 +95,18 @@ def test_detect_tau_monotone(rng):
     taus = [0.05, 0.1, 0.2, 0.4, 0.8]
     levels = []
     for tau in taus:
-        res = detect_aggregation(target, baseline, DetectorConfig(tau=tau))
+        res = tau_rule(target, baseline, DetectorConfig(tau=tau))
         levels.append(res.level if res.level is not None else np.inf)
     assert all(a <= b for a, b in zip(levels, levels[1:]))
 
 
 def test_detect_errors():
     with pytest.raises(SeriesError):
-        detect_aggregation([1.0, 2.0], [1.0])
+        tau_rule([1.0, 2.0], [1.0])
     with pytest.raises(SeriesError):
-        detect_aggregation([1.0], [1.0])
+        tau_rule([1.0], [1.0])
     with pytest.raises(SeriesError):
-        detect_aggregation([1.0, 2.0], [1.0, 0.0])
+        tau_rule([1.0, 2.0], [1.0, 0.0])
     with pytest.raises(SeriesError):
         DetectorConfig(tau=0.0)
 
@@ -160,9 +149,9 @@ def test_baseline_scales_with_window_volume():
 def test_common_scaling_leaves_detection_unchanged(rng):
     target = list(rng.uniform(1, 3, size=6))
     baseline = list(rng.uniform(1, 3, size=6))
-    r1 = detect_aggregation(target, baseline)
+    r1 = tau_rule(target, baseline)
     c = 7.3
-    r2 = detect_aggregation([c * t for t in target], [c * b for b in baseline])
+    r2 = tau_rule([c * t for t in target], [c * b for b in baseline])
     assert r1.level == r2.level
     assert r1.flagged == r2.flagged
     np.testing.assert_allclose(r2.ratios, r1.ratios, rtol=1e-12)
@@ -193,26 +182,25 @@ def test_levels_csv_roundtrip(tmp_path):
 def test_detector_csv(tmp_path):
     target = [1.0, 1.05, 1.1, 1.6]
     baseline = [1.0, 1.0, 1.0, 1.0]
-    result = detect_aggregation(target, baseline)
+    result = tau_rule(target, baseline)
     path = tmp_path / "det.csv"
     write_detector_csv(target, baseline, result, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "level,target_d,baseline_d,R,rel_increase,detected_flag"
+    assert lines[0] == "level,target_d,baseline_d,R,rel_increase,detected_flag,rule"
     assert len(lines) == 5
-    assert lines[-1].endswith(",1")
+    assert lines[-1].endswith(",1,tau")
 
 
 def noisy_baseline(m, seed=0):
     """m seed series around 1, 2, 4, 8 whose spread grows with the level, as
-    a Poisson baseline's does, and their mean."""
+    a Poisson baseline's does."""
     rng = np.random.default_rng(seed)
     log_sd = [0.02, 0.03, 0.05, 0.25]
     seeds = tuple(
         tuple(float(v) for v in np.exp(np.log([1.0, 2.0, 4.0, 8.0]) + rng.normal(0, log_sd)))
         for _ in range(m)
     )
-    values = [float(np.mean([s[k] for s in seeds])) for k in range(4)]
-    return BaselineSeries(values, [m] * 4, m, seeds)
+    return BaselineSeries(seeds)
 
 
 def test_detect_monte_carlo_gates_tau_level():
@@ -220,7 +208,7 @@ def test_detect_monte_carlo_gates_tau_level():
     # A top-level jump past tau but inside the seeds' own spread: the tau
     # rule fires, the global test does not reject.
     within = base.values[:3] + [base.values[3] * 1.4]
-    assert detect_aggregation(*align_series(within, base.values)).level == 3
+    assert tau_rule(within, base.values).level == 3
     r = detect_against_baseline(within, base)
     assert r.rule == "monte-carlo" and r.p_value > 0.05
     assert r.level is None and r.flagged == []
@@ -240,9 +228,7 @@ def test_detect_monte_carlo_p_values_are_ranks():
     series = noisy_baseline(21, seed=4).seed_series
     ps = []
     for i, target in enumerate(series):
-        rest = series[:i] + series[i + 1:]
-        values = [float(np.mean([s[k] for s in rest])) for k in range(4)]
-        base = BaselineSeries(values, [20] * 4, 20, rest)
+        base = BaselineSeries(series[:i] + series[i + 1:])
         ps.append(detect_against_baseline(list(target), base).p_value)
     assert sorted(ps) == pytest.approx([k / 21 for k in range(1, 22)])
 
@@ -250,8 +236,8 @@ def test_detect_monte_carlo_p_values_are_ranks():
 def test_detect_monte_carlo_too_few_seeds_uses_tau():
     base = noisy_baseline(5)
     target = base.values[:3] + [base.values[3] * 1.4]
-    plain = detect_aggregation(*align_series(target, base.values))
-    assert plain.rule == "tau" and plain.p_value is None
+    plain = tau_rule(target, base.values)
+    assert plain.rule == "tau" and np.isnan(plain.p_value)
     r = detect_against_baseline(target, base)
     assert r.rule == "tau" and np.isnan(r.p_value)
     assert (r.level, r.flagged, r.ratios) == (plain.level, plain.flagged, plain.ratios)
@@ -297,7 +283,42 @@ def test_read_baseline_csv(tmp_path):
         read_baseline_csv(path)
     h = build_hierarchy(line_sample([0, 1, 5, 6, 20]))
     write_levels_csv(level_stats(h), path)
-    assert read_baseline_csv(path) == BaselineSeries([4.0], [1], 1)
+    assert read_baseline_csv(path) == BaselineSeries(((4.0,),))
+
+
+def test_baseline_csv_round_trip_and_old_schema(tmp_path):
+    base = BaselineSeries(((1.0, 3.0, 5.0), (2.0, 4.0), (1.5,)))
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_baseline_csv(base, [3, 4, 9], new)
+    assert new.read_text().splitlines() == [
+        "level,support,mean_merge_distance,seed_3,seed_4,seed_9",
+        "0,3,1.5,1.0,2.0,1.5",
+        "1,2,3.5,3.0,4.0,",
+        "2,1,5.0,5.0,,",
+    ]
+    # The levels schema with the support in n_exit, as earlier versions wrote it.
+    old.write_text(
+        LEVELS_HEADER + ",seed_3,seed_4,seed_9\n"
+        "0,,,3,,,1.5,1.0,2.0,1.5\n1,,,2,,,3.5,3.0,4.0,\n2,,,1,,,5.0,5.0,,\n"
+    )
+    assert read_baseline_csv(new) == read_baseline_csv(old) == base
+
+
+def test_baseline_csv_mean_must_match_seed_columns(tmp_path):
+    path = tmp_path / "base.csv"
+    path.write_text(
+        "level,support,mean_merge_distance,seed_3,seed_4\n"
+        "0,2,1.5,1.0,2.0\n1,1,3.5,3.0,\n"
+    )
+    with pytest.raises(SeriesError, match="mean of the seed columns"):
+        read_baseline_csv(path)
+    # A mean that stops a level short of its seeds is refused as well.
+    path.write_text(
+        "level,support,mean_merge_distance,seed_3,seed_4\n"
+        "0,2,1.5,1.0,2.0\n1,1,,3.0,\n"
+    )
+    with pytest.raises(SeriesError, match="mean of the seed columns"):
+        read_baseline_csv(path)
 
 
 LEVELS_HEADER = (
