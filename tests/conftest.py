@@ -1,11 +1,14 @@
 """Shared brute-force oracles, kept independent of the package internals."""
 
+import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 from chn2.geometry import Metric, TORUS
+from chn2.hierarchy import genealogy_newick
 
 
 def oracle_sq_dist(a, b, metric: Metric) -> float:
@@ -150,6 +153,23 @@ def oracle_hierarchy_json(sample, metric: Metric) -> dict:
         "exit_target": None, "merge_distance": None, "target_pair": None,
     })
     return out
+
+
+def hierarchy_array_digest(h) -> str:
+    """sha256 over a hierarchy's arrays: every level's successor map and
+    pairs, every merge column (dtype, shape and bytes alike), then the
+    termination and the Newick genealogy. It depends on no file layout, so
+    a built and a loaded hierarchy agree on it exactly when they are equal
+    bit for bit."""
+    arrays = [a for g in h.levels for a in (g.successor, g.pairs)]
+    arrays += [getattr(mg, f.name) for mg in h.merges for f in dataclasses.fields(mg)]
+    sha = hashlib.sha256()
+    for a in arrays:
+        sha.update(f"{a.dtype.str}{a.shape}".encode())
+        sha.update(np.ascontiguousarray(a).tobytes())
+    sha.update(h.termination.encode())
+    sha.update(genealogy_newick(h).encode())
+    return sha.hexdigest()
 
 
 def oracle_descent_violations(g, coords, metric: Metric, within=None):

@@ -28,7 +28,7 @@ from chn2.hierarchy import (
     save_hierarchy,
 )
 from chn2.pointprocess import Sample
-from conftest import oracle_descent_violations, oracle_hierarchy_json
+from conftest import hierarchy_array_digest, oracle_descent_violations, oracle_hierarchy_json
 
 WIDE = Window([-1000.0], [1000.0])
 DATA = Path(__file__).parent / "data"
@@ -414,6 +414,18 @@ def test_v1_file_loads_as_built(name, tmp_path):
     resaved = json.loads((tmp_path / "h.json").read_text())
     assert resaved["version"] == 2 and "levels" not in resaved
     assert resaved["pairs"] == v1["pairs"]
+
+
+@pytest.mark.parametrize(
+    "name", ["hierarchy_v2_line5.json", "hierarchy_v2_torus60.json"]
+)
+def test_v2_file_loads_as_built(name):
+    # Written by the version-2 writer: level 0 plus every pair's record and
+    # the genealogy, all checked against the rebuild on load.
+    h = load_hierarchy(DATA / name)
+    assert json.loads((DATA / name).read_text())["version"] == 2
+    ref = build_hierarchy(h.sample, h.metric)
+    assert hierarchy_array_digest(h) == hierarchy_array_digest(ref)
 
 
 def _set(path, value):

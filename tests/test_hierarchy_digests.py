@@ -1,13 +1,19 @@
 """Bit-identity of whole hierarchies against recorded digests.
 
-Each input below is rebuilt and its `hierarchy_to_json` object, serialised
-with `json.dumps`, is hashed against `data/hierarchy_digests.json`. Any
-change to the total order, the exact-tie fallback or the JSON layout shows
-up as a mismatch. Regenerate the file (`PYTHONPATH=src python
-tests/test_hierarchy_digests.py`) only for a change that is meant to alter
-hierarchies.
+Each input below is rebuilt and hashed two ways. The array digest
+(`conftest.hierarchy_array_digest`: every level's successors and pairs,
+every merge column, the termination and the genealogy) is checked against
+`data/hierarchy_array_digests.json`, for the built hierarchy and for the
+one loaded back from its JSON. The `hierarchy_to_json` object, serialised
+with `json.dumps`, is checked against `data/hierarchy_digests.json`. A
+change to the total order or the exact-tie fallback moves both; a change
+of the JSON layout moves only the second. Regenerate both files
+(`PYTHONPATH=src python tests/test_hierarchy_digests.py`) only for a change
+that is meant to alter hierarchies or the layout, and check in the diff
+which of them moved.
 """
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -16,10 +22,12 @@ import numpy as np
 import pytest
 
 from chn2.geometry import Metric, Window
-from chn2.hierarchy import build_hierarchy, hierarchy_to_json
+from chn2.hierarchy import build_hierarchy, hierarchy_from_json, hierarchy_to_json
 from chn2.pointprocess import Sample, gen_binomial
+from conftest import hierarchy_array_digest
 
 DIGESTS = Path(__file__).parent / "data" / "hierarchy_digests.json"
+ARRAY_DIGESTS = Path(__file__).parent / "data" / "hierarchy_array_digests.json"
 UNIT2 = Window([0.0, 0.0], [1.0, 1.0])
 
 
@@ -73,10 +81,18 @@ INPUTS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
+def built(name):
+    return build_hierarchy(*INPUTS[name]())
+
+
 def hierarchy_digest(name):
-    sample, metric = INPUTS[name]()
-    text = json.dumps(hierarchy_to_json(build_hierarchy(sample, metric)))
+    text = json.dumps(hierarchy_to_json(built(name)))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def array_digest(name):
+    return hierarchy_array_digest(built(name))
 
 
 @pytest.mark.parametrize("name", sorted(INPUTS))
@@ -84,8 +100,16 @@ def test_hierarchy_matches_recorded_digest(name):
     assert hierarchy_digest(name) == json.loads(DIGESTS.read_text())[name]
 
 
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_hierarchy_arrays_match_recorded_digest(name):
+    want = json.loads(ARRAY_DIGESTS.read_text())[name]
+    assert array_digest(name) == want
+    text = json.dumps(hierarchy_to_json(built(name)))
+    assert hierarchy_array_digest(hierarchy_from_json(json.loads(text))) == want
+
+
 if __name__ == "__main__":
-    DIGESTS.write_text(
-        json.dumps({name: hierarchy_digest(name) for name in sorted(INPUTS)}, indent=1)
-        + "\n"
-    )
+    for path, digest in ((DIGESTS, hierarchy_digest), (ARRAY_DIGESTS, array_digest)):
+        path.write_text(
+            json.dumps({name: digest(name) for name in sorted(INPUTS)}, indent=1) + "\n"
+        )
