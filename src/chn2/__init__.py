@@ -7,7 +7,6 @@ from .hierarchy import (
     LevelGraph,
     Merges,
     build_hierarchy,
-    cluster_subtrees,
     level0,
     nn_k_step,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "LevelGraph",
     "Merges",
     "build_hierarchy",
-    "cluster_subtrees",
     "level0",
     "nn_k_step",
     "CoxBallSpec",

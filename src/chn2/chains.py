@@ -1,5 +1,5 @@
-"""Second-order descending chains: predicate, exact counting, expected-count
-evaluators, and a Monte-Carlo estimator.
+"""Second-order descending chains: exact counting, expected-count evaluators,
+and a Monte-Carlo estimator.
 
 A chain of points x_0, x_1, ... with step lengths d_i = |x_{i+1} - x_i| is
 second-order descending when d_i < max(d_{i-1}, d_{i-2}) for every i >= 2.
@@ -92,12 +92,6 @@ def _ball_mass(lam: float, radius: float, d: int) -> float:
         return math.inf
 
 
-def is_second_order_descending(lengths) -> bool:
-    """True iff d_i < max(d_{i-1}, d_{i-2}) for every i >= 2."""
-    ds = list(lengths)
-    return all(ds[i] < max(ds[i - 1], ds[i - 2]) for i in range(2, len(ds)))
-
-
 def _neighbour_lists(coords, owner, R):
     """Within-R neighbour lists of a block of samples, in CSR form.
 
@@ -187,8 +181,8 @@ def _expectation(lam: float, R: float, d: int, n: int, shift: float) -> float:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if not (lam >= 0 and R >= 0):
-        raise ValueError(f"lam and R must be >= 0, got lam = {lam!r}, R = {R!r}")
+    if not (0 <= lam < math.inf and 0 <= R < math.inf):
+        raise ValueError(f"lam and R must be finite and >= 0, got lam = {lam!r}, R = {R!r}")
     a = _ball_mass(lam, R, d)
     value = a if n % 2 else 1.0
     for i in range(1, n // 2 + 1):
@@ -226,7 +220,7 @@ class ChainCountConfig:
     seed: int
 
     def __post_init__(self):
-        if self.lam <= 0 or self.R <= 0 or self.d < 1 or self.n < 0:
+        if not self.lam > 0 or not self.R > 0 or self.d < 1 or self.n < 0:
             raise ValueError("lam, R must be positive; d >= 1; n >= 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")

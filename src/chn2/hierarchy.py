@@ -10,14 +10,16 @@ single pair remains.
 
 Every level is arrays: a `LevelGraph` holds the successor map and its pairs
 as an (m, 2) array, and every non-terminal level has one `Merges` record of
-per-pair columns. Level 0 and the exit columns are the whole hierarchy;
+per-pair columns. Level 0 and the exit columns are the whole hierarchy:
 `advance_level` and `merge_record` rebuild the rest, for the build and for
-the loader alike, and the loader requires every other stored field to be
-what that rebuild writes.
+the loader alike. The hierarchy file (version 3) stores just those; the
+loader reduces versions 1 and 2 to them too, and then requires their other
+stored fields to be what the rebuild writes.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -284,20 +286,9 @@ def build_hierarchy(
     return Hierarchy(sample, metric, levels, merges, _termination(levels))
 
 
-def cluster_subtrees(g: LevelGraph) -> dict:
-    """Forest obtained by deleting the two cycle edges of each component.
-
-    Maps each head to the sorted ids of the vertices whose directed path
-    reaches it first; the subtrees partition all ids.
-    """
-    _, head_of = _reach_two_cycles(g.successor)
-    order = np.argsort(head_of, kind="stable")
-    cuts = np.flatnonzero(np.diff(head_of[order])) + 1
-    return dict(zip(g.heads.tolist(), np.split(order, cuts)))
-
-
 def _merge_json(h: Hierarchy) -> dict:
-    """The pairs, genealogy and termination fields of hierarchy JSON v2."""
+    """The pairs, genealogy and termination fields of hierarchy JSON v2, which
+    a version-1 or version-2 file must store exactly."""
     pairs, genealogy = [], []
     for k, g in enumerate(h.levels):
         if k < len(h.merges):
@@ -320,71 +311,91 @@ def _merge_json(h: Hierarchy) -> dict:
 
 
 def hierarchy_to_json(h: Hierarchy) -> dict:
-    """Hierarchy JSON version 2: level 0's successors and the pairs, whose
-    exits give every later level (see `advance_level`)."""
+    """Hierarchy JSON version 3: level 0's successors and, per non-terminal
+    level, the [exit, exit_target] columns that give the next level (see
+    `advance_level`)."""
     return {
-        "version": 2,
+        "version": 3,
         "sample": h.sample.to_json(),
         "metric": h.metric.to_json(),
         "level0": h.levels[0].successor.tolist() if h.levels else [],
-        **_merge_json(h),
+        "exits": [[mg.exit.tolist(), mg.exit_target.tolist()] for mg in h.merges],
     }
 
 
-def hierarchy_from_json(obj: dict) -> Hierarchy:
-    """Rebuild a hierarchy from level 0 and its pairs' exits.
+def _rebuild(sample: Sample, metric: Metric, succ0: list, exit_columns: list) -> Hierarchy:
+    """Relink level 0 by each level's [exit, exit_target] columns through
+    `advance_level` and `merge_record`, as the build does."""
+    if len(succ0) != (sample.n if sample.n >= 2 else 0):
+        raise HierarchyError("level 0 does not fit the sample")
+    levels, merges = [], []
+    if len(succ0):
+        levels.append(LevelGraph.from_successors(0, succ0))
+        if levels[0].successor.tolist() != succ0:
+            raise HierarchyError("level 0 is not a list of point ids")
+    elif len(exit_columns):
+        raise HierarchyError("exit columns without a level 0")
+    for exit_col, target_col in exit_columns:
+        g = levels[-1]
+        exits = np.array(exit_col, dtype=np.int64)
+        targets = np.array(target_col, dtype=np.int64)
+        if exits.tolist() != exit_col or targets.tolist() != target_col:
+            raise HierarchyError(f"level {g.level}: an exit column is not a list of point ids")
+        if exits.shape != targets.shape:
+            raise HierarchyError(f"level {g.level}: exit and exit_target differ in length")
+        nxt = advance_level(g, exits, targets)
+        pair_of = np.full(g.n, -1)
+        pair_of[g.pairs] = np.arange(g.n_components)[:, None]
+        target_pair = pair_of[targets]
+        if np.any((target_pair < 0) | (target_pair == np.arange(g.n_components))):
+            raise HierarchyError(f"level {g.level}: an exit target is not a foreign head")
+        merge_sq = sq_dist_many(sample.points[targets], sample.points[exits], metric)
+        levels.append(nxt)
+        merges.append(merge_record(nxt, target_pair, exits, targets, merge_sq))
+    return Hierarchy(sample, metric, levels, merges, _termination(levels))
 
-    Reads versions 2 and 1. A version-1 object carries level 0 as
-    `levels[0].successors`; its other level arrays follow from level 0 and
-    the pairs, and are ignored. The exits of every non-terminal level are
-    relinked through `advance_level` and `merge_record`, as in the build;
-    every other stored field (heads, merge distances, target pairs,
-    genealogy, termination) must then be what that rebuild writes, in any
-    listing order. Any defect raises HierarchyError.
+
+def hierarchy_from_json(obj: dict) -> Hierarchy:
+    """Rebuild a hierarchy from level 0 and the exit columns.
+
+    Reads versions 3, 2 and 1, and reduces each to (sample, metric, level
+    0, exit columns) for `_rebuild`. Versions 1 and 2 give the exits as
+    pair records, level by level, and version 1 gives level 0 as
+    `levels[0].successors` (its other level arrays are ignored). They also
+    store the derived fields (heads, merge distances, target pairs,
+    genealogy, termination), which must then be what the rebuild writes, in
+    any listing order. Any defect raises HierarchyError.
     """
     try:
         version = obj.get("version", 1)
-        if version not in (1, 2):
+        if version not in (1, 2, 3):
             raise HierarchyError(f"unknown hierarchy version {version!r}")
         sample = Sample.from_json(obj["sample"])
         metric = Metric.from_json(obj["metric"])
-        if version == 2:
+        if version >= 2:
             succ0 = obj["level0"]
         else:
             succ0 = obj["levels"][0]["successors"] if obj["levels"] else []
-        stored = {
-            "pairs": sorted(obj["pairs"], key=lambda rec: (rec["level"], rec["index"])),
-            "genealogy": sorted(obj["genealogy"]),
-            "termination": obj["termination"],
-        }
-        if len(succ0) != (sample.n if sample.n >= 2 else 0):
-            raise HierarchyError("level 0 does not fit the sample")
-        recs = stored["pairs"]
-        levels, merges, done = [], [], 0
-        if len(succ0):
-            levels.append(LevelGraph.from_successors(0, succ0))
-            if levels[0].successor.tolist() != succ0:
-                raise HierarchyError("level 0 is not a list of point ids")
-            done = levels[0].n_components
-        while levels and done < len(recs):
-            g = levels[-1]
-            level_recs = recs[done - g.n_components:done]
-            exits = np.array([rec["exit"] for rec in level_recs], dtype=np.int64)
-            targets = np.array([rec["exit_target"] for rec in level_recs], dtype=np.int64)
-            nxt = advance_level(g, exits, targets)
-            pair_of = np.full(g.n, -1)
-            pair_of[g.pairs] = np.arange(g.n_components)[:, None]
-            target_pair = pair_of[targets]
-            if np.any((target_pair < 0) | (target_pair == np.arange(g.n_components))):
-                raise HierarchyError(f"level {g.level}: an exit target is not a foreign head")
-            merge_sq = sq_dist_many(sample.points[targets], sample.points[exits], metric)
-            levels.append(nxt)
-            merges.append(merge_record(nxt, target_pair, exits, targets, merge_sq))
-            done += nxt.n_components
-        h = Hierarchy(sample, metric, levels, merges, _termination(levels))
-        for key, value in _merge_json(h).items():
-            if stored[key] != value:
-                raise HierarchyError(f"stored {key!r} is not what level 0 and the exits give")
+        if version == 3:
+            exits = obj["exits"]
+        else:
+            stored = {
+                "pairs": sorted(obj["pairs"], key=lambda rec: (rec["level"], rec["index"])),
+                "genealogy": sorted(obj["genealogy"]),
+                "termination": obj["termination"],
+            }
+            by_level = itertools.groupby(stored["pairs"], key=lambda rec: rec["level"])
+            exits = [
+                [[rec[key] for rec in recs] for key in ("exit", "exit_target")]
+                for recs in [list(grp) for _, grp in by_level][:-1]
+            ]
+        h = _rebuild(sample, metric, succ0, exits)
+        if version < 3:
+            for key, value in _merge_json(h).items():
+                if stored[key] != value:
+                    raise HierarchyError(
+                        f"stored {key!r} is not what level 0 and the exits give"
+                    )
     except HierarchyError:
         raise
     except (

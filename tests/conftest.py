@@ -1,4 +1,6 @@
-"""Shared brute-force oracles, kept independent of the package internals."""
+"""Shared brute-force oracles, kept independent of the package internals,
+and two views of a built hierarchy for comparing against them: its
+version-2 JSON and a digest of its arrays."""
 
 import dataclasses
 import hashlib
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from chn2.geometry import Metric, TORUS
-from chn2.hierarchy import genealogy_newick
+from chn2.hierarchy import _merge_json, genealogy_newick
 
 
 def oracle_sq_dist(a, b, metric: Metric) -> float:
@@ -155,6 +157,33 @@ def oracle_hierarchy_json(sample, metric: Metric) -> dict:
     return out
 
 
+def hierarchy_json_v2(h) -> dict:
+    """The version-2 view of a built hierarchy: level 0 and every pair's
+    record, the genealogy and the termination, as `oracle_hierarchy_json`
+    writes them."""
+    return {
+        "version": 2,
+        "sample": h.sample.to_json(),
+        "metric": h.metric.to_json(),
+        "level0": h.levels[0].successor.tolist() if h.levels else [],
+        **_merge_json(h),
+    }
+
+
+def oracle_cluster_subtrees(g) -> dict:
+    """The forest left by deleting the two cycle edges of each component of
+    the level graph g: each head, ascending, mapped to the ascending ids
+    whose path reaches it first, found by walking every path."""
+    succ = g.successor.tolist()
+    trees = {head: [] for head in sorted(v for v in range(len(succ)) if succ[succ[v]] == v)}
+    for v in range(len(succ)):
+        w = v
+        while succ[succ[w]] != w:
+            w = succ[w]
+        trees[w].append(v)
+    return {head: np.array(ids, dtype=np.int64) for head, ids in trees.items()}
+
+
 def hierarchy_array_digest(h) -> str:
     """sha256 over a hierarchy's arrays: every level's successor map and
     pairs, every merge column (dtype, shape and bytes alike), then the
@@ -203,6 +232,12 @@ def oracle_descent_violations(g, coords, metric: Metric, within=None):
     ]
 
 
+def oracle_second_order_descending(lengths) -> bool:
+    """True iff d_i < max(d_{i-1}, d_{i-2}) for every i >= 2."""
+    ds = list(lengths)
+    return all(ds[i] < max(ds[i - 1], ds[i - 2]) for i in range(2, len(ds)))
+
+
 def oracle_chain_lengths(points, ids) -> tuple:
     """Step lengths of the chain through the rows `ids` of `points`, which
     may not repeat a vertex."""
@@ -227,7 +262,7 @@ def oracle_count_chains(points, n, R, origin=0):
             continue
         if n >= 2 and d[1] >= R:
             continue
-        if all(d[i] < max(d[i - 1], d[i - 2]) for i in range(2, n)):
+        if oracle_second_order_descending(d):
             count += 1
     return count
 

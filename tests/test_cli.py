@@ -219,6 +219,9 @@ TINY_WINDOW = "1,1.000000000000001"  # about five representable floats wide
     (["chains", "formula", "--lambda", "-1", "--n", "2"], 1),
     (["chains", "formula", "--R", "-1", "--dim", "3", "--n", "1"], 1),
     (["chains", "formula", "--lambda", "nan", "--n", "2"], 1),
+    (["chains", "formula", "--lambda", "0", "--R", "inf", "--n", "2"], 1),
+    (["chains", "formula", "--lambda", "inf", "--R", "0", "--n", "2"], 1),
+    (["chains", "mc", "--lambda", "nan", "--n", "2"], 1),
     (["generate", "poisson", "--lambda", "nan", "--window", "0,0,1,1"], 1),
     (["baseline", "--window", "0,0,1,1", "--count", "nan", "--seeds", "0"], 1),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
@@ -275,17 +278,25 @@ def test_malformed_hierarchy_one_line_error(tmp_path, capsys):
     text = hier.read_text()
     no_level0 = json.loads(text)
     del no_level0["level0"]
-    v1_path = Path(__file__).parent / "data" / "hierarchy_v1_line5.json"
-    no_levels = json.loads(v1_path.read_text())
+    data = Path(__file__).parent / "data"
+    no_levels = json.loads((data / "hierarchy_v1_line5.json").read_text())
     del no_levels["levels"]
     bad_exit = json.loads(text)
-    bad_exit["pairs"][0]["exit_target"] = 4  # 1 -> 4 -> 3 -> 2 -> 1
-    bad_parent = json.loads(text)
+    bad_exit["exits"][0][1][0] = 4  # 1 -> 4 -> 3 -> 2 -> 1
+    bad_id = json.loads(text)
+    bad_id["exits"][0][0][0] = "1"  # read as point 1, but not an id
+    bad_columns = json.loads(text)
+    bad_columns["exits"][0][1] = [2]  # exit and exit_target differ in length
+    extra_level = json.loads(text)
+    extra_level["exits"].append([[1], [2]])  # the single pair has no exit
+    v4 = dict(json.loads(text), version=4)
+    bad_parent = json.loads((data / "hierarchy_v2_line5.json").read_text())
     bad_parent["genealogy"][1][1] = [1, 1]  # level 1 has only pair 0
     capsys.readouterr()
     for i, body in enumerate([
         json.dumps(no_level0), json.dumps(no_levels), json.dumps(bad_exit),
-        json.dumps(bad_parent), text[: len(text) // 2],
+        json.dumps(bad_id), json.dumps(bad_columns), json.dumps(extra_level),
+        json.dumps(v4), json.dumps(bad_parent), text[: len(text) // 2],
     ]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(body)

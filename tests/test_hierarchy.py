@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -17,7 +18,6 @@ from chn2.hierarchy import (
     StructureError,
     advance_level,
     build_hierarchy,
-    cluster_subtrees,
     functional_structure,
     genealogy_newick,
     hierarchy_from_json,
@@ -28,7 +28,13 @@ from chn2.hierarchy import (
     save_hierarchy,
 )
 from chn2.pointprocess import Sample
-from conftest import hierarchy_array_digest, oracle_descent_violations, oracle_hierarchy_json
+from conftest import (
+    hierarchy_array_digest,
+    hierarchy_json_v2,
+    oracle_cluster_subtrees,
+    oracle_descent_violations,
+    oracle_hierarchy_json,
+)
 
 WIDE = Window([-1000.0], [1000.0])
 DATA = Path(__file__).parent / "data"
@@ -186,7 +192,7 @@ def test_build_hierarchy_max_levels_guard():
 def test_genealogy_total_and_consistent(rng):
     s = plane_sample(rng.uniform(0, 30, size=(80, 2)), 0, 30)
     h = build_hierarchy(s)
-    genealogy = hierarchy_to_json(h)["genealogy"]
+    genealogy = hierarchy_json_v2(h)["genealogy"]
     assert len(genealogy) == sum(g.n_components for g in h.levels[:-1])
     assert all(parent[0] == child[0] + 1 for child, parent in genealogy)
     assert len(h.merges) == len(h.levels) - 1
@@ -202,13 +208,13 @@ def test_genealogy_total_and_consistent(rng):
 
 def test_cluster_subtrees_examples():
     g = level0(line_sample([0, 1, 3, 7]))
-    trees = cluster_subtrees(g)
+    trees = oracle_cluster_subtrees(g)
     assert sorted(trees) == [0, 1]
     assert trees[0].tolist() == [0]
     assert trees[1].tolist() == [1, 2, 3]
 
     g2 = level0(line_sample([0, 1, 50, 51]))
-    trees2 = cluster_subtrees(g2)
+    trees2 = oracle_cluster_subtrees(g2)
     assert all(ids.tolist() == [head] for head, ids in trees2.items())
     assert len(trees2) == 4
 
@@ -217,7 +223,7 @@ def test_subtrees_partition(rng):
     s = plane_sample(rng.uniform(0, 20, size=(150, 2)), 0, 20)
     h = build_hierarchy(s)
     for g in h.levels:
-        trees = cluster_subtrees(g)
+        trees = oracle_cluster_subtrees(g)
         # the reference: one scan of functional_structure's head_of per head
         head_of = functional_structure(g.successor)[2]
         assert list(trees) == g.heads.tolist()
@@ -382,12 +388,14 @@ def test_hierarchy_json_roundtrip(tmp_path, rng):
         save_hierarchy(h, path)
         h3 = load_hierarchy(path)
         assert hierarchy_to_json(h3) == obj
-        assert json.loads(path.read_text())["termination"] == termination
-        top = [p for p in obj["pairs"] if p["level"] == h.termination_level]
-        assert len(top) == h.levels[-1].n_components
-        assert all(p["exit"] is None and p["merge_distance"] is None for p in top)
+        assert json.loads(path.read_text()) == obj
+        # one [exit, exit_target] pair of columns per non-terminal level
+        assert len(obj["exits"]) == h.termination_level
+        for (exits, targets), g in zip(obj["exits"], h.levels):
+            assert len(exits) == len(targets) == g.n_components
         for loaded in (h2, h3):
             assert loaded.termination == termination
+            assert hierarchy_array_digest(loaded) == hierarchy_array_digest(h)
             built = [m.merge_sq.tolist() for m in h.merges]
             got = [m.merge_sq.tolist() for m in loaded.merges]
             assert got == built
@@ -406,14 +414,12 @@ def test_v1_file_loads_as_built(name, tmp_path):
         assert np.array_equal(g.successor, want.successor)
         assert g.successor.tolist() == stored["successors"]
         assert g.pairs.tolist() == want.pairs.tolist() == stored["cycles"]
-    assert hierarchy_to_json(h) == hierarchy_to_json(ref)
-    parents = [m.parent.tolist() for m in h.merges]
-    assert parents == [m.parent.tolist() for m in ref.merges]
-    assert h.termination == ref.termination
+    assert hierarchy_array_digest(h) == hierarchy_array_digest(ref)
+    assert hierarchy_json_v2(h)["pairs"] == v1["pairs"]
     save_hierarchy(h, tmp_path / "h.json")
     resaved = json.loads((tmp_path / "h.json").read_text())
-    assert resaved["version"] == 2 and "levels" not in resaved
-    assert resaved["pairs"] == v1["pairs"]
+    assert resaved == hierarchy_to_json(ref)
+    assert resaved["version"] == 3 and "levels" not in resaved and "pairs" not in resaved
 
 
 @pytest.mark.parametrize(
@@ -423,9 +429,10 @@ def test_v2_file_loads_as_built(name):
     # Written by the version-2 writer: level 0 plus every pair's record and
     # the genealogy, all checked against the rebuild on load.
     h = load_hierarchy(DATA / name)
-    assert json.loads((DATA / name).read_text())["version"] == 2
     ref = build_hierarchy(h.sample, h.metric)
     assert hierarchy_array_digest(h) == hierarchy_array_digest(ref)
+    # the oracles' version-2 view is what that writer wrote
+    assert hierarchy_json_v2(ref) == json.loads((DATA / name).read_text())
 
 
 def _set(path, value):
@@ -437,10 +444,48 @@ def _set(path, value):
     return edit
 
 
+def _both(first, second):
+    def edit(obj):
+        first(obj)
+        second(obj)
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
-        _set(["version"], 3),
+        _set(["version"], 4),
+        _set(["exits", 0, 0, 0], "one"),
+        _set(["exits", 0, 0, 0], "1"),  # read as point 1, but not an id
+        _set(["exits", 0, 0, 0], 1.5),  # likewise
+        _set(["exits", 0, 0, 0], 4),  # not a head of the pair (0, 1)
+        _set(["exits", 0, 1, 0], 3),  # 1 -> 3 -> 2 -> 1
+        _set(["exits", 0, 1, 0], 2**70),  # beyond any int64 id
+        _set(["exits", 0, 1, 0], -1),  # not a point
+        _set(["exits", 0, 1], [2]),  # exit and exit_target differ in length
+        _set(["exits", 0], [[1, 2], [2, 1], [0, 0]]),  # a third column
+        _set(["exits"], [[[1, 2], [2, 1]], [[1], [2]]]),  # the single pair has no exit
+        _set(["exits"], None),
+        _set(["level0"], [1, 0, 3, 2]),
+        _set(["level0", 0], 1.5),  # read as point 1, but not an id
+        # exit columns for a one-point sample, which has no level 0
+        _both(_set(["level0"], []), _set(["sample", "points"], [[0.0]])),
+        lambda obj: obj.pop("exits"),
+    ],
+)
+def test_malformed_hierarchy_raises_hierarchy_error(edit):
+    obj = hierarchy_to_json(build_hierarchy(line_sample([0, 1, 5, 6, 20])))
+    assert obj["exits"] == [[[1, 2], [2, 1]]]
+    edit(obj)
+    with pytest.raises(HierarchyError) as err:
+        hierarchy_from_json(obj)
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set(["version"], 4),
         _set(["pairs", 0, "exit"], "one"),
         _set(["pairs", 2, "heads"], [0, 3]),  # the level-1 pair is (1, 2)
         _set(["pairs", 0, "exit"], 4),  # not a head of the pair (0, 1)
@@ -458,18 +503,24 @@ def _set(path, value):
         _set(["level0", 0], 1.5),  # read as point 1, but not an id
     ],
 )
-def test_malformed_hierarchy_raises_hierarchy_error(edit):
-    obj = hierarchy_to_json(build_hierarchy(line_sample([0, 1, 5, 6, 20])))
+def test_malformed_v2_hierarchy_raises_hierarchy_error(edit):
+    # The version-2 fixture, which the edits leave one field from valid.
+    obj = json.loads((DATA / "hierarchy_v2_line5.json").read_text())
+    hierarchy_from_json(copy.deepcopy(obj))
     edit(obj)
-    with pytest.raises(HierarchyError):
+    with pytest.raises(HierarchyError) as err:
         hierarchy_from_json(obj)
+    assert "\n" not in str(err.value)
 
 
 def test_hierarchy_loads_in_any_listing_order(rng):
+    # Version 2 lists pair records and genealogy entries; any order loads.
     h = build_hierarchy(plane_sample(rng.uniform(0, 10, size=(120, 2)), 0, 10))
-    obj = hierarchy_to_json(h)
+    obj = hierarchy_json_v2(h)
     flipped = dict(obj, pairs=obj["pairs"][::-1], genealogy=obj["genealogy"][::-1])
-    assert hierarchy_to_json(hierarchy_from_json(flipped)) == obj
+    loaded = hierarchy_from_json(flipped)
+    assert hierarchy_json_v2(loaded) == obj
+    assert hierarchy_array_digest(loaded) == hierarchy_array_digest(h)
 
 
 def test_newick_export():
@@ -502,7 +553,7 @@ def test_full_hierarchy_matches_bruteforce(kind, rng):
         pts = rng.uniform(0, side, size=(n, d))
         s = Sample(pts, w, d, {"kind": "manual"}, 0)
         h = build_hierarchy(s, metric)
-        assert hierarchy_to_json(h) == oracle_hierarchy_json(s, metric), (kind, d, n)
+        assert hierarchy_json_v2(h) == oracle_hierarchy_json(s, metric), (kind, d, n)
 
 
 @st.composite
@@ -549,7 +600,7 @@ def oracle_samples(draw):
 def test_hierarchy_matches_whole_hierarchy_oracle(case):
     sample, metric = case
     h = build_hierarchy(sample, metric)
-    assert hierarchy_to_json(h) == oracle_hierarchy_json(sample, metric)
+    assert hierarchy_json_v2(h) == oracle_hierarchy_json(sample, metric)
 
 
 def test_degenerate_hierarchy_roundtrip_and_stats():
