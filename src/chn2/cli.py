@@ -3,7 +3,7 @@
 Subcommands: generate (poisson | binomial | cox), cluster, stats, baseline,
 detect, chains. Structured artifacts are JSON, tabular outputs are CSV.
 Every command is deterministic given its full flag set; CHN2_THREADS caps
-worker parallelism for seed fan-out.
+the seed fan-out and the tree-query threads, and no output depends on it.
 """
 
 from __future__ import annotations

@@ -96,13 +96,17 @@ def _reach_two_cycles(succ):
     the first such vertex on x's path, if the path meets one at all.
 
     Pointer doubling with the 2-cycle vertices as fixed points covers any
-    path of at most n steps.
+    path of at most n steps. It stops once reach[reach] equals reach, as no
+    later round could change it.
     """
     ids = np.arange(succ.size)
     mutual = succ[succ] == ids
     reach = np.where(mutual, ids, succ)
     for _ in range((succ.size - 1).bit_length()):
-        reach = reach[reach]
+        doubled = reach[reach]
+        if np.array_equal(doubled, reach):
+            break
+        reach = doubled
     return mutual, reach
 
 
@@ -165,18 +169,19 @@ class Merges:
     parent: np.ndarray
 
 
-def level0(sample: Sample, metric: Metric | None = None) -> LevelGraph:
-    """Nearest-neighbor successor map over the sample (needs >= 2 points)."""
+def level0(sample: Sample, metric: Metric | None = None, workers: int | None = None) -> LevelGraph:
+    """Nearest-neighbor successor map over the sample (needs >= 2 points);
+    `workers` is the index's query thread count."""
     metric = metric or Metric.euclidean()
     n = sample.n
     if n < 2:
         raise HierarchyError("level 0 needs at least 2 points")
-    index = NnIndex(sample.points, np.arange(n), metric)
+    index = NnIndex(sample.points, np.arange(n), metric, workers)
     succ, _ = index.successor_map()
     return LevelGraph.from_successors(0, succ)
 
 
-def nn_k_step(pairs, coords, metric: Metric | None = None):
+def nn_k_step(pairs, coords, metric: Metric | None = None, workers: int | None = None):
     """Nearest foreign pair and exit points for one level's (m, 2) pairs.
 
     Returns the columns (target_pair, exit, exit_target, merge_sq) of
@@ -190,7 +195,7 @@ def nn_k_step(pairs, coords, metric: Metric | None = None):
         raise HierarchyError("need at least 2 pairs to advance a level")
     head_ids = heads.ravel()
     groups = np.repeat(np.arange(m, dtype=np.int64), 2)
-    index = NnIndex(coords[head_ids], groups, metric)
+    index = NnIndex(coords[head_ids], groups, metric, workers)
     entry_best, entry_sq = index.successor_map()
 
     # Lexicographic (squared distance, target pair index) over each pair's two
@@ -265,9 +270,13 @@ def _termination(levels) -> str:
 
 
 def build_hierarchy(
-    sample: Sample, metric: Metric | None = None, max_levels: int = 64
+    sample: Sample, metric: Metric | None = None, max_levels: int = 64,
+    workers: int | None = None,
 ) -> Hierarchy:
     """Iterate the level construction until a single pair remains.
+
+    `workers` is the tree-query thread count (default
+    `spatial_index.query_workers()`); the result does not depend on it.
 
     Termination is `single_pair` in the regular case; `degenerate` for
     samples with fewer than 2 points; `max_levels` only if the guard binds
@@ -276,10 +285,12 @@ def build_hierarchy(
     metric = metric or Metric.euclidean()
     levels, merges = [], []
     if sample.n >= 2:
-        g = level0(sample, metric)
+        g = level0(sample, metric, workers)
         levels.append(g)
         while g.n_components > 1 and g.level < max_levels:
-            target_pair, exits, targets, merge_sq = nn_k_step(g.pairs, sample.points, metric)
+            target_pair, exits, targets, merge_sq = nn_k_step(
+                g.pairs, sample.points, metric, workers
+            )
             g = advance_level(g, exits, targets)
             levels.append(g)
             merges.append(merge_record(g, target_pair, exits, targets, merge_sq))
@@ -323,6 +334,15 @@ def hierarchy_to_json(h: Hierarchy) -> dict:
     }
 
 
+def _point_ids(values, what: str) -> np.ndarray:
+    """A decoded JSON list of point ids as an int64 array. Only ints pass:
+    JSON true and false would otherwise read as 1 and 0, and strings or
+    floats as their numeric value."""
+    if not set(map(type, values)) <= {int}:
+        raise HierarchyError(f"{what} is not a list of point ids")
+    return np.array(values, dtype=np.int64)
+
+
 def _rebuild(sample: Sample, metric: Metric, succ0: list, exit_columns: list) -> Hierarchy:
     """Relink level 0 by each level's [exit, exit_target] columns through
     `advance_level` and `merge_record`, as the build does."""
@@ -330,17 +350,13 @@ def _rebuild(sample: Sample, metric: Metric, succ0: list, exit_columns: list) ->
         raise HierarchyError("level 0 does not fit the sample")
     levels, merges = [], []
     if len(succ0):
-        levels.append(LevelGraph.from_successors(0, succ0))
-        if levels[0].successor.tolist() != succ0:
-            raise HierarchyError("level 0 is not a list of point ids")
+        levels.append(LevelGraph.from_successors(0, _point_ids(succ0, "level 0")))
     elif len(exit_columns):
         raise HierarchyError("exit columns without a level 0")
     for exit_col, target_col in exit_columns:
         g = levels[-1]
-        exits = np.array(exit_col, dtype=np.int64)
-        targets = np.array(target_col, dtype=np.int64)
-        if exits.tolist() != exit_col or targets.tolist() != target_col:
-            raise HierarchyError(f"level {g.level}: an exit column is not a list of point ids")
+        exits = _point_ids(exit_col, f"level {g.level}: an exit column")
+        targets = _point_ids(target_col, f"level {g.level}: an exit column")
         if exits.shape != targets.shape:
             raise HierarchyError(f"level {g.level}: exit and exit_target differ in length")
         nxt = advance_level(g, exits, targets)
@@ -392,7 +408,8 @@ def hierarchy_from_json(obj: dict) -> Hierarchy:
         h = _rebuild(sample, metric, succ0, exits)
         if version < 3:
             for key, value in _merge_json(h).items():
-                if stored[key] != value:
+                # Compared as JSON text, where true and false are not 1 and 0.
+                if json.dumps(stored[key], sort_keys=True) != json.dumps(value, sort_keys=True):
                     raise HierarchyError(
                         f"stored {key!r} is not what level 0 and the exits give"
                     )

@@ -52,7 +52,7 @@ class Sample:
             raise SampleError("points must be finite")
         if pts.shape[0] and not np.all(self.window.contains(pts)):
             raise SampleError("all points must lie inside the window")
-        if pts.shape[0] and len(np.unique(pts, axis=0)) != pts.shape[0]:
+        if len(_first_draws(pts)) != pts.shape[0]:
             raise SampleError("duplicate points are rejected at ingestion")
         object.__setattr__(self, "points", pts)
 
@@ -95,13 +95,22 @@ def _uniform_points(rng, n, window: Window) -> np.ndarray:
     return rng.uniform(window.lo, window.hi, size=(n, window.dim))
 
 
+def _first_draws(pts) -> np.ndarray:
+    """Ascending indices of the rows of the (n, d) array pts that repeat no
+    earlier row. Rows compare by value, so -0.0 equals 0.0."""
+    order = np.lexsort(pts.T)  # stable: equal rows keep their draw order
+    rows = pts[order]
+    new = np.ones(len(pts), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return np.sort(order[new])
+
+
 def _distinct(pts) -> np.ndarray:
     """The draws without those that repeat an earlier one, in draw order.
     Coincident draws have probability ~0 in a wide window but would create
     spurious zero-length cycles downstream; a redraw could loop forever in
     a window that holds only a few floats, or land outside a ball union."""
-    _, first = np.unique(pts, axis=0, return_index=True)
-    return pts[np.sort(first)]
+    return pts[_first_draws(pts)]
 
 
 def gen_poisson(lam: float, window: Window, dim: int, seed: int) -> Sample:

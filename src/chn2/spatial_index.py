@@ -12,6 +12,7 @@ tied rows included; `nearest_foreign_ties` is that linear scan for one query.
 from __future__ import annotations
 
 import itertools
+import os
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -23,6 +24,35 @@ from .geometry import Metric, TORUS, sq_dist_many
 # far below any genuine distance gap.
 _REL_SLACK = 1e-9
 
+# Fewest rows at which a tree query gets more than one worker thread; below
+# it, starting the second thread costs more than it saves (measured on a
+# 2-core x86-64 VM: break-even between 8k and 12k rows).
+_PARALLEL_ROWS = 8192
+
+
+def thread_count() -> int:
+    """CHN2_THREADS, or min(8, CPU count) when it is unset."""
+    env = os.environ.get("CHN2_THREADS")
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"CHN2_THREADS must be an integer >= 1, got {env!r}")
+    return count
+
+
+def query_workers() -> int:
+    """Worker threads for one tree query: CHN2_THREADS, capped by the CPUs
+    this process may run on, since scipy starts one thread per worker."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(thread_count(), cpus)
+
 
 class IndexBuildError(ValueError):
     pass
@@ -33,9 +63,13 @@ class NoForeignNeighborError(LookupError):
 
 
 class NnIndex:
-    """Immutable nearest-neighbor structure over (point, group) entries."""
+    """Immutable nearest-neighbor structure over (point, group) entries.
 
-    def __init__(self, coords, groups, metric: Metric | None = None):
+    Queries of at least _PARALLEL_ROWS rows run on `workers` threads
+    (default `query_workers()`); no answer depends on the count.
+    """
+
+    def __init__(self, coords, groups, metric: Metric | None = None, workers: int | None = None):
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         if coords.shape[0] == 0:
             raise IndexBuildError("cannot build an index over an empty point set")
@@ -45,6 +79,7 @@ class NnIndex:
             raise IndexBuildError("need exactly one group id per point")
         self.metric = metric or Metric.euclidean()
         self.n, self.dim = coords.shape
+        self.workers = query_workers() if workers is None else workers
         scale = [1.0, float(np.max(np.abs(coords)))]
         if self.metric.kind == TORUS:
             side = self.metric.window.side_lengths
@@ -53,19 +88,25 @@ class NnIndex:
                 raise IndexBuildError("torus index needs every point inside the window")
             # The upper face is the lower one on the torus; the tree wants [0, L).
             data[data == side] = 0.0
-            self._tree = cKDTree(data, boxsize=side)
+            tree_data, boxsize = data, side
             scale += [float(np.max(data)), float(np.max(side))]
         else:
-            self._tree = cKDTree(coords)
+            tree_data, boxsize = coords, None
+        # The tree only gathers candidates and the exact recheck ranks them,
+        # so its shape is free: sliding-midpoint splits build fastest.
+        self._tree = cKDTree(tree_data, boxsize=boxsize, balanced_tree=False, compact_nodes=False)
         self._abs_slack = 16 * np.finfo(float).eps * max(scale)
 
     def _cut(self, dist: float) -> float:
         return dist * (1.0 + _REL_SLACK) + self._abs_slack
 
+    def _workers(self, rows: int) -> int:
+        return self.workers if rows >= _PARALLEL_ROWS else 1
+
     def _query(self, points, k: int):
         """The k nearest tree entries of each point, as (points, k) arrays."""
         k = min(k, self.n)
-        dists, ids = self._tree.query(points, k=k)
+        dists, ids = self._tree.query(points, k=k, workers=self._workers(len(points)))
         return dists.reshape(-1, k), ids.reshape(-1, k)
 
     def nearest_foreign_ties(self, query, own_group: int):
@@ -130,7 +171,9 @@ class NnIndex:
 
         # Every foreign entry within each ambiguous row's cut, ranked by
         # (row, exact squared distance, entry id); each row's first wins.
-        hits = self._tree.query_ball_point(self._tree.data[amb], r=cut[amb])
+        hits = self._tree.query_ball_point(
+            self._tree.data[amb], r=cut[amb], workers=self._workers(amb.size)
+        )
         row = np.repeat(amb, np.fromiter(map(len, hits), dtype=np.int64, count=amb.size))
         ids = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64, count=row.size)
         keep = self.groups[ids] != self.groups[row]

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -41,6 +40,7 @@ import numpy as np
 from .geometry import Metric, Window
 from .hierarchy import Hierarchy, build_hierarchy
 from .pointprocess import derive_seed, gen_poisson
+from .spatial_index import thread_count
 
 
 class SeriesError(ValueError):
@@ -104,19 +104,6 @@ def mean_distance_series(h: Hierarchy) -> list:
     ]
 
 
-def _worker_count() -> int:
-    env = os.environ.get("CHN2_THREADS")
-    if not env:
-        return min(8, os.cpu_count() or 1)
-    try:
-        count = int(env)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"CHN2_THREADS must be an integer >= 1, got {env!r}")
-    return count
-
-
 @dataclass(frozen=True)
 class BaselineSeries:
     """The per-seed mean-distance series of a Poisson baseline, in seed
@@ -168,9 +155,10 @@ def poisson_baseline(
 
     def one(seed):
         sample = gen_poisson(lam, window, window.dim, seed)
-        return mean_distance_series(build_hierarchy(sample, metric))
+        # One query thread per build: the pool already fills CHN2_THREADS.
+        return mean_distance_series(build_hierarchy(sample, metric, workers=1))
 
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
         return BaselineSeries(tuple(tuple(s) for s in pool.map(one, seeds)))
 
 

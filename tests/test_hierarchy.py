@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chn2 import hierarchy
+from chn2 import hierarchy, spatial_index
 from chn2.geometry import Metric, Window
 from chn2.hierarchy import (
     DEGENERATE,
@@ -308,6 +308,42 @@ def test_from_successors_matches_functional_structure(rng, monkeypatch):
     assert kinds == {True, False}
 
 
+def full_round_reach(succ):
+    """_reach_two_cycles without its early exit: all (n - 1).bit_length()
+    doubling rounds."""
+    ids = np.arange(succ.size)
+    mutual = succ[succ] == ids
+    reach = np.where(mutual, ids, succ)
+    for _ in range((succ.size - 1).bit_length()):
+        reach = reach[reach]
+    return mutual, reach
+
+
+def test_reach_two_cycles_early_exit_matches_full_rounds(rng):
+    n = 5000
+    tail = np.concatenate([[1, 0], np.arange(1, n - 1)])  # n - 2 steps into (0, 1)
+    relabel = rng.permutation(n)
+    relabelled = np.empty(n, dtype=np.int64)
+    relabelled[relabel] = relabel[tail]
+    cases = [tail, relabelled]
+    # A 4-cycle is stable after two rounds; a 3-cycle never is.
+    for lengths in ([2, 3], [3, 2, 2], [4], [2, 4, 2], [3, 4], [2] * 40):
+        for size in (12, 300, 4200):
+            cases.append(random_functional_map(rng, size, lengths))
+    cases.append(np.concatenate([tail, [n + 1, n + 2, n + 3, n], np.arange(n, n + 4200)]))
+    for succ in cases:
+        got, want = hierarchy._reach_two_cycles(succ), full_round_reach(succ)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        expected = structure_oracle(1, succ)
+        if isinstance(expected, str):
+            with pytest.raises(StructureError) as err:
+                LevelGraph.from_successors(1, succ)
+            assert str(err.value) == expected
+        else:
+            g = LevelGraph.from_successors(1, succ)
+            assert tuple(map(tuple, g.pairs.tolist())) == expected
+
+
 def test_structure_rejects_self_loop():
     with pytest.raises(StructureError):
         LevelGraph.from_successors(0, np.array([0, 0]))
@@ -401,6 +437,51 @@ def test_hierarchy_json_roundtrip(tmp_path, rng):
             assert got == built
 
 
+@pytest.mark.parametrize("kind", ["euclidean", "torus"])
+def test_hierarchy_does_not_depend_on_thread_count(kind, tmp_path, monkeypatch):
+    # Inputs large enough that tree queries run on several workers: 20,000
+    # uniform points, and about 12,000 grid cells on a torus, most of whose
+    # rows tie and go through the ball query.
+    rng = np.random.default_rng(12)
+    if kind == "euclidean":
+        pts, side = rng.uniform(0, 1, size=(20_000, 2)), 1.0
+    else:
+        side = 120.0
+        pts = np.unique(np.floor(rng.uniform(0, side, size=(24_000, 2))), axis=0)
+        pts = pts[rng.permutation(len(pts))]
+    s = plane_sample(pts, 0.0, side)
+    metric = Metric.euclidean() if kind == "euclidean" else Metric.torus(s.window)
+
+    calls = []
+
+    class SpyTree(spatial_index.cKDTree):
+        def query(self, x, *args, workers=1, **kwargs):
+            calls.append(("query", len(x), workers))
+            return super().query(x, *args, workers=workers, **kwargs)
+
+        def query_ball_point(self, x, *args, workers=1, **kwargs):
+            calls.append(("ball", len(x), workers))
+            return super().query_ball_point(x, *args, workers=workers, **kwargs)
+
+    monkeypatch.setattr(spatial_index, "cKDTree", SpyTree)
+    digests, saved = [], []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CHN2_THREADS", threads)
+        calls.clear()
+        h = build_hierarchy(s, metric)
+        digests.append(hierarchy_array_digest(h))
+        save_hierarchy(h, tmp_path / f"h{threads}.json")
+        saved.append((tmp_path / f"h{threads}.json").read_bytes())
+        wide = {(name, w) for name, rows, w in calls if rows >= spatial_index._PARALLEL_ROWS}
+        want = spatial_index.query_workers()
+        assert ("query", want) in wide
+        if kind == "torus":
+            assert ("ball", want) in wide
+        assert all(w == 1 for _, rows, w in calls if rows < spatial_index._PARALLEL_ROWS)
+    assert digests[0] == digests[1]
+    assert saved[0] == saved[1]
+
+
 @pytest.mark.parametrize(
     "name", ["hierarchy_v1_line5.json", "hierarchy_v1_torus60.json"]
 )
@@ -471,6 +552,10 @@ def _both(first, second):
         # exit columns for a one-point sample, which has no level 0
         _both(_set(["level0"], []), _set(["sample", "points"], [[0.0]])),
         lambda obj: obj.pop("exits"),
+        # JSON true and false equal 1 and 0 in Python, but are not point ids
+        _set(["level0", 1], False),
+        _set(["exits", 0, 0, 0], True),
+        _set(["exits", 0, 1, 1], True),
     ],
 )
 def test_malformed_hierarchy_raises_hierarchy_error(edit):
@@ -501,11 +586,34 @@ def test_malformed_hierarchy_raises_hierarchy_error(edit):
         _set(["pairs", 2, "exit"], 1),  # the terminal pair has no exit
         _set(["pairs", 0, "exit_target"], 2**70),  # beyond any int64 id
         _set(["level0", 0], 1.5),  # read as point 1, but not an id
+        # JSON true and false equal 1 and 0 in Python, but are not point ids
+        _set(["level0", 1], False),
+        _set(["pairs", 0, "exit"], True),
+        _set(["pairs", 1, "exit_target"], True),
+        _set(["pairs", 0, "heads"], [False, 1]),
+        _set(["pairs", 1, "target_pair"], False),
     ],
 )
 def test_malformed_v2_hierarchy_raises_hierarchy_error(edit):
     # The version-2 fixture, which the edits leave one field from valid.
     obj = json.loads((DATA / "hierarchy_v2_line5.json").read_text())
+    hierarchy_from_json(copy.deepcopy(obj))
+    edit(obj)
+    with pytest.raises(HierarchyError) as err:
+        hierarchy_from_json(obj)
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set(["levels", 0, "successors", 1], False),
+        _set(["pairs", 0, "exit"], True),
+        _set(["pairs", 0, "heads"], [False, 1]),
+    ],
+)
+def test_v1_boolean_point_ids_raise_hierarchy_error(edit):
+    obj = json.loads((DATA / "hierarchy_v1_line5.json").read_text())
     hierarchy_from_json(copy.deepcopy(obj))
     edit(obj)
     with pytest.raises(HierarchyError) as err:

@@ -8,6 +8,7 @@ from chn2.geometry import Window
 from chn2.pointprocess import (
     CoxBallSpec,
     Sample,
+    _first_draws,
     SampleError,
     derive_seed,
     gen_binomial,
@@ -143,3 +144,31 @@ def test_derive_seed_deterministic_and_distinct():
     assert derive_seed(5, 0) == derive_seed(5, 0)
     assert derive_seed(5, 0) != derive_seed(5, 1)
     assert derive_seed(6, 0) != derive_seed(5, 0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_first_draws_match_numpy_unique(dim):
+    # Tie-heavy rows: few distinct values per column, exact repeats, and
+    # zeros of both signs, which compare equal.
+    rng = np.random.default_rng(dim)
+    window = Window(np.full(dim, -3.0), np.full(dim, 3.0))
+    refused = set()
+    for trial in range(400):
+        n = int(rng.integers(0, 60))
+        pts = rng.integers(-2, 3, size=(n, dim)).astype(float) * rng.choice([0.5, 1.0])
+        zeros = pts == 0
+        pts[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+        if trial % 2:
+            pts = rng.uniform(-1, 1, size=(n, dim))
+            if n > 1:
+                pts[rng.integers(n)] = pts[rng.integers(n)]
+        want = np.sort(np.unique(pts, axis=0, return_index=True)[1]) if n else np.arange(0)
+        assert np.array_equal(_first_draws(pts), want), pts
+        repeats = n > 0 and len(np.unique(pts, axis=0)) != n
+        refused.add(repeats)
+        if repeats:
+            with pytest.raises(SampleError, match="duplicate"):
+                Sample(pts, window, dim, {"kind": "manual"}, 0)
+        else:
+            assert Sample(pts, window, dim, {"kind": "manual"}, 0).n == n
+    assert refused == {True, False}

@@ -1,8 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 
 from chn2.geometry import Metric, Window
-from chn2.spatial_index import IndexBuildError, NnIndex, NoForeignNeighborError
+from chn2.spatial_index import (
+    IndexBuildError,
+    NnIndex,
+    NoForeignNeighborError,
+    query_workers,
+    thread_count,
+)
 from conftest import nearest_foreign, oracle_nearest_foreign, oracle_successor_map
 
 
@@ -230,3 +238,12 @@ def test_queries_do_not_mutate(rng):
     for _ in range(5):
         assert nearest_foreign(idx, coords[0], own_group=0) == first
     assert np.array_equal(idx.coords, coords)
+
+
+def test_query_workers_capped_by_usable_cpus(monkeypatch):
+    # scipy starts one thread per worker; only the helper's value is checked.
+    monkeypatch.setenv("CHN2_THREADS", "100000")
+    assert thread_count() == 100000
+    assert 1 <= query_workers() <= len(os.sched_getaffinity(0))
+    monkeypatch.setenv("CHN2_THREADS", "1")
+    assert query_workers() == 1

@@ -4,8 +4,8 @@ import pytest
 from chn2.geometry import Window
 from chn2.hierarchy import build_hierarchy
 from chn2.pointprocess import Sample
+from chn2.spatial_index import thread_count
 from chn2.stats import (
-    _worker_count,
     BaselineSeries,
     DetectorConfig,
     DetectionResult,
@@ -362,11 +362,11 @@ def test_baseline_csv_seed_gap_fails(tmp_path):
 def test_thread_count_rejects_bad_env(value, monkeypatch):
     monkeypatch.setenv("CHN2_THREADS", value)
     with pytest.raises(ValueError, match="CHN2_THREADS"):
-        _worker_count()
+        thread_count()
 
 
 def test_thread_count_reads_env(monkeypatch):
     monkeypatch.setenv("CHN2_THREADS", "3")
-    assert _worker_count() == 3
+    assert thread_count() == 3
     monkeypatch.delenv("CHN2_THREADS")
-    assert 1 <= _worker_count() <= 8
+    assert 1 <= thread_count() <= 8
