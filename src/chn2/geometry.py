@@ -18,6 +18,13 @@ class GeometryError(ValueError):
     pass
 
 
+def is_json_numbers(values) -> bool:
+    """Whether every item of a decoded JSON list is a number. JSON true and
+    false decode to Python bools, which numpy would read as 1 and 0, and
+    strings such as "0.5" would be read as their value."""
+    return set(map(type, values)) <= {int, float}
+
+
 @dataclass(frozen=True)
 class Window:
     """Axis-aligned box [lo, hi] with positive volume."""
@@ -58,7 +65,10 @@ class Window:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Window":
-        return cls(np.asarray(obj["lo"], float), np.asarray(obj["hi"], float))
+        lo, hi = obj["lo"], obj["hi"]
+        if not all(type(b) is list and is_json_numbers(b) for b in (lo, hi)):
+            raise GeometryError("window lo and hi must be lists of numbers")
+        return cls(np.asarray(lo, float), np.asarray(hi, float))
 
 
 EUCLIDEAN = "euclidean"
@@ -112,7 +122,3 @@ def sq_dist_many(coords_a, coords_b, metric: Metric) -> np.ndarray:
         period = metric.window.side_lengths
         delta = np.minimum(delta, period - delta)
     return np.sum(delta * delta, axis=-1)
-
-
-def sq_dist(a, b, metric: Metric) -> float:
-    return float(sq_dist_many(np.asarray(a, float), np.asarray(b, float), metric))

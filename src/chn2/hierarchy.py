@@ -11,8 +11,8 @@ single pair remains.
 Every level is arrays: a `LevelGraph` holds the successor map and its pairs
 as an (m, 2) array, and every non-terminal level has one `Merges` record of
 per-pair columns. Level 0 and the exit columns are the whole hierarchy:
-`advance_level` and `merge_record` rebuild the rest, for the build and for
-the loader alike. The hierarchy file (version 3) stores just those; the
+`next_level` derives the rest from them, and checks them, for the build and
+for the loader alike. The hierarchy file (version 3) stores just those; the
 loader reduces versions 1 and 2 to them too, and then requires their other
 stored fields to be what the rebuild writes.
 """
@@ -146,9 +146,9 @@ class LevelGraph:
     def n_components(self) -> int:
         return len(self.pairs)
 
-    @property
-    def heads(self) -> np.ndarray:
-        return np.sort(self.pairs.ravel())
+    def pair_of(self, heads) -> np.ndarray:
+        """The index of the pair of each given head."""
+        return np.searchsorted(self.pairs[:, 0], np.minimum(heads, self.successor[heads]))
 
 
 @dataclass(frozen=True)
@@ -182,11 +182,11 @@ def level0(sample: Sample, metric: Metric | None = None, workers: int | None = N
 
 
 def nn_k_step(pairs, coords, metric: Metric | None = None, workers: int | None = None):
-    """Nearest foreign pair and exit points for one level's (m, 2) pairs.
+    """Exit points for one level's (m, 2) pairs.
 
-    Returns the columns (target_pair, exit, exit_target, merge_sq) of
-    `Merges`: target_pair[i] minimizes the single-linkage distance to pair
-    i (ties by pair index), and exit[i] -> exit_target[i] is its witness.
+    Returns the columns (exit, exit_target) of `Merges`: exit[i] ->
+    exit_target[i] witnesses the single-linkage distance from pair i to
+    its nearest foreign pair (ties by pair index).
     """
     metric = metric or Metric.euclidean()
     heads = np.asarray(pairs, dtype=np.int64)
@@ -220,7 +220,7 @@ def nn_k_step(pairs, coords, metric: Metric | None = None, workers: int | None =
     best = np.argmin(cross, axis=1)
     x, y = low[rows, best // 2], high[rows, best % 2]
     lower = rows < nn_map
-    return nn_map, np.where(lower, x, y), np.where(lower, y, x), cross[rows, best]
+    return np.where(lower, x, y), np.where(lower, y, x)
 
 
 def advance_level(g: LevelGraph, exit, exit_target) -> LevelGraph:
@@ -234,17 +234,25 @@ def advance_level(g: LevelGraph, exit, exit_target) -> LevelGraph:
     return LevelGraph.from_successors(g.level + 1, succ)
 
 
-def merge_record(nxt: LevelGraph, target_pair, exit, exit_target, merge_sq) -> Merges:
-    """The merge columns of the level below `nxt`, with each pair's parent.
+def next_level(g: LevelGraph, exit, exit_target, points, metric: Metric):
+    """Level k + 1 and the `Merges` of level k = g.level, from the exit
+    columns: the one step that the build and the loader share.
 
-    Following target_pair leads every pair to a 2-cycle of pairs, whose
-    exits link each other at level nxt; the parent is the pair of nxt whose
-    low head is the lower of those two exits.
+    Every exit target must be a head of another pair. Following
+    target_pair leads every pair to a 2-cycle of pairs, whose exits link
+    each other at level k + 1; the pair they form there is the parent.
     """
+    if np.shape(exit_target) != np.shape(exit):
+        raise HierarchyError(f"level {g.level}: exit and exit_target differ in length")
+    nxt = advance_level(g, exit, exit_target)
+    target_pair = g.pair_of(exit_target)
+    is_head = g.successor[g.successor[exit_target]] == exit_target
+    if not is_head.all() or np.any(target_pair == np.arange(g.n_components)):
+        raise HierarchyError(f"level {g.level}: an exit target is not a foreign head")
+    merge_sq = sq_dist_many(points[exit_target], points[exit], metric)
     _, reach = _reach_two_cycles(target_pair)
-    low = np.minimum(exit[reach], exit[target_pair[reach]])
-    parent = np.searchsorted(nxt.pairs[:, 0], low)
-    return Merges(target_pair, exit, exit_target, merge_sq, parent)
+    parent = nxt.pair_of(exit[reach])
+    return nxt, Merges(target_pair, exit, exit_target, merge_sq, parent)
 
 
 @dataclass
@@ -256,17 +264,12 @@ class Hierarchy:
     metric: Metric
     levels: list
     merges: list
-    termination: str
 
     @property
-    def termination_level(self) -> int:
-        return len(self.levels) - 1
-
-
-def _termination(levels) -> str:
-    if not levels:
-        return DEGENERATE
-    return SINGLE_PAIR if levels[-1].n_components == 1 else MAX_LEVELS
+    def termination(self) -> str:
+        if not self.levels:
+            return DEGENERATE
+        return SINGLE_PAIR if self.levels[-1].n_components == 1 else MAX_LEVELS
 
 
 def build_hierarchy(
@@ -288,13 +291,11 @@ def build_hierarchy(
         g = level0(sample, metric, workers)
         levels.append(g)
         while g.n_components > 1 and g.level < max_levels:
-            target_pair, exits, targets, merge_sq = nn_k_step(
-                g.pairs, sample.points, metric, workers
-            )
-            g = advance_level(g, exits, targets)
+            exits, targets = nn_k_step(g.pairs, sample.points, metric, workers)
+            g, mg = next_level(g, exits, targets, sample.points, metric)
             levels.append(g)
-            merges.append(merge_record(g, target_pair, exits, targets, merge_sq))
-    return Hierarchy(sample, metric, levels, merges, _termination(levels))
+            merges.append(mg)
+    return Hierarchy(sample, metric, levels, merges)
 
 
 def _merge_json(h: Hierarchy) -> dict:
@@ -345,7 +346,7 @@ def _point_ids(values, what: str) -> np.ndarray:
 
 def _rebuild(sample: Sample, metric: Metric, succ0: list, exit_columns: list) -> Hierarchy:
     """Relink level 0 by each level's [exit, exit_target] columns through
-    `advance_level` and `merge_record`, as the build does."""
+    `next_level`, as the build does."""
     if len(succ0) != (sample.n if sample.n >= 2 else 0):
         raise HierarchyError("level 0 does not fit the sample")
     levels, merges = [], []
@@ -355,20 +356,13 @@ def _rebuild(sample: Sample, metric: Metric, succ0: list, exit_columns: list) ->
         raise HierarchyError("exit columns without a level 0")
     for exit_col, target_col in exit_columns:
         g = levels[-1]
-        exits = _point_ids(exit_col, f"level {g.level}: an exit column")
-        targets = _point_ids(target_col, f"level {g.level}: an exit column")
-        if exits.shape != targets.shape:
-            raise HierarchyError(f"level {g.level}: exit and exit_target differ in length")
-        nxt = advance_level(g, exits, targets)
-        pair_of = np.full(g.n, -1)
-        pair_of[g.pairs] = np.arange(g.n_components)[:, None]
-        target_pair = pair_of[targets]
-        if np.any((target_pair < 0) | (target_pair == np.arange(g.n_components))):
-            raise HierarchyError(f"level {g.level}: an exit target is not a foreign head")
-        merge_sq = sq_dist_many(sample.points[targets], sample.points[exits], metric)
+        what = f"level {g.level}: an exit column"
+        nxt, mg = next_level(
+            g, _point_ids(exit_col, what), _point_ids(target_col, what), sample.points, metric
+        )
         levels.append(nxt)
-        merges.append(merge_record(nxt, target_pair, exits, targets, merge_sq))
-    return Hierarchy(sample, metric, levels, merges, _termination(levels))
+        merges.append(mg)
+    return Hierarchy(sample, metric, levels, merges)
 
 
 def hierarchy_from_json(obj: dict) -> Hierarchy:

@@ -7,12 +7,13 @@ Cross-language or cross-numpy-version bit equality is not a goal.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Window
+from .geometry import Window, is_json_numbers
 
 
 class SampleError(ValueError):
@@ -75,17 +76,25 @@ class Sample:
     @classmethod
     def from_json(cls, obj: dict) -> "Sample":
         try:
+            points, dim, seed = obj["points"], obj["dim"], obj["seed"]
+            if type(dim) is not int or type(seed) is not int:
+                raise TypeError("dim and seed must be integers")
+            if type(obj["generator"]) is not dict:
+                raise TypeError("generator must be an object")
+            coords = itertools.chain.from_iterable(points)
+            if type(points) is not list or not is_json_numbers(coords):
+                raise TypeError("points must be lists of numbers")
             return cls(
-                points=np.asarray(obj["points"], float).reshape(-1, obj["dim"]),
+                points=np.asarray(points, float),
                 window=Window.from_json(obj["window"]),
-                dim=int(obj["dim"]),
+                dim=dim,
                 generator=dict(obj["generator"]),
-                seed=int(obj["seed"]),
+                seed=seed,
                 warning=obj.get("warning"),
             )
         except SampleError:
             raise
-        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise SampleError(
                 f"malformed sample object: {type(exc).__name__}: {exc}"
             ) from exc
@@ -239,7 +248,11 @@ def gen_cox_balls(spec: CoxBallSpec, window: Window, dim: int, seed: int) -> Sam
 
 def load_sample(path) -> Sample:
     with open(path, "r", encoding="utf-8") as fh:
-        return Sample.from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SampleError(f"{path}: not valid JSON: {exc}") from exc
+    return Sample.from_json(obj)
 
 
 def save_sample(sample: Sample, path) -> None:

@@ -33,7 +33,7 @@ import csv
 import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -263,22 +263,19 @@ def _max_deviation(logs, i) -> float:
     return worst
 
 
-def write_levels_csv(rows, path) -> None:
+def _write_csv(path, header, rows) -> None:
+    """The header, then one line per row. csv writes a float as its repr
+    and None as an empty cell; nan is written empty too."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(LEVELS_CSV_FIELDS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.level,
-                    r.n_components,
-                    r.n_heads,
-                    r.n_exit_points,
-                    repr(r.head_intensity),
-                    repr(r.exit_intensity),
-                    "" if r.mean_merge_distance is None else repr(r.mean_merge_distance),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(
+            [None if isinstance(v, float) and math.isnan(v) else v for v in row] for row in rows
+        )
+
+
+def write_levels_csv(rows, path) -> None:
+    _write_csv(path, LEVELS_CSV_FIELDS, map(astuple, rows))
 
 
 SERIES_COLUMN = "mean_merge_distance"
@@ -319,13 +316,12 @@ def write_baseline_csv(baseline: BaselineSeries, seeds, path) -> None:
     """`level,support,mean_merge_distance`, then one `seed_<s>` column per
     seed holding that seed's own series for the detector's Monte Carlo
     test."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        seed_columns = [f"{SEED_COLUMN_PREFIX}{s}" for s in seeds]
-        writer.writerow(["level", "support", SERIES_COLUMN, *seed_columns])
-        for k, (val, sup) in enumerate(zip(baseline.values, baseline.support)):
-            per_seed = [repr(s[k]) if len(s) > k else "" for s in baseline.seed_series]
-            writer.writerow([k, sup, repr(val), *per_seed])
+    seed_columns = [f"{SEED_COLUMN_PREFIX}{s}" for s in seeds]
+    rows = (
+        [k, sup, val, *(s[k] if len(s) > k else None for s in baseline.seed_series)]
+        for k, (val, sup) in enumerate(zip(baseline.values, baseline.support))
+    )
+    _write_csv(path, ["level", "support", SERIES_COLUMN, *seed_columns], rows)
 
 
 def read_baseline_csv(path) -> BaselineSeries:
@@ -357,19 +353,8 @@ DETECTOR_CSV_FIELDS = (
 def write_detector_csv(target, baseline, result: DetectionResult, path) -> None:
     """One row per aligned level; the `rule` column names the rule that
     decided."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DETECTOR_CSV_FIELDS)
-        for k, (t, b, r) in enumerate(zip(target, baseline, result.ratios)):
-            inc = result.rel_increase[k]
-            writer.writerow(
-                [
-                    k,
-                    repr(t),
-                    repr(b),
-                    repr(r),
-                    "" if math.isnan(inc) else repr(inc),
-                    int(k in result.flagged),
-                    result.rule,
-                ]
-            )
+    rows = (
+        [k, t, b, r, result.rel_increase[k], int(k in result.flagged), result.rule]
+        for k, (t, b, r) in enumerate(zip(target, baseline, result.ratios))
+    )
+    _write_csv(path, DETECTOR_CSV_FIELDS, rows)

@@ -255,7 +255,7 @@ def test_supplementary_descent_on_head_paths(corpus):
     bad_total = 0
     for sample, h in corpus:
         for k in range(1, len(h.levels)):
-            heads = h.levels[k - 1].heads
+            heads = np.sort(h.levels[k - 1].pairs.ravel())
             bad_total += len(
                 _triple_violations(h.levels[k].successor, sample.points, within=heads)
             )

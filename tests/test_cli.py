@@ -83,7 +83,7 @@ def test_cluster_and_stats_pipeline(tmp_path):
     assert run("cluster", "--input", sample, "--out", hier, "--newick", nwk) == 0
     h = load_hierarchy(hier)
     assert h.termination == "single_pair"
-    assert h.termination_level == 1
+    assert len(h.levels) - 1 == 1
     assert nwk.read_text().strip() == "(P0:1,P1:1)L1_0;"
 
     assert run("stats", "--hierarchy", hier, "--out", levels) == 0
@@ -108,7 +108,7 @@ def test_cluster_two_points(tmp_path):
         )
     assert run("cluster", "--input", sample, "--out", hier) == 0
     h = load_hierarchy(hier)
-    assert h.termination_level == 0
+    assert len(h.levels) - 1 == 0
     assert h.levels[0].n_components == 1
 
 
@@ -312,12 +312,25 @@ def test_malformed_sample_one_line_error(tmp_path, capsys):
     }
     for i, body in enumerate([
         dict(good, dim="2"), dict(good, generator=None), [good],
+        # JSON strings and booleans are not numbers, and are not coerced
+        dict(good, points=[["0.5", True], [False, "0.25"]]),
+        dict(good, window={"lo": ["0", 0], "hi": [1.0, 1.0]}),
+        dict(good, seed="7"),
+        dict(good, generator=[["a", 1]]),
     ]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps(body))
         assert run("cluster", "--input", bad, "--out", tmp_path / "h.json") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: malformed sample object") and err.count("\n") == 1, err
+
+
+def test_invalid_sample_json_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 2,')
+    assert run("cluster", "--input", bad, "--out", tmp_path / "h.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not valid JSON: ") and err.count("\n") == 1, err
 
 
 def test_unknown_flag_rejected(tmp_path):

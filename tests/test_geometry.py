@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from chn2.geometry import GeometryError, Metric, Window, sq_dist
-from chn2.hierarchy import HierarchyError, nn_k_step
+from chn2.geometry import GeometryError, Metric, Window, sq_dist_many
+from chn2.hierarchy import HierarchyError, LevelGraph, next_level, nn_k_step
 from chn2.pointprocess import Sample, SampleError
 from conftest import oracle_single_linkage_sq, oracle_sq_dist
 
@@ -10,12 +10,12 @@ EUCLID = Metric.euclidean()
 
 
 def test_distance_345_triangle():
-    assert sq_dist([0.0, 0.0], [3.0, 4.0], EUCLID) == 25.0
+    assert sq_dist_many([0.0, 0.0], [3.0, 4.0], EUCLID) == 25.0
 
 
 def test_distance_identity():
     for x in (0.0, -2.5, 1e9):
-        assert sq_dist([x, x], [x, x], EUCLID) == 0.0
+        assert sq_dist_many([x, x], [x, x], EUCLID) == 0.0
 
 
 def test_point_rejects_nonfinite():
@@ -25,7 +25,7 @@ def test_point_rejects_nonfinite():
 
 def test_torus_wraps():
     m = Metric.torus(Window([0.0], [10.0]))
-    assert sq_dist([0.5], [9.5], m) == 1.0
+    assert sq_dist_many([0.5], [9.5], m) == 1.0
 
 
 def test_torus_at_most_euclidean_and_half_window(rng):
@@ -36,8 +36,8 @@ def test_torus_at_most_euclidean_and_half_window(rng):
     pts = rng.uniform(w.lo, w.hi, size=(40, 2))
     for a in pts[:10]:
         for b in pts[10:20]:
-            assert sq_dist(a, b, m_t) <= sq_dist(a, b, m_e)
-            assert sq_dist(a, b, m_t) <= half_diag_sq
+            assert sq_dist_many(a, b, m_t) <= sq_dist_many(a, b, m_e)
+            assert sq_dist_many(a, b, m_t) <= half_diag_sq
 
 
 def test_distance_symmetry(rng):
@@ -45,8 +45,15 @@ def test_distance_symmetry(rng):
     for m in (Metric.euclidean(), Metric.torus(w)):
         for _ in range(50):
             a, b = rng.uniform(0, 5, size=(2, 3))
-            assert sq_dist(a, b, m) == sq_dist(b, a, m)
-            assert sq_dist(a, b, m) == oracle_sq_dist(a, b, m)
+            assert sq_dist_many(a, b, m) == sq_dist_many(b, a, m)
+            assert sq_dist_many(a, b, m) == oracle_sq_dist(a, b, m)
+
+
+def test_window_reader_takes_only_json_numbers():
+    assert Window.from_json({"lo": [0, 0.5], "hi": [1, 2.0]}).lo.tolist() == [0.0, 0.5]
+    for lo in (["0", 0], [False, 0], [None, 0], 0):
+        with pytest.raises(GeometryError):
+            Window.from_json({"lo": lo, "hi": [1.0, 2.0]})
 
 
 def test_torus_requires_window():
@@ -61,10 +68,14 @@ def test_window_validation():
 
 
 # The single-linkage pseudo-distance between two pairs is what nn_k_step's
-# exit witness computes: each pair's (exit, exit target, squared distance).
+# exit witness gives: each pair's (exit, exit target, squared distance), the
+# distance as next_level derives it.
 def two_pair_exits(S, T):
-    _, exits, targets, sq = nn_k_step([[0, 1], [2, 3]], np.asarray(S + T, float), EUCLID)
-    return list(zip(exits.tolist(), targets.tolist(), sq.tolist()))
+    coords = np.asarray(S + T, float)
+    g = LevelGraph.from_successors(0, [1, 0, 3, 2])
+    exits, targets = nn_k_step(g.pairs, coords, EUCLID)
+    mg = next_level(g, exits, targets, coords, EUCLID)[1]
+    return list(zip(mg.exit.tolist(), mg.exit_target.tolist(), mg.merge_sq.tolist()))
 
 
 def test_single_linkage_bruteforce_min():

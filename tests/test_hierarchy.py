@@ -24,6 +24,7 @@ from chn2.hierarchy import (
     hierarchy_to_json,
     level0,
     load_hierarchy,
+    next_level,
     nn_k_step,
     save_hierarchy,
 )
@@ -54,10 +55,16 @@ def mutual_links(nn_map):
     return [(i, int(j)) for i, j in enumerate(nn_map) if nn_map[j] == i and i < j]
 
 
-def step_exits(step):
-    """(exit, exit target, squared distance) per pair of an nn_k_step result."""
-    _, exits, targets, sq = step
-    return list(zip(exits.tolist(), targets.tolist(), sq.tolist()))
+def first_merges(s):
+    """The `Merges` of level 0 of sample s, under the Euclidean metric."""
+    g = level0(s)
+    exits, targets = nn_k_step(g.pairs, s.points, Metric.euclidean())
+    return next_level(g, exits, targets, s.points, Metric.euclidean())[1]
+
+
+def step_exits(mg):
+    """(exit, exit target, squared distance) per pair of a `Merges`."""
+    return list(zip(mg.exit.tolist(), mg.exit_target.tolist(), mg.merge_sq.tolist()))
 
 
 def test_level0_four_points():
@@ -93,10 +100,9 @@ def test_level_pairs_match_components():
 
 def test_nn_step_two_pairs():
     s = line_sample([0, 1, 5, 6, 20])
-    g = level0(s)
-    step = nn_k_step(g.pairs, s.points, Metric.euclidean())
-    assert step[0].tolist() == [1, 0]
-    assert mutual_links(step[0]) == [(0, 1)]
+    step = first_merges(s)
+    assert step.target_pair.tolist() == [1, 0]
+    assert mutual_links(step.target_pair) == [(0, 1)]
     # exits: point 1 (coord 1) <-> point 2 (coord 5), distance 4
     assert step_exits(step)[0] == (1, 2, 16.0)
     assert step_exits(step)[1] == (2, 1, 16.0)
@@ -104,11 +110,10 @@ def test_nn_step_two_pairs():
 
 def test_nn_step_eight_point_example():
     s = line_sample([0, 1, 10, 11, 14, 15, 30, 31])
-    g = level0(s)
-    step = nn_k_step(g.pairs, s.points, Metric.euclidean())
+    step = first_merges(s)
     # pairs: A=(0,1) B=(2,3) C=(4,5) D=(6,7) by ids
-    assert step[0].tolist() == [1, 2, 1, 2]
-    assert mutual_links(step[0]) == [(1, 2)]
+    assert step.target_pair.tolist() == [1, 2, 1, 2]
+    assert mutual_links(step.target_pair) == [(1, 2)]
     exits = step_exits(step)
     assert exits[0] == (1, 2, 81.0)  # coord 1 -> coord 10
     assert exits[1] == (3, 4, 9.0)  # coord 11 -> coord 14
@@ -122,7 +127,8 @@ def test_globally_closest_pair_is_mutual(rng):
         g = level0(s)
         if g.n_components < 2:
             continue
-        nn_map, _, _, sq = nn_k_step(g.pairs, s.points, Metric.euclidean())
+        mg = first_merges(s)
+        nn_map, sq = mg.target_pair, mg.merge_sq
         best = min(range(g.n_components), key=lambda i: (sq[i], i))
         j = int(nn_map[best])
         assert nn_map[j] == best
@@ -131,7 +137,7 @@ def test_globally_closest_pair_is_mutual(rng):
 def test_advance_level_five_points():
     s = line_sample([0, 1, 5, 6, 20])
     g = level0(s)
-    _, exits, targets, _ = nn_k_step(g.pairs, s.points, Metric.euclidean())
+    exits, targets = nn_k_step(g.pairs, s.points, Metric.euclidean())
     g1 = advance_level(g, exits, targets)
     assert g1.level == 1
     assert g1.successor.tolist() == [1, 2, 1, 2, 3]
@@ -146,7 +152,7 @@ def test_advance_level_five_points():
 def test_advance_level_eight_points():
     s = line_sample([0, 1, 10, 11, 14, 15, 30, 31])
     g = level0(s)
-    _, exits, targets, _ = nn_k_step(g.pairs, s.points, Metric.euclidean())
+    exits, targets = nn_k_step(g.pairs, s.points, Metric.euclidean())
     g1 = advance_level(g, exits, targets)
     assert g1.n_components == 1
     assert g1.pairs.tolist() == [[3, 4]]  # coords 11 and 14
@@ -163,15 +169,47 @@ def test_component_count_halves(rng):
 def test_build_hierarchy_terminations():
     h = build_hierarchy(line_sample([0, 1, 3, 7]))
     assert h.termination == SINGLE_PAIR
-    assert h.termination_level == 0
+    assert len(h.levels) - 1 == 0
 
     h2 = build_hierarchy(line_sample([0, 1, 5, 6, 20]))
     assert h2.termination == SINGLE_PAIR
-    assert h2.termination_level == 1
+    assert len(h2.levels) - 1 == 1
     assert h2.levels[1].pairs.tolist() == [[1, 2]]
 
     assert build_hierarchy(line_sample([3])).termination == DEGENERATE
     assert build_hierarchy(line_sample([])).termination == DEGENERATE
+
+
+def test_build_runs_the_loader_checks(monkeypatch):
+    # An exit target in the exit's own pair still leaves a valid next level
+    # here (1 -> 0 is pair (0, 1)'s own 2-cycle edge), so only the check
+    # shared with the loader refuses it.
+    def own_partner(pairs, coords, metric=None, workers=None):
+        exits, targets = nn_k_step(pairs, coords, metric, workers)
+        assert exits[0] == 1
+        return exits, np.concatenate([[0], targets[1:]])
+
+    monkeypatch.setattr(hierarchy, "nn_k_step", own_partner)
+    with pytest.raises(HierarchyError, match="not a foreign head"):
+        build_hierarchy(line_sample([0, 1, 5, 6, 20]))
+
+
+def test_exit_target_off_the_heads_is_refused():
+    # Point 4 feeds pair (2, 3) but is no head. Relinking pair (0, 1)'s exit
+    # to it still gives a valid level, so only the head check refuses it.
+    obj = hierarchy_to_json(build_hierarchy(line_sample([0, 1, 10, 11, 12.4, 19.5, 20.5])))
+    assert obj["exits"] == [[[1, 3, 5], [2, 5, 3]]]
+    obj["exits"][0][1][0] = 4
+    with pytest.raises(HierarchyError, match="not a foreign head"):
+        hierarchy_from_json(obj)
+
+
+def test_pair_of_maps_both_heads(rng):
+    h = build_hierarchy(plane_sample(rng.uniform(0, 10, size=(200, 2)), 0, 10))
+    for g in h.levels:
+        rows = np.arange(g.n_components)
+        assert np.array_equal(g.pair_of(g.pairs[:, 0]), rows)
+        assert np.array_equal(g.pair_of(g.pairs[:, 1]), rows)
 
 
 def test_build_hierarchy_max_levels_guard():
@@ -226,7 +264,7 @@ def test_subtrees_partition(rng):
         trees = oracle_cluster_subtrees(g)
         # the reference: one scan of functional_structure's head_of per head
         head_of = functional_structure(g.successor)[2]
-        assert list(trees) == g.heads.tolist()
+        assert list(trees) == np.sort(g.pairs.ravel()).tolist()
         for head, ids in trees.items():
             assert np.array_equal(ids, np.flatnonzero(head_of == head))
         sizes = sum(ids.size for ids in trees.values())
@@ -369,7 +407,7 @@ def test_descent_holds_on_head_paths(rng):
         h = build_hierarchy(s)
         m = Metric.euclidean()
         for k in range(1, len(h.levels)):
-            prev_heads = h.levels[k - 1].heads
+            prev_heads = np.sort(h.levels[k - 1].pairs.ravel())
             assert oracle_descent_violations(h.levels[k], s.points, m, within=prev_heads) == []
 
 
@@ -426,7 +464,7 @@ def test_hierarchy_json_roundtrip(tmp_path, rng):
         assert hierarchy_to_json(h3) == obj
         assert json.loads(path.read_text()) == obj
         # one [exit, exit_target] pair of columns per non-terminal level
-        assert len(obj["exits"]) == h.termination_level
+        assert len(obj["exits"]) == len(h.levels) - 1
         for (exits, targets), g in zip(obj["exits"], h.levels):
             assert len(exits) == len(targets) == g.n_components
         for loaded in (h2, h3):
@@ -746,4 +784,5 @@ def test_aggregated_fixtures_merge_depth():
     for name in ("three_balls", "four_balls"):
         for seed in (None, 5):
             h = build_hierarchy(cox_fixture(name, seed=seed))
-            assert 5 <= h.termination_level <= 8, (name, seed, h.termination_level)
+            depth = len(h.levels) - 1
+            assert 5 <= depth <= 8, (name, seed, depth)

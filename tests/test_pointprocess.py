@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -138,6 +139,35 @@ def test_sample_reader_validates():
     obj2["points"][1] = list(obj2["points"][0])
     with pytest.raises(SampleError):
         Sample.from_json(obj2)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: obj.update(points=[["0.5", True], [False, "0.25"]]),
+        lambda obj: obj.update(points=[[0.5, True], [0.0, 0.25]]),
+        lambda obj: obj.update(points=[[0.5, None], [0.0, 0.25]]),
+        lambda obj: obj.update(points=[[0.5, 0.75, 0.0, 0.25]]),  # four coordinates in 2-D
+        lambda obj: obj.update(points=[[10**400, 0.75]]),  # no float holds it
+        lambda obj: obj.update(points="0.5"),
+        lambda obj: obj["window"].update(lo=["0", 0]),
+        lambda obj: obj["window"].update(hi=[1, True]),
+        lambda obj: obj.update(seed="7"),
+        lambda obj: obj.update(seed=7.0),
+        lambda obj: obj.update(dim=True),
+        lambda obj: obj.update(generator=[["a", 1]]),
+    ],
+)
+def test_sample_reader_takes_only_json_numbers(edit):
+    obj = {
+        "dim": 2, "window": {"lo": [0, 0], "hi": [1.0, 1]}, "seed": 7,
+        "generator": {"kind": "manual"}, "points": [[0.5, 0.75], [0, 0.25]],
+    }
+    assert Sample.from_json(copy.deepcopy(obj)).points.tolist() == [[0.5, 0.75], [0.0, 0.25]]
+    edit(obj)
+    with pytest.raises(SampleError) as err:
+        Sample.from_json(obj)
+    assert "\n" not in str(err.value)
 
 
 def test_derive_seed_deterministic_and_distinct():

@@ -175,6 +175,12 @@ def test_levels_csv_roundtrip(tmp_path):
     write_levels_csv(rows, path)
     text = path.read_text().splitlines()
     assert text[0] == "level,n_components,n_heads,n_exit,head_intensity,exit_intensity,mean_merge_distance"
+    # floats as their repr, the terminal level's mean left empty, CRLF endings
+    assert path.read_bytes() == (
+        b"level,n_components,n_heads,n_exit,head_intensity,exit_intensity,mean_merge_distance\r\n"
+        b"0,2,4,2,0.002,0.001,4.0\r\n"
+        b"1,1,2,0,0.001,0.0,\r\n"
+    )
     series = read_series_csv(path)
     assert series == [4.0]
 
@@ -189,6 +195,14 @@ def test_detector_csv(tmp_path):
     assert lines[0] == "level,target_d,baseline_d,R,rel_increase,detected_flag,rule"
     assert len(lines) == 5
     assert lines[-1].endswith(",1,tau")
+    # level 0 has no rel_increase: its cell is empty, not nan
+    assert path.read_bytes() == (
+        b"level,target_d,baseline_d,R,rel_increase,detected_flag,rule\r\n"
+        b"0,1.0,1.0,1.0,,0,tau\r\n"
+        b"1,1.05,1.0,1.05,0.050000000000000044,0,tau\r\n"
+        b"2,1.1,1.0,1.1,0.04761904761904766,0,tau\r\n"
+        b"3,1.6,1.0,1.6,0.45454545454545453,1,tau\r\n"
+    )
 
 
 def noisy_baseline(m, seed=0):
