@@ -247,13 +247,9 @@ def _check_budget(cfg: ChainCountConfig) -> None:
             f"expected {points:.4g} points per chain trial exceeds the limit "
             f"MAX_POINTS_PER_TRIAL = {MAX_POINTS_PER_TRIAL}"
         )
-    # E_0 = 1, E_1 = a and E_j = E_{j-2} * a^2 / (j / 2) by the recursion,
-    # with a = lam w_d R^d: the factors of `expected_chain_count_recursive`.
-    a = _ball_mass(cfg.lam, cfg.R, cfg.d)
-    expected = [1.0, a]
+    expected = [1.0]  # E_0: the origin alone
     for j in range(1, cfg.n + 1):
-        if j >= 2:
-            expected.append(expected[j - 2] * a * a / (j / 2))
+        expected.append(expected_chain_count_recursive(cfg.lam, cfg.R, cfg.d, j))
         if expected[j] > MAX_PARTIAL_CHAINS:
             raise ValueError(
                 f"expected {expected[j]:.4g} partial chains of length {j} per trial "

@@ -65,11 +65,7 @@ def parse_seed_range(text: str):
 
 
 def metric_for(name: str, window: Window) -> Metric:
-    if name == "euclidean":
-        return Metric.euclidean()
-    if name == "torus":
-        return Metric.torus(window)
-    raise CliError(f"unknown metric {name!r}")
+    return Metric.torus(window) if name == "torus" else Metric.euclidean()
 
 
 def cmd_generate(args) -> int:
@@ -84,28 +80,17 @@ def cmd_generate(args) -> int:
             raise CliError("binomial needs --count")
         sample = gen_binomial(args.count, window, dim, args.seed)
     else:
-        if args.centers is not None:
-            if args.radii is None:
-                raise CliError("fixed-mode cox needs --radii")
-            spec = CoxBallSpec(
-                lam=args.lam,
-                centers=parse_centers(args.centers),
-                radii=np.asarray([float(v) for v in args.radii.split(",")]),
-            )
-        else:
-            if args.center_intensity is None or args.radius_range is None:
-                raise CliError(
-                    "random-mode cox needs --center-intensity and --radius-range"
-                )
-            r_min, r_max = (float(v) for v in args.radius_range.split(","))
-            spec = CoxBallSpec(
-                lam=args.lam,
-                center_intensity=args.center_intensity,
-                radius_range=(r_min, r_max),
-            )
+        spec = CoxBallSpec(
+            lam=args.lam,
+            centers=None if args.centers is None else parse_centers(args.centers),
+            radii=None if args.radii is None else [float(v) for v in args.radii.split(",")],
+            center_intensity=args.center_intensity,
+            radius_range=None if args.radius_range is None
+            else tuple(float(v) for v in args.radius_range.split(",")),
+        )
         sample = gen_cox_balls(spec, window, dim, args.seed)
-        if sample.warning:
-            print(f"warning: {sample.warning}", file=sys.stderr)
+    if sample.n == 0:
+        print("warning: the sample is empty", file=sys.stderr)
     save_sample(sample, args.out)
     print(f"wrote {sample.n} points to {args.out}")
     return 0
@@ -239,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--window", required=True)
     b.add_argument("--count", type=float, required=True,
                    help="expected point count matching the target sample")
-    b.add_argument("--seeds", required=True, help="'a..b' or a single master seed")
+    b.add_argument("--seeds", required=True, help="'a..b' (inclusive) or one seed")
     b.add_argument("--metric", choices=["euclidean", "torus"], default="euclidean")
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_baseline)

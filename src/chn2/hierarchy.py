@@ -378,7 +378,7 @@ def hierarchy_from_json(obj: dict) -> Hierarchy:
     """
     try:
         version = obj.get("version", 1)
-        if version not in (1, 2, 3):
+        if type(version) is not int or version not in (1, 2, 3):
             raise HierarchyError(f"unknown hierarchy version {version!r}")
         sample = Sample.from_json(obj["sample"])
         metric = Metric.from_json(obj["metric"])

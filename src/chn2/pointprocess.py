@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,11 +39,10 @@ class Sample:
     dim: int
     generator: dict
     seed: int
-    warning: str | None = field(default=None)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.size == 0:
+        if pts.shape == (0,):
             pts = pts.reshape(0, self.dim)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise SampleError(f"points must be an (n, {self.dim}) array")
@@ -62,16 +61,13 @@ class Sample:
         return self.points.shape[0]
 
     def to_json(self) -> dict:
-        obj = {
+        return {
             "dim": self.dim,
             "window": self.window.to_json(),
             "seed": self.seed,
             "generator": self.generator,
             "points": self.points.tolist(),
         }
-        if self.warning:
-            obj["warning"] = self.warning
-        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "Sample":
@@ -90,7 +86,6 @@ class Sample:
                 dim=dim,
                 generator=dict(obj["generator"]),
                 seed=seed,
-                warning=obj.get("warning"),
             )
         except SampleError:
             raise
@@ -172,6 +167,8 @@ class CoxBallSpec:
             raise SampleError("cox intensity lam must be positive")
         fixed = self.centers is not None
         if fixed:
+            if self.radii is None:
+                raise SampleError("fixed mode needs radii")
             centers = np.atleast_2d(np.asarray(self.centers, float))
             radii = np.asarray(self.radii, float)
             if centers.shape[0] != radii.size:
@@ -205,8 +202,8 @@ def gen_cox_balls(spec: CoxBallSpec, window: Window, dim: int, seed: int) -> Sam
 
     Conditioned on the balls, the result is a homogeneous Poisson process
     restricted to their union. The generator metadata records the balls
-    actually used; an empty intersection with the window yields an empty
-    sample with a warning flag rather than an error.
+    actually used; a region that catches no point, whether or not it meets
+    the window, yields an empty sample rather than an error.
     """
     if window.dim != dim:
         raise SampleError("window dimension does not match dim")
@@ -224,14 +221,7 @@ def gen_cox_balls(spec: CoxBallSpec, window: Window, dim: int, seed: int) -> Sam
 
     n_all = int(rng.poisson(spec.lam * window.volume))
     candidates = _uniform_points(rng, n_all, window)
-    warning = None
-    if centers.shape[0]:
-        pts = candidates[_in_union_of_balls(candidates, centers, radii)]
-    else:
-        pts = candidates[:0]
-    if pts.shape[0] == 0:
-        warning = "empty region: the ball union does not meet the window"
-    pts = _distinct(pts)
+    pts = _distinct(candidates[_in_union_of_balls(candidates, centers, radii)])
 
     gen = {
         "kind": "cox_balls",
@@ -243,7 +233,7 @@ def gen_cox_balls(spec: CoxBallSpec, window: Window, dim: int, seed: int) -> Sam
     if not spec.fixed:
         gen["center_intensity"] = spec.center_intensity
         gen["radius_range"] = list(spec.radius_range)
-    return Sample(pts, window, dim, gen, seed, warning=warning)
+    return Sample(pts, window, dim, gen, seed)
 
 
 def load_sample(path) -> Sample:

@@ -5,8 +5,9 @@ coordinates shifted to the window's lower corner for the torus metric, a
 plain tree otherwise. The final comparison always recomputes squared
 distances from the original coordinates, so results are bit-identical to a
 brute-force linear scan under the package's total order (squared distance,
-then entry id). `successor_map` answers all rows at once with array passes,
-tied rows included; `nearest_foreign_ties` is that linear scan for one query.
+then entry id). `successor_map` answers all rows at once with one k-nearest
+query, k wider than the largest group, and array passes, tied rows included;
+`nearest_foreign_ties` is that linear scan for one query.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class NnIndex:
         if self.groups.shape != (coords.shape[0],):
             raise IndexBuildError("need exactly one group id per point")
         self.metric = metric or Metric.euclidean()
-        self.n, self.dim = coords.shape
+        self.n = coords.shape[0]
         self.workers = query_workers() if workers is None else workers
         scale = [1.0, float(np.max(np.abs(coords)))]
         if self.metric.kind == TORUS:
@@ -125,26 +126,29 @@ class NnIndex:
     def successor_map(self):
         """For every indexed point, the id of its nearest foreign entry.
 
-        One k = 4 tree query settles every row whose leading foreign candidate
-        cannot tie or be beaten within slack. The remaining (ambiguous) rows
-        take one batched exact pass: rows with no foreign candidate yet widen
-        k by doubling, then a single ball query per row at the leader's cut
-        gathers every candidate, whose exact squared distances are ranked by
-        (squared distance, entry id). Returns (ids, sq_distances).
+        One tree query, with k one more than the largest group (at least 4),
+        gives every row a foreign candidate and settles each row whose
+        leading foreign candidate cannot tie or be beaten within slack. The
+        remaining (ambiguous) rows take one batched exact pass: a ball query
+        per row at the leader's cut gathers every candidate, whose exact
+        squared distances are ranked by (squared distance, entry id).
+        Returns (ids, sq_distances).
         """
         out = np.full(self.n, -1, dtype=np.int64)
         out_sq = np.full(self.n, np.inf)
         rows = np.arange(self.n)
-        dists, cand = self._query(self._tree.data, 4)
+        largest = np.unique(self.groups, return_counts=True)[1].max()
+        dists, cand = self._query(self._tree.data, max(4, largest + 1))
         foreign = self.groups[cand] != self.groups[:, None]
         first = np.argmax(foreign, axis=1)
-        found = foreign[rows, first]
+        if not foreign[rows, first].all():
+            raise NoForeignNeighborError("no entry outside the excluded group")
         cut = self._cut(dists[rows, first])
         foreign[rows, first] = False
         second = np.argmax(foreign, axis=1)
-        # Ambiguous if no candidate is foreign, or if another candidate (seen
-        # or beyond the k-th) could tie or beat the leader within slack.
-        ambiguous = ~found | (foreign[rows, second] & (dists[rows, second] <= cut))
+        # Ambiguous if another candidate (seen or beyond the k-th) could tie
+        # or beat the leader within slack.
+        ambiguous = foreign[rows, second] & (dists[rows, second] <= cut)
         if cand.shape[1] < self.n:
             ambiguous |= dists[:, -1] <= cut
         sure = np.flatnonzero(~ambiguous)
@@ -153,21 +157,6 @@ class NnIndex:
         amb = np.flatnonzero(ambiguous)
         if amb.size == 0:
             return out, out_sq
-
-        # Rows without a foreign candidate: double k until the leader shows.
-        # The leader's tree distance, hence its cut, does not depend on k.
-        pending = np.flatnonzero(~found)
-        k = 8
-        while pending.size:
-            dists, cand = self._query(self._tree.data[pending], k)
-            foreign = self.groups[cand] != self.groups[pending, None]
-            first = np.argmax(foreign, axis=1)
-            hit = foreign[np.arange(pending.size), first]
-            cut[pending[hit]] = self._cut(dists[hit, first[hit]])
-            pending = pending[~hit]
-            if pending.size and k >= self.n:
-                raise NoForeignNeighborError("no entry outside the excluded group")
-            k *= 2
 
         # Every foreign entry within each ambiguous row's cut, ranked by
         # (row, exact squared distance, entry id); each row's first wins.

@@ -281,18 +281,6 @@ def write_levels_csv(rows, path) -> None:
 SERIES_COLUMN = "mean_merge_distance"
 
 
-def _read_series_rows(path):
-    """(rows, field names) of a levels or baseline CSV; the file must have
-    a mean_merge_distance column."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-        fields = reader.fieldnames or []
-    if SERIES_COLUMN not in fields:
-        raise SeriesError(f"{path}: no {SERIES_COLUMN} column")
-    return rows, fields
-
-
 def _column_series(rows, column, path) -> list:
     """The values of one column. Only the trailing rows, those past a
     series' last level, may leave it empty."""
@@ -304,9 +292,9 @@ def _column_series(rows, column, path) -> list:
 
 
 def read_series_csv(path) -> list:
-    """Mean-distance series from a levels CSV (skips empty terminal rows)."""
-    rows, _ = _read_series_rows(path)
-    return _column_series(rows, SERIES_COLUMN, path)
+    """Mean-distance series from a levels CSV (skips empty terminal rows):
+    the CSV read as a one-series baseline."""
+    return read_baseline_csv(path).values
 
 
 SEED_COLUMN_PREFIX = "seed_"
@@ -329,7 +317,12 @@ def read_baseline_csv(path) -> BaselineSeries:
     them such as one sample's levels CSV, from `mean_merge_distance` as its
     single series. Every distance must be positive and finite, and
     `mean_merge_distance` must be the mean of the seed columns."""
-    rows, fields = _read_series_rows(path)
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+        fields = reader.fieldnames or []
+    if SERIES_COLUMN not in fields:
+        raise SeriesError(f"{path}: no {SERIES_COLUMN} column")
     columns = [c for c in fields if c.startswith(SEED_COLUMN_PREFIX)] or [SERIES_COLUMN]
     baseline = BaselineSeries(tuple(tuple(_column_series(rows, c, path)) for c in columns))
     if any(not (0 < v < math.inf) for s in baseline.seed_series for v in s):

@@ -49,6 +49,22 @@ def test_generate_poisson_roundtrip(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_generate_empty_sample_warns(tmp_path, capsys):
+    # The ball lies inside the window but catches no draw.
+    out = tmp_path / "s.json"
+    assert run("generate", "cox", "--centers", "5,5", "--radii", 0.01, "--lambda", 0.5,
+               "--window", "0,0,10,10", "--seed", 1, "--out", out) == 0
+    assert capsys.readouterr().err == "warning: the sample is empty\n"
+    obj = json.loads(out.read_text())
+    assert obj["points"] == [] and "warning" not in obj
+    assert run("generate", "poisson", "--lambda", 0, "--window", "0,0,10,10",
+               "--seed", 1, "--out", out) == 0
+    assert capsys.readouterr().err == "warning: the sample is empty\n"
+    assert run("generate", "poisson", "--lambda", 0.5, "--window", "0,0,10,10",
+               "--seed", 1, "--out", out) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_generate_cox_documented_example(tmp_path):
     out = tmp_path / "cox.json"
     assert run("generate", "cox", "--centers", "60,60;140,80;100,150",
@@ -290,6 +306,9 @@ def test_malformed_hierarchy_one_line_error(tmp_path, capsys):
     extra_level = json.loads(text)
     extra_level["exits"].append([[1], [2]])  # the single pair has no exit
     v4 = dict(json.loads(text), version=4)
+    # JSON true and 1.0 equal 1 in Python, but are not a version number
+    v1 = json.loads((data / "hierarchy_v1_line5.json").read_text())
+    v1_true, v1_float = dict(v1, version=True), dict(v1, version=1.0)
     bad_parent = json.loads((data / "hierarchy_v2_line5.json").read_text())
     bad_parent["genealogy"][1][1] = [1, 1]  # level 1 has only pair 0
     capsys.readouterr()
@@ -297,6 +316,7 @@ def test_malformed_hierarchy_one_line_error(tmp_path, capsys):
         json.dumps(no_level0), json.dumps(no_levels), json.dumps(bad_exit),
         json.dumps(bad_id), json.dumps(bad_columns), json.dumps(extra_level),
         json.dumps(v4), json.dumps(bad_parent), text[: len(text) // 2],
+        json.dumps(v1_true), json.dumps(v1_float),
     ]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(body)
@@ -323,6 +343,11 @@ def test_malformed_sample_one_line_error(tmp_path, capsys):
         assert run("cluster", "--input", bad, "--out", tmp_path / "h.json") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: malformed sample object") and err.count("\n") == 1, err
+    # One empty row is not an empty sample.
+    bad = tmp_path / "empty_row.json"
+    bad.write_text(json.dumps(dict(good, points=[[]])))
+    assert run("cluster", "--input", bad, "--out", tmp_path / "h.json") == 1
+    assert capsys.readouterr().err == "error: points must be an (n, 2) array\n"
 
 
 def test_invalid_sample_json_names_the_file(tmp_path, capsys):

@@ -98,7 +98,7 @@ def test_cox_empty_region_warns_not_raises():
     spec = CoxBallSpec(lam=1.0, centers=np.array([[50.0, 50.0]]), radii=np.array([2.0]))
     s = gen_cox_balls(spec, w, 2, seed=1)
     assert s.n == 0
-    assert s.warning is not None
+    assert "warning" not in s.to_json()
 
 
 def test_cox_random_mode_runs():
@@ -111,6 +111,8 @@ def test_cox_random_mode_runs():
 
 
 def test_cox_spec_validation():
+    with pytest.raises(SampleError, match="fixed mode needs radii"):
+        CoxBallSpec(lam=1.0, centers=[[0.0, 0.0]])
     with pytest.raises(SampleError):
         CoxBallSpec(lam=1.0, centers=np.array([[0.0, 0.0]]), radii=np.array([1.0, 2.0]))
     with pytest.raises(SampleError):

@@ -176,11 +176,19 @@ def test_successor_map_matches_per_row_ties(kind, rng):
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "torus"])
-def test_successor_map_widens_k_for_clustered_groups(kind, rng):
+def test_successor_map_widens_k_for_clustered_groups(kind, rng, monkeypatch):
     # A group of 40 within 0.001 of one spot and a group of 30 stacked on one
-    # coordinate, off the grid: their rows see only their own group until the
-    # batched k-doubling reaches 64. Six entries, five in one group: the
-    # doubling must stop at the index size.
+    # coordinate, off the grid: a k = 4 query would show their rows only
+    # their own group, so the one k-nearest query takes k = 41, the largest
+    # group plus one. Six entries, five in one group: k is the index size.
+    calls = []
+    query = NnIndex._query
+
+    def counted(self, points, k):
+        calls.append(k)
+        return query(self, points, k)
+
+    monkeypatch.setattr(NnIndex, "_query", counted)
     w = Window([0.0, 0.0], [10.0, 10.0])
     metric = Metric.euclidean() if kind == "euclidean" else Metric.torus(w)
     clustered = np.vstack([
@@ -195,7 +203,9 @@ def test_successor_map_widens_k_for_clustered_groups(kind, rng):
     ]
     for coords, groups in cases:
         idx = NnIndex(coords, groups, metric)
+        calls.clear()
         succ, sqd = idx.successor_map()
+        assert calls == [max(4, np.bincount(groups).max() + 1)]
         for i in range(len(coords)):
             want_sq, want_ids = idx.nearest_foreign_ties(coords[i], groups[i])
             assert succ[i] == want_ids[0], i

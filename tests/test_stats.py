@@ -363,6 +363,15 @@ def test_series_csv_empty_cell_only_trails(tmp_path):
     assert read_baseline_csv(path).values == [1.0, 3.0]
 
 
+def test_series_csv_refuses_non_positive_or_infinite_distance(tmp_path):
+    path = tmp_path / "levels.csv"
+    for bad in ("0", "0.0", "inf"):
+        path.write_text(LEVELS_HEADER + f"\n0,4,4,2,1,1,1.0\n1,2,2,1,1,1,{bad}\n2,1,1,0,1,1,\n")
+        with pytest.raises(SeriesError, match="positive and finite") as err:
+            read_series_csv(path)
+        assert str(path) in str(err.value)
+
+
 def test_baseline_csv_seed_gap_fails(tmp_path):
     path = tmp_path / "base.csv"
     path.write_text(
