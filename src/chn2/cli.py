@@ -53,6 +53,15 @@ def parse_centers(text: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def parse_radius_range(text: str) -> tuple[float, float]:
+    """'r_min,r_max', exactly two numbers."""
+    try:
+        r_min, r_max = (float(v) for v in text.split(","))
+    except ValueError:
+        raise CliError(f"--radius-range needs two numbers r_min,r_max, got {text!r}") from None
+    return r_min, r_max
+
+
 def parse_seed_range(text: str):
     """'a..b' inclusive, or a single seed."""
     if ".." in text:
@@ -86,7 +95,7 @@ def cmd_generate(args) -> int:
             radii=None if args.radii is None else [float(v) for v in args.radii.split(",")],
             center_intensity=args.center_intensity,
             radius_range=None if args.radius_range is None
-            else tuple(float(v) for v in args.radius_range.split(",")),
+            else parse_radius_range(args.radius_range),
         )
         sample = gen_cox_balls(spec, window, dim, args.seed)
     if sample.n == 0:

@@ -147,8 +147,11 @@ class LevelGraph:
         return len(self.pairs)
 
     def pair_of(self, heads) -> np.ndarray:
-        """The index of the pair of each given head."""
-        return np.searchsorted(self.pairs[:, 0], np.minimum(heads, self.successor[heads]))
+        """The index of the pair of each given head (-1 for other vertices),
+        read from one table over all n vertices: a fill and 2m stores."""
+        index = np.full(self.n, -1, dtype=np.int64)
+        index[self.pairs] = np.arange(self.n_components)[:, None]
+        return index[heads]
 
 
 @dataclass(frozen=True)
@@ -195,7 +198,7 @@ def nn_k_step(pairs, coords, metric: Metric | None = None, workers: int | None =
         raise HierarchyError("need at least 2 pairs to advance a level")
     head_ids = heads.ravel()
     groups = np.repeat(np.arange(m, dtype=np.int64), 2)
-    index = NnIndex(coords[head_ids], groups, metric, workers)
+    index = NnIndex(coords.take(head_ids, axis=0), groups, metric, workers)
     entry_best, entry_sq = index.successor_map()
 
     # Lexicographic (squared distance, target pair index) over each pair's two
@@ -215,8 +218,10 @@ def nn_k_step(pairs, coords, metric: Metric | None = None, workers: int | None =
     rows = np.arange(m)
     low = heads[np.minimum(rows, nn_map)]
     high = heads[np.maximum(rows, nn_map)]
-    cross = sq_dist_many(coords[high][:, None, :, :], coords[low][:, :, None, :], metric)
-    cross = cross.reshape(m, 4)
+    high_xy, low_xy = coords.take(high, axis=0), coords.take(low, axis=0)
+    cross = np.column_stack([
+        sq_dist_many(high_xy[:, y], low_xy[:, x], metric) for x in (0, 1) for y in (0, 1)
+    ])
     best = np.argmin(cross, axis=1)
     x, y = low[rows, best // 2], high[rows, best % 2]
     lower = rows < nn_map
@@ -225,13 +230,51 @@ def nn_k_step(pairs, coords, metric: Metric | None = None, workers: int | None =
 
 def advance_level(g: LevelGraph, exit, exit_target) -> LevelGraph:
     """Relink every pair's exit to its exit target, leaving all other images
-    fixed: the one step from level k to level k + 1."""
+    fixed: the one step from level k to level k + 1.
+
+    Level k + 1 is checked on the pair map i -> target_pair[i], in O(m).
+    Take a valid level k whose exits are heads of their own pairs and whose
+    targets are heads of other pairs. Every vertex still reaches its pair's
+    heads; there the other head leads to exit[i], and exit[i] to a head of
+    target_pair[i]. So the relinked map has one cycle per component of the
+    pair map, through the exits of its pair cycle, and that cycle is a
+    2-cycle iff the pair cycle has length 2 with exit_target[i] ==
+    exit[target_pair[i]]. Level k + 1's pairs are then those exit pairs,
+    sorted by lower head. Any other input goes to
+    `LevelGraph.from_successors` on the relinked map, which words the error.
+    """
     exit = np.asarray(exit, dtype=np.int64)
-    if exit.shape != (g.n_components,) or not (g.pairs == exit[:, None]).any(axis=1).all():
+    if exit.shape != (g.n_components,) or not np.all(
+        (g.pairs[:, 0] == exit) | (g.pairs[:, 1] == exit)
+    ):
         raise HierarchyError(f"level {g.level}: an exit is not one of its pair's heads")
     succ = g.successor.copy()
     succ[exit] = exit_target
-    return LevelGraph.from_successors(g.level + 1, succ)
+    pairs = _exit_pairs(g, exit, succ[exit])
+    if pairs is None:
+        return LevelGraph.from_successors(g.level + 1, succ)
+    return LevelGraph(level=g.level + 1, successor=succ, pairs=pairs)
+
+
+def _exit_pairs(g: LevelGraph, exit, target):
+    """Level k + 1's pairs by the pair-map fact of `advance_level`, or None
+    where the fact does not apply or finds a cycle longer than 2."""
+    if target.min() < 0 or target.max() >= g.n:
+        return None
+    if not np.array_equal(g.successor[g.successor[target]], target):
+        return None
+    ids = np.arange(g.n_components)
+    target_pair = g.pair_of(target)
+    if np.any(target_pair == ids):
+        return None
+    mutual, reach = _reach_two_cycles(target_pair)
+    if not mutual[reach].all() or not np.array_equal(exit[target_pair[mutual]], target[mutual]):
+        return None
+    rows = np.flatnonzero(mutual & (ids < target_pair))
+    a, b = exit[rows], target[rows]
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    order = np.argsort(low)
+    return np.column_stack([low[order], high[order]])
 
 
 def next_level(g: LevelGraph, exit, exit_target, points, metric: Metric):
@@ -249,7 +292,7 @@ def next_level(g: LevelGraph, exit, exit_target, points, metric: Metric):
     is_head = g.successor[g.successor[exit_target]] == exit_target
     if not is_head.all() or np.any(target_pair == np.arange(g.n_components)):
         raise HierarchyError(f"level {g.level}: an exit target is not a foreign head")
-    merge_sq = sq_dist_many(points[exit_target], points[exit], metric)
+    merge_sq = sq_dist_many(points.take(exit_target, axis=0), points.take(exit, axis=0), metric)
     _, reach = _reach_two_cycles(target_pair)
     parent = nxt.pair_of(exit[reach])
     return nxt, Merges(target_pair, exit, exit_target, merge_sq, parent)

@@ -77,11 +77,15 @@ class Sample:
                 raise TypeError("dim and seed must be integers")
             if type(obj["generator"]) is not dict:
                 raise TypeError("generator must be an object")
-            coords = itertools.chain.from_iterable(points)
-            if type(points) is not list or not is_json_numbers(coords):
+            if type(points) is not list or not set(map(type, points)) <= {list}:
                 raise TypeError("points must be lists of numbers")
+            coords = list(itertools.chain.from_iterable(points))
+            if not is_json_numbers(coords):
+                raise TypeError("points must be lists of numbers")
+            if not set(map(len, points)) <= {dim}:
+                raise SampleError(f"points must be an (n, {dim}) array")
             return cls(
-                points=np.asarray(points, float),
+                points=np.array(coords, float).reshape(len(points), dim),
                 window=Window.from_json(obj["window"]),
                 dim=dim,
                 generator=dict(obj["generator"]),
@@ -101,7 +105,12 @@ def _uniform_points(rng, n, window: Window) -> np.ndarray:
 
 def _first_draws(pts) -> np.ndarray:
     """Ascending indices of the rows of the (n, d) array pts that repeat no
-    earlier row. Rows compare by value, so -0.0 equals 0.0."""
+    earlier row. Rows compare by value, so -0.0 equals 0.0. Continuous
+    coordinates rarely repeat, so one sort of the first column usually
+    shows every row to be new."""
+    first = np.sort(pts[:, 0])
+    if np.all(first[1:] != first[:-1]):
+        return np.arange(len(pts))
     order = np.lexsort(pts.T)  # stable: equal rows keep their draw order
     rows = pts[order]
     new = np.ones(len(pts), dtype=bool)
@@ -163,8 +172,8 @@ class CoxBallSpec:
     radius_range: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise SampleError("cox intensity lam must be positive")
+        if not self.lam >= 0:
+            raise SampleError(f"cox intensity lam must be nonnegative, got {self.lam!r}")
         fixed = self.centers is not None
         if fixed:
             if self.radii is None:

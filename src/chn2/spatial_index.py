@@ -153,7 +153,8 @@ class NnIndex:
             ambiguous |= dists[:, -1] <= cut
         sure = np.flatnonzero(~ambiguous)
         out[sure] = cand[sure, first[sure]]
-        out_sq[sure] = sq_dist_many(self.coords[out[sure]], self.coords[sure], self.metric)
+        take = self.coords.take
+        out_sq[sure] = sq_dist_many(take(out[sure], axis=0), take(sure, axis=0), self.metric)
         amb = np.flatnonzero(ambiguous)
         if amb.size == 0:
             return out, out_sq
@@ -167,7 +168,7 @@ class NnIndex:
         ids = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64, count=row.size)
         keep = self.groups[ids] != self.groups[row]
         row, ids = row[keep], ids[keep]
-        sq = sq_dist_many(self.coords[ids], self.coords[row], self.metric)
+        sq = sq_dist_many(take(ids, axis=0), take(row, axis=0), self.metric)
         order = np.lexsort((ids, sq, row))
         row, ids, sq = row[order], ids[order], sq[order]
         win = np.flatnonzero(np.diff(row, prepend=-1))

@@ -1,6 +1,8 @@
 """Shared brute-force oracles, kept independent of the package internals,
 and two views of a built hierarchy for comparing against them: its
-version-2 JSON and a digest of its arrays."""
+version-2 JSON and a digest of its arrays. One oracle is built from package
+parts instead: the level step with the whole-map check that the pair-map
+check replaced."""
 
 import dataclasses
 import hashlib
@@ -9,8 +11,15 @@ import itertools
 import numpy as np
 import pytest
 
-from chn2.geometry import Metric, TORUS
-from chn2.hierarchy import _merge_json, genealogy_newick
+from chn2.geometry import Metric, TORUS, sq_dist_many
+from chn2.hierarchy import (
+    HierarchyError,
+    LevelGraph,
+    Merges,
+    _merge_json,
+    _reach_two_cycles,
+    genealogy_newick,
+)
 
 
 def oracle_sq_dist(a, b, metric: Metric) -> float:
@@ -155,6 +164,28 @@ def oracle_hierarchy_json(sample, metric: Metric) -> dict:
         "exit_target": None, "merge_distance": None, "target_pair": None,
     })
     return out
+
+
+def vertex_next_level(g, exit, exit_target, points, metric: Metric):
+    """`next_level` as it was before level k + 1 was checked on the pair
+    map: relink the exits, then check the whole n-vertex successor map with
+    `LevelGraph.from_successors`, with the same errors in the same order."""
+    if np.shape(exit_target) != np.shape(exit):
+        raise HierarchyError(f"level {g.level}: exit and exit_target differ in length")
+    exit = np.asarray(exit, dtype=np.int64)
+    if exit.shape != (g.n_components,) or not (g.pairs == exit[:, None]).any(axis=1).all():
+        raise HierarchyError(f"level {g.level}: an exit is not one of its pair's heads")
+    succ = g.successor.copy()
+    succ[exit] = exit_target
+    nxt = LevelGraph.from_successors(g.level + 1, succ)
+    target_pair = g.pair_of(exit_target)
+    is_head = g.successor[g.successor[exit_target]] == exit_target
+    if not is_head.all() or np.any(target_pair == np.arange(g.n_components)):
+        raise HierarchyError(f"level {g.level}: an exit target is not a foreign head")
+    merge_sq = sq_dist_many(points[exit_target], points[exit], metric)
+    _, reach = _reach_two_cycles(target_pair)
+    parent = nxt.pair_of(exit[reach])
+    return nxt, Merges(target_pair, exit, exit_target, merge_sq, parent)
 
 
 def hierarchy_json_v2(h) -> dict:

@@ -65,6 +65,35 @@ def test_generate_empty_sample_warns(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+COX_MODES = {
+    "fixed": ["--centers", "5,5", "--radii", 2],
+    "random": ["--center-intensity", 0.05, "--radius-range", "1,2"],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(COX_MODES))
+def test_generate_cox_intensity_zero_warns_negative_and_nan_refused(tmp_path, capsys, mode):
+    # As for poisson, --lambda 0 writes an empty sample with the warning.
+    out = tmp_path / "s.json"
+    common = ["generate", "cox", *COX_MODES[mode], "--window", "0,0,10,10", "--seed", 1]
+    assert run(*common, "--lambda", 0, "--out", out) == 0
+    assert capsys.readouterr().err == "warning: the sample is empty\n"
+    assert json.loads(out.read_text())["points"] == []
+    for lam in ("-1", "nan"):
+        assert run(*common, "--lambda", lam, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cox intensity lam must be nonnegative"), err
+        assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("text", ["1", "a,b", "1,2,3", ""])
+def test_generate_cox_radius_range_needs_two_numbers(tmp_path, capsys, text):
+    assert run("generate", "cox", "--center-intensity", 0.05, "--radius-range", text,
+               "--window", "0,0,10,10", "--seed", 1, "--out", tmp_path / "s.json") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --radius-range needs two numbers r_min,r_max, got {text!r}\n"
+
+
 def test_generate_cox_documented_example(tmp_path):
     out = tmp_path / "cox.json"
     assert run("generate", "cox", "--centers", "60,60;140,80;100,150",
@@ -337,17 +366,23 @@ def test_malformed_sample_one_line_error(tmp_path, capsys):
         dict(good, window={"lo": ["0", 0], "hi": [1.0, 1.0]}),
         dict(good, seed="7"),
         dict(good, generator=[["a", 1]]),
+        dict(good, points=[[0.1, 0.2], "0.5"]),  # a string row
+        dict(good, points=[[0.1, 0.2], {"x": 0.5, "y": 0.5}]),  # a dict row
     ]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps(body))
         assert run("cluster", "--input", bad, "--out", tmp_path / "h.json") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: malformed sample object") and err.count("\n") == 1, err
-    # One empty row is not an empty sample.
-    bad = tmp_path / "empty_row.json"
-    bad.write_text(json.dumps(dict(good, points=[[]])))
-    assert run("cluster", "--input", bad, "--out", tmp_path / "h.json") == 1
-    assert capsys.readouterr().err == "error: points must be an (n, 2) array\n"
+    # One empty row is not an empty sample; nor do ragged rows, or a row of
+    # dim + 1 numbers, make up one of dim-number rows.
+    for i, points in enumerate([
+        [[]], [[0.1, 0.2, 0.3], [0.5]], [[0.1], [0.2, 0.3, 0.4]], [[0.1, 0.2], [0.3, 0.4, 0.5]],
+    ]):
+        bad = tmp_path / f"rows{i}.json"
+        bad.write_text(json.dumps(dict(good, points=points)))
+        assert run("cluster", "--input", bad, "--out", tmp_path / "h.json") == 1
+        assert capsys.readouterr().err == "error: points must be an (n, 2) array\n"
 
 
 def test_invalid_sample_json_names_the_file(tmp_path, capsys):

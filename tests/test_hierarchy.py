@@ -35,6 +35,7 @@ from conftest import (
     oracle_cluster_subtrees,
     oracle_descent_violations,
     oracle_hierarchy_json,
+    vertex_next_level,
 )
 
 WIDE = Window([-1000.0], [1000.0])
@@ -380,6 +381,84 @@ def test_reach_two_cycles_early_exit_matches_full_rounds(rng):
         else:
             g = LevelGraph.from_successors(1, succ)
             assert tuple(map(tuple, g.pairs.tolist())) == expected
+
+
+def step_outcome(step, g, exit, exit_target, sample, metric):
+    """What a level step gives: its arrays bit for bit, or its error."""
+    try:
+        nxt, mg = step(g, exit, exit_target, sample.points, metric)
+    except Exception as exc:  # the type and the text are compared
+        return type(exc), str(exc)
+    arrays = [nxt.successor, nxt.pairs, *(getattr(mg, f) for f in mg.__dataclass_fields__)]
+    return nxt.level, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def corrupted_exit_columns(rng, g, exit, target):
+    """(kind, exit, exit_target) copies of one level's exit columns, each
+    with one defect."""
+    m, heads = g.n_components, g.pairs.ravel()
+    others = np.setdiff1d(np.arange(g.n), heads)
+    cases = []
+    for _ in range(3):
+        i = int(rng.integers(m))
+        if others.size:
+            x = exit.copy()
+            x[i] = rng.choice(others)
+            cases.append(("exit not a head", x, target))
+            t = target.copy()
+            t[i] = rng.choice(others)
+            cases.append(("target not a head", exit, t))
+        t = target.copy()
+        t[i] = g.pairs[i, rng.integers(2)]  # the exit itself, or the other head
+        cases.append(("target in its own pair", exit, t))
+        t = target.copy()
+        t[i] = rng.choice([-1, g.n, g.n + 7])
+        cases.append(("target out of range", exit, t))
+        if m >= 2:
+            a, b = rng.choice(m, size=2, replace=False)
+            t = target.copy()
+            t[a], t[b] = g.successor[exit[b]], g.successor[exit[a]]
+            cases.append(("4-cycle", exit, t))
+            t = target.copy()
+            t[a], t[b] = g.successor[exit[b]], exit[a]
+            cases.append(("3-cycle", exit, t))
+        if m >= 3:
+            a, b, c = rng.choice(m, size=3, replace=False)
+            t = target.copy()
+            t[a], t[b], t[c] = exit[b], exit[c], exit[a]
+            cases.append(("3-cycle of pairs", exit, t))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_next_level_matches_vertex_level_step(seed):
+    # Checking level k + 1 on the pair map gives what the whole-map check
+    # gave: the same arrays on valid columns, and on corrupted ones the same
+    # error type and text.
+    rng = np.random.default_rng(seed)
+    side = 10 + seed
+    xs, ys = np.meshgrid(np.arange(float(side)), np.arange(float(side)))
+    lattice = np.column_stack([xs.ravel(), ys.ravel()])
+    cases = [
+        plane_sample(rng.uniform(0, 30, size=(300, 2)), 0, 30),
+        plane_sample(lattice[rng.random(len(lattice)) < 0.8], 0, side),
+    ]
+    outcomes = set()
+    for s in cases:
+        for metric in (Metric.euclidean(), Metric.torus(s.window)):
+            h = build_hierarchy(s, metric)
+            for g, mg in zip(h.levels, h.merges):
+                args = (g, mg.exit, mg.exit_target, s, metric)
+                assert step_outcome(next_level, *args) == step_outcome(vertex_next_level, *args)
+                for kind, x, t in corrupted_exit_columns(rng, g, mg.exit, mg.exit_target):
+                    args = (g, x, t, s, metric)
+                    want = step_outcome(vertex_next_level, *args)
+                    assert step_outcome(next_level, *args) == want, kind
+                    outcomes.add((kind, want[0]))
+    assert {kind for kind, got in outcomes if got in (HierarchyError, StructureError)} == {
+        "exit not a head", "target not a head", "target in its own pair",
+        "target out of range", "4-cycle", "3-cycle", "3-cycle of pairs",
+    }
 
 
 def test_structure_rejects_self_loop():

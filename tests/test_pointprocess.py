@@ -116,9 +116,20 @@ def test_cox_spec_validation():
     with pytest.raises(SampleError):
         CoxBallSpec(lam=1.0, centers=np.array([[0.0, 0.0]]), radii=np.array([1.0, 2.0]))
     with pytest.raises(SampleError):
-        CoxBallSpec(lam=0.0, centers=np.array([[0.0, 0.0]]), radii=np.array([1.0]))
-    with pytest.raises(SampleError):
         CoxBallSpec(lam=1.0)
+
+
+@pytest.mark.parametrize("mode", [
+    {"centers": np.array([[5.0, 5.0]]), "radii": np.array([2.0])},
+    {"center_intensity": 0.05, "radius_range": (1.0, 2.0)},
+])
+def test_cox_intensity_zero_is_empty_negative_and_nan_refused(mode):
+    # As gen_poisson: lam = 0 is an empty sample, not an error.
+    s = gen_cox_balls(CoxBallSpec(lam=0.0, **mode), Window([0.0, 0.0], [10.0, 10.0]), 2, seed=3)
+    assert s.n == 0 and s.generator["lambda"] == 0.0
+    for lam in (-1.0, float("nan")):
+        with pytest.raises(SampleError, match="cox intensity lam must be nonnegative"):
+            CoxBallSpec(lam=lam, **mode)
 
 
 def test_sample_json_roundtrip():
@@ -181,19 +192,27 @@ def test_derive_seed_deterministic_and_distinct():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_first_draws_match_numpy_unique(dim):
     # Tie-heavy rows: few distinct values per column, exact repeats, and
-    # zeros of both signs, which compare equal.
+    # zeros of both signs, which compare equal. Then uniform rows with one
+    # repeat; rows whose first coordinates all differ, which the first-column
+    # sort settles alone; and rows that repeat only in the first coordinate,
+    # some of them as -0.0 against 0.0, which it must hand on.
     rng = np.random.default_rng(dim)
     window = Window(np.full(dim, -3.0), np.full(dim, 3.0))
     refused = set()
-    for trial in range(400):
+    for trial in range(800):
         n = int(rng.integers(0, 60))
         pts = rng.integers(-2, 3, size=(n, dim)).astype(float) * rng.choice([0.5, 1.0])
-        zeros = pts == 0
-        pts[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
-        if trial % 2:
+        if trial % 4 == 1:
             pts = rng.uniform(-1, 1, size=(n, dim))
             if n > 1:
                 pts[rng.integers(n)] = pts[rng.integers(n)]
+        elif trial % 4 == 2:
+            pts[:, 0] = (rng.permutation(n) - n // 2) / 32
+        elif trial % 4 == 3:
+            pts = rng.uniform(-1, 1, size=(n, dim))
+            pts[:, 0] = rng.integers(-2, 3, size=n) / 2
+        zeros = pts == 0
+        pts[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
         want = np.sort(np.unique(pts, axis=0, return_index=True)[1]) if n else np.arange(0)
         assert np.array_equal(_first_draws(pts), want), pts
         repeats = n > 0 and len(np.unique(pts, axis=0)) != n
