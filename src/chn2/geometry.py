@@ -114,11 +114,16 @@ class Metric:
 
 
 def sq_dist_many(coords_a, coords_b, metric: Metric) -> np.ndarray:
-    """Squared distances between rows of coords_a and coords_b (broadcasting)."""
+    """Squared distances between rows of coords_a and coords_b (broadcasting),
+    the squared coordinate differences added left to right."""
     a = np.asarray(coords_a, dtype=float)
     b = np.asarray(coords_b, dtype=float)
     delta = np.abs(a - b)
     if metric.kind == TORUS:
         period = metric.window.side_lengths
         delta = np.minimum(delta, period - delta)
-    return np.sum(delta * delta, axis=-1)
+    sq = delta * delta
+    total = sq[..., 0]
+    for j in range(1, sq.shape[-1]):
+        total = total + sq[..., j]
+    return total

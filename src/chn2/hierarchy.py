@@ -365,17 +365,22 @@ def _merge_json(h: Hierarchy) -> dict:
     return {"pairs": pairs, "genealogy": genealogy, "termination": h.termination}
 
 
-def hierarchy_to_json(h: Hierarchy) -> dict:
-    """Hierarchy JSON version 3: level 0's successors and, per non-terminal
-    level, the [exit, exit_target] columns that give the next level (see
-    `advance_level`)."""
+def _v3_layout(h: Hierarchy, sample) -> dict:
+    """Hierarchy JSON version 3, with `sample` in the sample's slot: level
+    0's successors and, per non-terminal level, the [exit, exit_target]
+    columns that give the next level (see `advance_level`)."""
     return {
         "version": 3,
-        "sample": h.sample.to_json(),
+        "sample": sample,
         "metric": h.metric.to_json(),
         "level0": h.levels[0].successor.tolist() if h.levels else [],
         "exits": [[mg.exit.tolist(), mg.exit_target.tolist()] for mg in h.merges],
     }
+
+
+def hierarchy_to_json(h: Hierarchy) -> dict:
+    """The hierarchy as a version-3 JSON object."""
+    return _v3_layout(h, h.sample.to_json())
 
 
 def _point_ids(values, what: str) -> np.ndarray:
@@ -462,8 +467,14 @@ def hierarchy_from_json(obj: dict) -> Hierarchy:
 
 
 def save_hierarchy(h: Hierarchy, path) -> None:
+    """Write `hierarchy_to_json(h)` as one line of JSON, with the sample's
+    own text (`Sample.json_text`) in its slot. For a sample file written by
+    `save_sample` the bytes are those of `json.dumps`."""
+    fields = {key: json.dumps(value) for key, value in _v3_layout(h, None).items()}
+    fields["sample"] = h.sample.json_text()
+    text = ", ".join(f"{json.dumps(key)}: {value}" for key, value in fields.items())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(hierarchy_to_json(h)) + "\n")
+        fh.write("{" + text + "}\n")
 
 
 def load_hierarchy(path) -> Hierarchy:

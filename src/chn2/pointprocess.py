@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,8 @@ class Sample:
     """A finite point configuration in a window plus generator metadata.
 
     Point ids are the row indices of `points` (0..n-1). All points lie in
-    the window and are pairwise distinct.
+    the window and are pairwise distinct. A sample read by `load_sample`
+    may keep the file's text, which `json_text` then returns.
     """
 
     points: np.ndarray
@@ -39,6 +40,7 @@ class Sample:
     dim: int
     generator: dict
     seed: int
+    file_text: str | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -68,6 +70,13 @@ class Sample:
             "generator": self.generator,
             "points": self.points.tolist(),
         }
+
+    def json_text(self) -> str:
+        """The sample as JSON text: the text of the file it was read from,
+        if any, else a fresh encoding of `to_json`."""
+        if self.file_text is not None:
+            return self.file_text
+        return json.dumps(self.to_json())
 
     @classmethod
     def from_json(cls, obj: dict) -> "Sample":
@@ -245,15 +254,29 @@ def gen_cox_balls(spec: CoxBallSpec, window: Window, dim: int, seed: int) -> Sam
     return Sample(pts, window, dim, gen, seed)
 
 
+_JSON_KEYS = {"dim", "window", "seed", "generator", "points"}
+
+
 def load_sample(path) -> Sample:
+    """Read a sample file. The sample keeps the file's text when the text
+    holds just the keys `to_json` writes (in the window too), for it then
+    says nothing the sample does not. Its point and window arrays are made
+    read-only, so the text cannot go stale (its generator dict, like every
+    field of a frozen sample, is not to be changed either)."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SampleError(f"{path}: not valid JSON: {exc}") from exc
-    return Sample.from_json(obj)
+        text = fh.read()
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SampleError(f"{path}: not valid JSON: {exc}") from exc
+    sample = Sample.from_json(obj)
+    for array in (sample.points, sample.window.lo, sample.window.hi):
+        array.flags.writeable = False
+    if obj.keys() == _JSON_KEYS and obj["window"].keys() == {"lo", "hi"}:
+        object.__setattr__(sample, "file_text", text.strip(" \t\n\r"))
+    return sample
 
 
 def save_sample(sample: Sample, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(sample.to_json()) + "\n")
+        fh.write(sample.json_text() + "\n")

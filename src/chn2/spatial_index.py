@@ -6,7 +6,7 @@ plain tree otherwise. The final comparison always recomputes squared
 distances from the original coordinates, so results are bit-identical to a
 brute-force linear scan under the package's total order (squared distance,
 then entry id). `successor_map` answers all rows at once with one k-nearest
-query, k wider than the largest group, and array passes, tied rows included;
+query, k two wider than the largest group, and array passes, tied rows included;
 `nearest_foreign_ties` is that linear scan for one query.
 """
 
@@ -67,7 +67,9 @@ class NnIndex:
     """Immutable nearest-neighbor structure over (point, group) entries.
 
     Queries of at least _PARALLEL_ROWS rows run on `workers` threads
-    (default `query_workers()`); no answer depends on the count.
+    (default `query_workers()`); no answer depends on the count. Group ids
+    are nonnegative and best kept below the entry count: `successor_map`
+    sizes its groups with one `np.bincount` table over 0..largest id.
     """
 
     def __init__(self, coords, groups, metric: Metric | None = None, workers: int | None = None):
@@ -78,6 +80,8 @@ class NnIndex:
         self.groups = np.asarray(groups, dtype=np.int64)
         if self.groups.shape != (coords.shape[0],):
             raise IndexBuildError("need exactly one group id per point")
+        if self.groups.min() < 0:
+            raise IndexBuildError("group ids must be nonnegative")
         self.metric = metric or Metric.euclidean()
         self.n = coords.shape[0]
         self.workers = query_workers() if workers is None else workers
@@ -126,19 +130,19 @@ class NnIndex:
     def successor_map(self):
         """For every indexed point, the id of its nearest foreign entry.
 
-        One tree query, with k one more than the largest group (at least 4),
-        gives every row a foreign candidate and settles each row whose
-        leading foreign candidate cannot tie or be beaten within slack. The
-        remaining (ambiguous) rows take one batched exact pass: a ball query
-        per row at the leader's cut gathers every candidate, whose exact
-        squared distances are ranked by (squared distance, entry id).
+        One tree query, with k two more than the largest group, gives every
+        row two foreign candidates (if the index has them) and settles each
+        row whose leading foreign candidate cannot tie or be beaten within
+        slack. The remaining (ambiguous) rows take one batched exact pass: a
+        ball query per row at the leader's cut gathers every candidate, whose
+        exact squared distances are ranked by (squared distance, entry id).
         Returns (ids, sq_distances).
         """
         out = np.full(self.n, -1, dtype=np.int64)
         out_sq = np.full(self.n, np.inf)
         rows = np.arange(self.n)
-        largest = np.unique(self.groups, return_counts=True)[1].max()
-        dists, cand = self._query(self._tree.data, max(4, largest + 1))
+        largest = np.bincount(self.groups).max()
+        dists, cand = self._query(self._tree.data, largest + 2)
         foreign = self.groups[cand] != self.groups[:, None]
         first = np.argmax(foreign, axis=1)
         if not foreign[rows, first].all():

@@ -137,6 +137,24 @@ def test_cluster_and_stats_pipeline(tmp_path):
     assert float(rows[0]["mean_merge_distance"]) == 4.0
 
 
+def test_cluster_stats_same_for_pretty_sample_file(tmp_path):
+    # The hierarchy file keeps the sample file's own text; a pretty-printed
+    # file with integer bounds must give the same levels as the compact one.
+    assert run("generate", "binomial", "--count", 400, "--window", "0,0,10,10",
+               "--seed", 5, "--out", tmp_path / "compact.json") == 0
+    obj = json.loads((tmp_path / "compact.json").read_text())
+    obj["window"] = {"lo": [0, 0], "hi": [10, 10]}
+    (tmp_path / "pretty.json").write_text(json.dumps(obj, indent=4))
+    csvs = []
+    for name in ("compact", "pretty"):
+        hier, levels = tmp_path / f"h_{name}.json", tmp_path / f"levels_{name}.csv"
+        assert run("cluster", "--input", tmp_path / f"{name}.json", "--out", hier) == 0
+        assert run("stats", "--hierarchy", hier, "--out", levels) == 0
+        csvs.append(levels.read_bytes())
+    assert '"lo": [\n' in (tmp_path / "h_pretty.json").read_text()
+    assert csvs[0] == csvs[1] and len(csvs[0].splitlines()) > 2
+
+
 def test_cluster_two_points(tmp_path):
     sample = tmp_path / "s.json"
     hier = tmp_path / "h.json"

@@ -28,7 +28,7 @@ from chn2.hierarchy import (
     nn_k_step,
     save_hierarchy,
 )
-from chn2.pointprocess import Sample
+from chn2.pointprocess import Sample, gen_binomial, load_sample, save_sample
 from conftest import (
     hierarchy_array_digest,
     hierarchy_json_v2,
@@ -552,6 +552,67 @@ def test_hierarchy_json_roundtrip(tmp_path, rng):
             built = [m.merge_sq.tolist() for m in h.merges]
             got = [m.merge_sq.tolist() for m in loaded.merges]
             assert got == built
+
+
+@pytest.mark.parametrize("n", [0, 1, 2000])
+@pytest.mark.parametrize("kind", ["euclidean", "torus"])
+def test_save_writes_sample_file_text_as_json_dumps(kind, n, tmp_path):
+    # save_hierarchy copies the sample file's text; for a file that
+    # save_sample wrote, that is byte for byte what json.dumps writes.
+    sample = gen_binomial(n, Window([0.0, 0.0], [1.0, 1.0]), 2, seed=n + 1)
+    save_sample(sample, tmp_path / "s.json")
+    loaded = load_sample(tmp_path / "s.json")
+    assert loaded.file_text == (tmp_path / "s.json").read_text().strip()
+    metric = Metric.euclidean() if kind == "euclidean" else Metric.torus(loaded.window)
+    h = build_hierarchy(loaded, metric)
+    save_hierarchy(h, tmp_path / "h.json")
+    assert (tmp_path / "h.json").read_text() == json.dumps(hierarchy_to_json(h)) + "\n"
+    assert hierarchy_array_digest(load_hierarchy(tmp_path / "h.json")) == hierarchy_array_digest(h)
+
+
+def _spelled_sample_text(points) -> str:
+    """A hand-written sample file: indented, integer window bounds and
+    every coordinate in exponent notation with 17 significant digits."""
+    rows = ",\n    ".join("[" + ", ".join(f"{x:.16e}" for x in row) + "]" for row in points)
+    return (
+        '{\n  "points": [\n    ' + rows + '\n  ],\n  "dim": 2,\n'
+        '  "window": {"lo": [0, 0], "hi": [1, 1]},\n'
+        '  "generator": {"kind": "manual"},\n  "seed": 7\n}\n'
+    )
+
+
+def test_sample_file_spelling_survives_save_and_load(tmp_path, rng):
+    points = np.vstack([[[0.1, 0.25], [0.5, 1e-3]], rng.uniform(0, 1, size=(300, 2))])
+    compact = Sample(points, Window([0.0, 0.0], [1.0, 1.0]), 2, {"kind": "manual"}, 7)
+    save_sample(compact, tmp_path / "compact.json")
+    (tmp_path / "spelled.json").write_text(_spelled_sample_text(points))
+    assert "1.0000000000000001e-01" in (tmp_path / "spelled.json").read_text()
+    digests = []
+    for name in ("compact", "spelled"):
+        loaded = load_sample(tmp_path / f"{name}.json")
+        assert np.array_equal(loaded.points, points)
+        h = build_hierarchy(loaded)
+        save_hierarchy(h, tmp_path / f"h_{name}.json")
+        text = (tmp_path / f"h_{name}.json").read_text()
+        assert (tmp_path / f"{name}.json").read_text().strip() in text
+        back = load_hierarchy(tmp_path / f"h_{name}.json")
+        assert hierarchy_to_json(back) == hierarchy_to_json(h)
+        digests += [hierarchy_array_digest(h), hierarchy_array_digest(back)]
+    assert len(set(digests)) == 1
+
+
+@pytest.mark.parametrize("where", ["sample", "window"])
+def test_sample_file_with_extra_key_keeps_no_text(where, tmp_path, rng):
+    sample = plane_sample(rng.uniform(0, 1, size=(50, 2)), 0.0, 1.0)
+    obj = sample.to_json()
+    (obj if where == "sample" else obj["window"])["note"] = "not part of the sample"
+    (tmp_path / "s.json").write_text(json.dumps(obj, indent=2))
+    loaded = load_sample(tmp_path / "s.json")
+    assert loaded.file_text is None
+    h = build_hierarchy(loaded)
+    save_hierarchy(h, tmp_path / "h.json")
+    assert (tmp_path / "h.json").read_text() == json.dumps(hierarchy_to_json(h)) + "\n"
+    assert "note" not in (tmp_path / "h.json").read_text()
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "torus"])

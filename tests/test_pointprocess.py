@@ -15,6 +15,8 @@ from chn2.pointprocess import (
     gen_binomial,
     gen_cox_balls,
     gen_poisson,
+    load_sample,
+    save_sample,
 )
 
 UNIT_SQ = Window([0.0, 0.0], [1.0, 1.0])
@@ -140,6 +142,22 @@ def test_sample_json_roundtrip():
     assert np.array_equal(back.points, s.points)
     assert back.seed == s.seed
     assert json.dumps(back.to_json()) == json.dumps(s.to_json())
+
+
+def test_loaded_sample_arrays_are_read_only(tmp_path):
+    # The kept file text must stay true to the sample, so a loaded sample's
+    # arrays refuse writes; a caller's own array is left writable.
+    points = np.random.default_rng(3).uniform(0, 1, size=(20, 2))
+    s = Sample(points, UNIT_SQ, 2, {"kind": "manual"}, 0)
+    assert s.file_text is None and points.flags.writeable
+    save_sample(s, tmp_path / "s.json")
+    loaded = load_sample(tmp_path / "s.json")
+    assert loaded.file_text is not None
+    with pytest.raises(ValueError):
+        loaded.points[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        loaded.window.lo[0] = -1.0
+    assert np.array_equal(loaded.points, points)
 
 
 def test_sample_reader_validates():

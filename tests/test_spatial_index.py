@@ -26,6 +26,8 @@ def test_single_point_index():
 def test_empty_build_errors():
     with pytest.raises(IndexBuildError):
         NnIndex(np.empty((0, 2)), np.empty(0, dtype=int))
+    with pytest.raises(IndexBuildError, match="nonnegative"):
+        NnIndex([[0.0], [1.0]], [0, -1])
     with pytest.raises(IndexBuildError):
         NnIndex([[11.0, 0.0]], [0], Metric.torus(Window([0.0, 0.0], [10.0, 10.0])))
 
@@ -88,13 +90,20 @@ def test_oracle_equivalence_grouped(rng):
 
 
 def test_successor_map_matches_oracle(rng):
-    for n, d in [(30, 1), (300, 2), (150, 3)]:
+    # d = 9 sums more squares than numpy's pairwise summation leaves in
+    # order; the last case has groups of 1 to 9 entries.
+    sizes = rng.permutation(np.repeat(np.arange(1, 10), 4))
+    uneven = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
+    for n, d, groups in [
+        (30, 1, None), (300, 2, None), (150, 3, None), (100, 9, None),
+        (uneven.size, 2, uneven),
+    ]:
         coords = rng.uniform(0, 1, size=(n, d))
-        groups = np.arange(n)
+        groups = np.arange(n) if groups is None else groups
         metric = Metric.euclidean()
         succ, sqd = NnIndex(coords, groups, metric).successor_map()
         for i in range(n):
-            want_sq, want = oracle_nearest_foreign(coords, groups, coords[i], i, metric)
+            want_sq, want = oracle_nearest_foreign(coords, groups, coords[i], groups[i], metric)
             assert succ[i] == want
             assert sqd[i] == want_sq
 
@@ -179,8 +188,8 @@ def test_successor_map_matches_per_row_ties(kind, rng):
 def test_successor_map_widens_k_for_clustered_groups(kind, rng, monkeypatch):
     # A group of 40 within 0.001 of one spot and a group of 30 stacked on one
     # coordinate, off the grid: a k = 4 query would show their rows only
-    # their own group, so the one k-nearest query takes k = 41, the largest
-    # group plus one. Six entries, five in one group: k is the index size.
+    # their own group, so the one k-nearest query takes k = 42, the largest
+    # group plus two. Six entries, five in one group: k is the index size.
     calls = []
     query = NnIndex._query
 
@@ -205,7 +214,7 @@ def test_successor_map_widens_k_for_clustered_groups(kind, rng, monkeypatch):
         idx = NnIndex(coords, groups, metric)
         calls.clear()
         succ, sqd = idx.successor_map()
-        assert calls == [max(4, np.bincount(groups).max() + 1)]
+        assert calls == [np.bincount(groups).max() + 2]
         for i in range(len(coords)):
             want_sq, want_ids = idx.nearest_foreign_ties(coords[i], groups[i])
             assert succ[i] == want_ids[0], i
