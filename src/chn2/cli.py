@@ -3,7 +3,8 @@
 Subcommands: generate (poisson | binomial | cox), cluster, stats, baseline,
 detect, chains. Structured artifacts are JSON, tabular outputs are CSV.
 Every command is deterministic given its full flag set; CHN2_THREADS caps
-the seed fan-out and the tree-query threads, and no output depends on it.
+the fan-out over blocks of baseline seeds and the tree-query threads, and no
+output depends on it.
 """
 
 from __future__ import annotations
@@ -268,7 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

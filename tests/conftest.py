@@ -1,8 +1,8 @@
 """Shared brute-force oracles, kept independent of the package internals,
 and two views of a built hierarchy for comparing against them: its
-version-2 JSON and a digest of its arrays. One oracle is built from package
+version-2 JSON and a digest of its arrays. Two oracles are built from package
 parts instead: the level step with the whole-map check that the pair-map
-check replaced."""
+check replaced, and the Poisson baseline built seed by seed."""
 
 import dataclasses
 import hashlib
@@ -18,8 +18,11 @@ from chn2.hierarchy import (
     Merges,
     _merge_json,
     _reach_two_cycles,
+    build_hierarchy,
     genealogy_newick,
 )
+from chn2.pointprocess import gen_poisson
+from chn2.stats import mean_distance_series
 
 
 def oracle_sq_dist(a, b, metric: Metric) -> float:
@@ -186,6 +189,14 @@ def vertex_next_level(g, exit, exit_target, points, metric: Metric):
     _, reach = _reach_two_cycles(target_pair)
     parent = nxt.pair_of(exit[reach])
     return nxt, Merges(target_pair, exit, exit_target, merge_sq, parent)
+
+
+def oracle_baseline_series(window, expected_count, seeds, metric: Metric) -> tuple:
+    """The `seed_series` of a Poisson baseline with every seed built on its
+    own, which blocked builds must reproduce bit for bit."""
+    lam = expected_count / window.volume
+    samples = (gen_poisson(lam, window, window.dim, s) for s in seeds)
+    return tuple(tuple(mean_distance_series(build_hierarchy(s, metric))) for s in samples)
 
 
 def hierarchy_json_v2(h) -> dict:

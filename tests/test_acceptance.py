@@ -28,7 +28,7 @@ from chn2.fixtures import (
     cox_fixture,
 )
 from chn2.geometry import Metric, Window
-from chn2.hierarchy import build_hierarchy
+from chn2.hierarchy import build_hierarchy, level0
 from chn2.pointprocess import Sample, derive_seed, gen_cox_balls, gen_poisson
 from chn2.spatial_index import NnIndex
 from chn2.stats import (
@@ -363,6 +363,40 @@ def test_criterion_4_exit_intensity_decay():
         + " (band [0.25, 0.42])",
     )
     assert ok, means
+
+
+# m_0 / n on the unit torus tends to p_d / 2, half the chance that a Poisson
+# point and its nearest neighbour are each other's nearest neighbour.
+POISSON_LEVEL0_PAIRS_PER_POINT = {
+    1: 1 / 3,
+    2: 3 * math.pi / (8 * math.pi + 3 * math.sqrt(3)),
+    3: 8 / 27,
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_poisson_level0_pairs_per_point(d):
+    # Fixed before the first run: 10 Poisson samples of mean 20,000 points,
+    # seeds derive_seed(4242, i), and a two-sided 4-sigma bound on the mean
+    # with the standard error of the 10 samples. Given its count a Poisson
+    # sample is a binomial one, whose O(1/n) bias is far below that bound.
+    torus = Window(np.zeros(d), np.ones(d))
+    metric = Metric.torus(torus)
+    ratios = []
+    for i in range(10):
+        sample = gen_poisson(20_000.0, torus, d, derive_seed(4242, i))
+        ratios.append(level0(sample, metric).n_components / sample.n)
+    mean = float(np.mean(ratios))
+    stderr = float(np.std(ratios, ddof=1) / math.sqrt(len(ratios)))
+    z = (mean - POISSON_LEVEL0_PAIRS_PER_POINT[d]) / stderr
+    ok = abs(z) <= 4
+    report(
+        f"level0-constant d={d}",
+        ok,
+        f"m_0/n = {mean:.5f} +- {stderr:.5f} over 10 samples, "
+        f"p_d/2 = {POISSON_LEVEL0_PAIRS_PER_POINT[d]:.5f}, z = {z:+.2f} (bound 4)",
+    )
+    assert ok, (mean, stderr, z)
 
 
 @pytest.fixture(scope="module")

@@ -287,6 +287,9 @@ TINY_WINDOW = "1,1.000000000000001"  # about five representable floats wide
     (["chains", "mc", "--lambda", "nan", "--n", "2"], 1),
     (["generate", "poisson", "--lambda", "nan", "--window", "0,0,1,1"], 1),
     (["baseline", "--window", "0,0,1,1", "--count", "nan", "--seeds", "0"], 1),
+    # allocations numpy refuses at once, without touching memory
+    (["generate", "binomial", "--count", "10000000000000", "--window", "0,0,10,10"], 1),
+    (["baseline", "--window", "0,0,10,10", "--count", "1e12", "--seeds", "0..0"], 1),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_cli_extreme_inputs_give_a_row_or_one_error_line(argv, code, tmp_path):
     """In a fresh process with a deadline: a hang or a traceback fails."""

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from chn2.geometry import Window
+import chn2.stats
+from chn2.geometry import Metric, Window
 from chn2.hierarchy import build_hierarchy
-from chn2.pointprocess import Sample
+from chn2.pointprocess import Sample, derive_seed
 from chn2.spatial_index import thread_count
 from chn2.stats import (
     BaselineSeries,
@@ -21,7 +22,9 @@ from chn2.stats import (
     write_baseline_csv,
     write_detector_csv,
     write_levels_csv,
+    _block_series,
 )
+from conftest import oracle_baseline_series
 
 WIDE = Window([-1000.0], [1000.0])
 
@@ -127,6 +130,80 @@ def test_baseline_single_seed_reduces_to_single_run():
     expect = mean_distance_series(build_hierarchy(sample))
     assert base.values == expect
     assert base.support == [1] * len(expect)
+
+
+def baseline_windows(d):
+    """A plain window, one far from the origin, and one with unequal sides."""
+    return [
+        Window(np.zeros(d), np.full(d, 10.0)),
+        Window(np.full(d, 1e6), np.full(d, 1e6 + 10.0)),
+        Window(np.zeros(d), np.array([2.0, 5.0, 11.0])[:d]),
+    ]
+
+
+def build_dims(monkeypatch):
+    """Record the dimension of every sample the baseline builds."""
+    dims = []
+
+    def recording_build(sample, *args, **kwargs):
+        dims.append(sample.dim)
+        return build_hierarchy(sample, *args, **kwargs)
+
+    monkeypatch.setattr(chn2.stats, "build_hierarchy", recording_build)
+    return dims
+
+
+@pytest.mark.parametrize("torus", [False, True], ids=["euclidean", "torus"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_baseline_matches_per_seed_builds(d, torus, monkeypatch):
+    # Expected counts 0-3 put empty, one-point and one-pair seeds inside
+    # one block; 25 points give seeds several levels deep.
+    dims = build_dims(monkeypatch)
+    for window in baseline_windows(d):
+        metric = Metric.torus(window) if torus else Metric.euclidean()
+        for count in (0, 1, 2, 3, 25):
+            seeds = [derive_seed(count, i) for i in range(20)]
+            got = poisson_baseline(window, count, 0, metric, seeds=seeds)
+            assert got.seed_series == oracle_baseline_series(window, count, seeds, metric)
+    assert set(dims) == {d + 1}  # every block held all 20 seeds
+
+
+@pytest.mark.parametrize("torus", [False, True], ids=["euclidean", "torus"])
+def test_baseline_builds_large_seeds_one_by_one(torus, monkeypatch):
+    dims = build_dims(monkeypatch)
+    window = baseline_windows(2)[2]
+    metric = Metric.torus(window) if torus else Metric.euclidean()
+    seeds = [derive_seed(3, i) for i in range(3)]
+    got = poisson_baseline(window, 5000, 0, metric, seeds=seeds)
+    assert got.seed_series == oracle_baseline_series(window, 5000, seeds, metric)
+    assert dims == [2, 2, 2]
+
+
+@pytest.mark.parametrize("torus", [False, True], ids=["euclidean", "torus"])
+def test_baseline_spans_several_blocks(torus, monkeypatch):
+    monkeypatch.setattr(chn2.stats, "_BLOCK_POINTS", 64)
+    dims = build_dims(monkeypatch)
+    for window in baseline_windows(2):
+        metric = Metric.torus(window) if torus else Metric.euclidean()
+        seeds = [derive_seed(11, i) for i in range(25)]
+        got = poisson_baseline(window, 10, 0, metric, seeds=seeds)
+        assert got.seed_series == oracle_baseline_series(window, 10, seeds, metric)
+    # per window: blocks of 6, 6, 6, 6 and a last one-seed block, built as the
+    # plain sample (the pool's threads may build them in any order)
+    assert sorted(dims) == [2] * 3 + [3] * 12
+
+
+def test_block_keeps_seeds_whose_pairs_span_the_window():
+    # Two pairs at opposite corners merge across nearly the whole diagonal
+    # (on the torus, half of it); with a lift any shorter, each would link
+    # to its copy in the other seed instead.
+    window = Window([0.0, 0.0], [10.0, 10.0])
+    for metric, far in ((Metric.euclidean(), 10.0), (Metric.torus(window), 5.0)):
+        pts = np.array([[0.0, 0.0], [1e-9, 0.0], [far - 1e-9, far], [far, far]])
+        sample = Sample(pts, window, 2, {"kind": "manual"}, 0)
+        expect = tuple(mean_distance_series(build_hierarchy(sample, metric)))
+        assert len(expect) == 1
+        assert _block_series([sample, sample], metric) == [expect, expect]
 
 
 def test_baseline_deterministic():
