@@ -12,14 +12,12 @@ Every level is arrays: a `LevelGraph` holds the successor map and its pairs
 as an (m, 2) array, and every non-terminal level has one `Merges` record of
 per-pair columns. Level 0 and the exit columns are the whole hierarchy:
 `next_level` derives the rest from them, and checks them, for the build and
-for the loader alike. The hierarchy file (version 3) stores just those; the
-loader reduces versions 1 and 2 to them too, and then requires their other
-stored fields to be what the rebuild writes.
+for the loader alike. The hierarchy file (version 3) stores just those,
+and the loader reads no other version.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -341,30 +339,6 @@ def build_hierarchy(
     return Hierarchy(sample, metric, levels, merges)
 
 
-def _merge_json(h: Hierarchy) -> dict:
-    """The pairs, genealogy and termination fields of hierarchy JSON v2, which
-    a version-1 or version-2 file must store exactly."""
-    pairs, genealogy = [], []
-    for k, g in enumerate(h.levels):
-        if k < len(h.merges):
-            mg = h.merges[k]
-            columns = zip(
-                mg.exit.tolist(), mg.exit_target.tolist(),
-                np.sqrt(mg.merge_sq).tolist(), mg.target_pair.tolist(),
-            )
-            genealogy += [[[k, i], [k + 1, j]] for i, j in enumerate(mg.parent.tolist())]
-        else:
-            columns = [(None, None, None, None)] * g.n_components
-        pairs += [
-            {
-                "level": k, "index": i, "heads": heads, "exit": x, "exit_target": y,
-                "merge_distance": d, "target_pair": t,
-            }
-            for i, (heads, (x, y, d, t)) in enumerate(zip(g.pairs.tolist(), columns))
-        ]
-    return {"pairs": pairs, "genealogy": genealogy, "termination": h.termination}
-
-
 def _v3_layout(h: Hierarchy, sample) -> dict:
     """Hierarchy JSON version 3, with `sample` in the sample's slot: level
     0's successors and, per non-terminal level, the [exit, exit_target]
@@ -392,69 +366,36 @@ def _point_ids(values, what: str) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-def _rebuild(sample: Sample, metric: Metric, succ0: list, exit_columns: list) -> Hierarchy:
-    """Relink level 0 by each level's [exit, exit_target] columns through
-    `next_level`, as the build does."""
-    if len(succ0) != (sample.n if sample.n >= 2 else 0):
-        raise HierarchyError("level 0 does not fit the sample")
-    levels, merges = [], []
-    if len(succ0):
-        levels.append(LevelGraph.from_successors(0, _point_ids(succ0, "level 0")))
-    elif len(exit_columns):
-        raise HierarchyError("exit columns without a level 0")
-    for exit_col, target_col in exit_columns:
-        g = levels[-1]
-        what = f"level {g.level}: an exit column"
-        nxt, mg = next_level(
-            g, _point_ids(exit_col, what), _point_ids(target_col, what), sample.points, metric
-        )
-        levels.append(nxt)
-        merges.append(mg)
-    return Hierarchy(sample, metric, levels, merges)
-
-
 def hierarchy_from_json(obj: dict) -> Hierarchy:
-    """Rebuild a hierarchy from level 0 and the exit columns.
-
-    Reads versions 3, 2 and 1, and reduces each to (sample, metric, level
-    0, exit columns) for `_rebuild`. Versions 1 and 2 give the exits as
-    pair records, level by level, and version 1 gives level 0 as
-    `levels[0].successors` (its other level arrays are ignored). They also
-    store the derived fields (heads, merge distances, target pairs,
-    genealogy, termination), which must then be what the rebuild writes, in
-    any listing order. Any defect raises HierarchyError.
-    """
+    """Rebuild a hierarchy from a version-3 object: relink level 0 by each
+    level's [exit, exit_target] columns through `next_level`, as the build
+    does. Earlier versions, and any defect, raise HierarchyError."""
     try:
         version = obj.get("version", 1)
-        if type(version) is not int or version not in (1, 2, 3):
-            raise HierarchyError(f"unknown hierarchy version {version!r}")
+        if type(version) is not int or version != 3:
+            raise HierarchyError(
+                f"hierarchy version {version!r} is not read (only version 3); "
+                "rebuild it with `chn2 cluster`"
+            )
         sample = Sample.from_json(obj["sample"])
         metric = Metric.from_json(obj["metric"])
-        if version >= 2:
-            succ0 = obj["level0"]
-        else:
-            succ0 = obj["levels"][0]["successors"] if obj["levels"] else []
-        if version == 3:
-            exits = obj["exits"]
-        else:
-            stored = {
-                "pairs": sorted(obj["pairs"], key=lambda rec: (rec["level"], rec["index"])),
-                "genealogy": sorted(obj["genealogy"]),
-                "termination": obj["termination"],
-            }
-            by_level = itertools.groupby(stored["pairs"], key=lambda rec: rec["level"])
-            exits = [
-                [[rec[key] for rec in recs] for key in ("exit", "exit_target")]
-                for recs in [list(grp) for _, grp in by_level][:-1]
-            ]
-        h = _rebuild(sample, metric, succ0, exits)
-        if version < 3:
-            for key, value in _merge_json(h).items():
-                # Compared as JSON text, where true and false are not 1 and 0.
-                if json.dumps(stored[key], sort_keys=True) != json.dumps(value, sort_keys=True):
-                    raise HierarchyError(
-                        f"stored {key!r} is not what level 0 and the exits give"
-                    )
+        succ0, exit_columns = obj["level0"], obj["exits"]
+        if len(succ0) != (sample.n if sample.n >= 2 else 0):
+            raise HierarchyError("level 0 does not fit the sample")
+        levels, merges = [], []
+        if len(succ0):
+            levels.append(LevelGraph.from_successors(0, _point_ids(succ0, "level 0")))
+        elif len(exit_columns):
+            raise HierarchyError("exit columns without a level 0")
+        for exit_col, target_col in exit_columns:
+            g = levels[-1]
+            what = f"level {g.level}: an exit column"
+            nxt, mg = next_level(
+                g, _point_ids(exit_col, what), _point_ids(target_col, what),
+                sample.points, metric,
+            )
+            levels.append(nxt)
+            merges.append(mg)
     except HierarchyError:
         raise
     except (
@@ -463,7 +404,7 @@ def hierarchy_from_json(obj: dict) -> Hierarchy:
         raise HierarchyError(
             f"malformed hierarchy object: {type(exc).__name__}: {exc}"
         ) from exc
-    return h
+    return Hierarchy(sample, metric, levels, merges)
 
 
 def save_hierarchy(h: Hierarchy, path) -> None:

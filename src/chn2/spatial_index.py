@@ -143,6 +143,8 @@ class NnIndex:
         rows = np.arange(self.n)
         largest = np.bincount(self.groups).max()
         dists, cand = self._query(self._tree.data, largest + 2)
+        if cand.max() == self.n:  # the tree's mark for a neighbour at inf
+            raise IndexBuildError("squared distances between these points overflow")
         foreign = self.groups[cand] != self.groups[:, None]
         first = np.argmax(foreign, axis=1)
         if not foreign[rows, first].all():

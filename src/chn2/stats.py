@@ -74,10 +74,19 @@ LEVELS_CSV_FIELDS = (
 )
 
 
+def _volume(window: Window) -> float:
+    """The window's volume, which intensities divide by. It underflows to 0
+    for valid windows of tiny sides, which are refused here, not in `Window`:
+    `_block_series` lifts such windows and never divides by their volume."""
+    if window.volume == 0:
+        raise SeriesError("the window's volume underflows to 0")
+    return window.volume
+
+
 def level_stats(h: Hierarchy) -> list:
     """One row per level. Exit points exist at every non-terminal level,
     one per component; the terminal level has none."""
-    volume = h.sample.window.volume
+    volume = _volume(h.sample.window)
     rows = []
     for k, g in enumerate(h.levels):
         merged = np.sqrt(h.merges[k].merge_sq).tolist() if k < len(h.merges) else []
@@ -163,7 +172,7 @@ def poisson_baseline(
     if n_seeds < 1:
         raise SeriesError("n_seeds must be >= 1")
     metric = metric or Metric.euclidean()
-    lam = expected_count / window.volume
+    lam = expected_count / _volume(window)
     per_block = max(1, int(_BLOCK_POINTS / max(1.0, expected_count)))
 
     def block(first):

@@ -16,7 +16,6 @@ from chn2.hierarchy import (
     HierarchyError,
     LevelGraph,
     Merges,
-    _merge_json,
     _reach_two_cycles,
     build_hierarchy,
     genealogy_newick,
@@ -197,6 +196,30 @@ def oracle_baseline_series(window, expected_count, seeds, metric: Metric) -> tup
     lam = expected_count / window.volume
     samples = (gen_poisson(lam, window, window.dim, s) for s in seeds)
     return tuple(tuple(mean_distance_series(build_hierarchy(s, metric))) for s in samples)
+
+
+def _merge_json(h) -> dict:
+    """The pairs, genealogy and termination fields of hierarchy JSON v2, as
+    the version-2 writer wrote them."""
+    pairs, genealogy = [], []
+    for k, g in enumerate(h.levels):
+        if k < len(h.merges):
+            mg = h.merges[k]
+            columns = zip(
+                mg.exit.tolist(), mg.exit_target.tolist(),
+                np.sqrt(mg.merge_sq).tolist(), mg.target_pair.tolist(),
+            )
+            genealogy += [[[k, i], [k + 1, j]] for i, j in enumerate(mg.parent.tolist())]
+        else:
+            columns = [(None, None, None, None)] * g.n_components
+        pairs += [
+            {
+                "level": k, "index": i, "heads": heads, "exit": x, "exit_target": y,
+                "merge_distance": d, "target_pair": t,
+            }
+            for i, (heads, (x, y, d, t)) in enumerate(zip(g.pairs.tolist(), columns))
+        ]
+    return {"pairs": pairs, "genealogy": genealogy, "termination": h.termination}
 
 
 def hierarchy_json_v2(h) -> dict:

@@ -290,6 +290,12 @@ TINY_WINDOW = "1,1.000000000000001"  # about five representable floats wide
     # allocations numpy refuses at once, without touching memory
     (["generate", "binomial", "--count", "10000000000000", "--window", "0,0,10,10"], 1),
     (["baseline", "--window", "0,0,10,10", "--count", "1e12", "--seeds", "0..0"], 1),
+    # squared distances overflow, or the volume underflows to 0
+    (["baseline", "--window", "0,0,1e200,1e-200", "--count", "30", "--seeds", "0..5"], 1),
+    (["baseline", "--window", "0,0,1e-200,1e-200", "--count", "30", "--seeds", "0..5"], 1),
+    # large and tiny windows that still work, lifted blocks included
+    (["baseline", "--window", "0,0,1e153,1e153", "--count", "30", "--seeds", "0..5"], 0),
+    (["baseline", "--window", "0,0,1e-150,1e-150", "--count", "30", "--seeds", "0..5"], 0),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_cli_extreme_inputs_give_a_row_or_one_error_line(argv, code, tmp_path):
     """In a fresh process with a deadline: a hang or a traceback fails."""
@@ -309,8 +315,33 @@ def test_cli_extreme_inputs_give_a_row_or_one_error_line(argv, code, tmp_path):
         header, row = proc.stdout.splitlines()
         assert header.startswith("n,closed_form,recursive") and row.startswith("2,")
         assert all(not math.isnan(float(v)) for v in row.split(",")[:3]), row
+    elif argv[0] == "baseline":
+        rows = list(csv.DictReader(out.open()))
+        assert rows and all(float(r["mean_merge_distance"]) > 0 for r in rows), rows
     else:
         assert load_sample(out).n >= 1
+
+
+@pytest.mark.parametrize("window, generator, failing", [
+    ("0,0,1e200,1e-200", ["poisson", "--lambda", "1"], "cluster"),  # distances overflow
+    ("0,0,1e-200,1e-200", ["binomial", "--count", "5"], "stats"),  # the volume is 0
+])
+def test_extreme_window_fails_one_step_with_one_error_line(
+    window, generator, failing, tmp_path, capsys
+):
+    sample, hier = tmp_path / "s.json", tmp_path / "h.json"
+    steps = [
+        ["generate", *generator, "--window", window, "--seed", 1, "--out", sample],
+        ["cluster", "--input", sample, "--out", hier],
+        ["stats", "--hierarchy", hier, "--out", tmp_path / "l.csv"],
+    ]
+    *passing, last = steps[: [argv[0] for argv in steps].index(failing) + 1]
+    for argv in passing:
+        assert run(*argv) == 0
+    capsys.readouterr()
+    assert run(*last) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_detect_target_without_series_column_is_one_error_line(tmp_path, capsys):

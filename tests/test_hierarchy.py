@@ -1,4 +1,3 @@
-import copy
 import json
 from pathlib import Path
 
@@ -660,25 +659,28 @@ def test_hierarchy_does_not_depend_on_thread_count(kind, tmp_path, monkeypatch):
     assert saved[0] == saved[1]
 
 
+def _recorded_build(name):
+    """A fixture written by an earlier writer, and the hierarchy built today
+    from its own sample and metric. The loader refuses the file itself,
+    naming its version."""
+    stored = json.loads((DATA / name).read_text())
+    with pytest.raises(HierarchyError, match=f"version {stored.get('version', 1)} "):
+        load_hierarchy(DATA / name)
+    h = build_hierarchy(Sample.from_json(stored["sample"]), Metric.from_json(stored["metric"]))
+    return stored, h
+
+
 @pytest.mark.parametrize(
     "name", ["hierarchy_v1_line5.json", "hierarchy_v1_torus60.json"]
 )
-def test_v1_file_loads_as_built(name, tmp_path):
+def test_v1_file_loads_as_built(name):
     # Written by the version-1 writer, which stored every level in full.
-    v1 = json.loads((DATA / name).read_text())
-    h = load_hierarchy(DATA / name)
-    ref = build_hierarchy(h.sample, h.metric)
-    assert len(h.levels) == len(ref.levels) == len(v1["levels"])
-    for g, want, stored in zip(h.levels, ref.levels, v1["levels"]):
-        assert np.array_equal(g.successor, want.successor)
+    v1, h = _recorded_build(name)
+    assert len(h.levels) == len(v1["levels"])
+    for g, stored in zip(h.levels, v1["levels"]):
         assert g.successor.tolist() == stored["successors"]
-        assert g.pairs.tolist() == want.pairs.tolist() == stored["cycles"]
-    assert hierarchy_array_digest(h) == hierarchy_array_digest(ref)
+        assert g.pairs.tolist() == stored["cycles"]
     assert hierarchy_json_v2(h)["pairs"] == v1["pairs"]
-    save_hierarchy(h, tmp_path / "h.json")
-    resaved = json.loads((tmp_path / "h.json").read_text())
-    assert resaved == hierarchy_to_json(ref)
-    assert resaved["version"] == 3 and "levels" not in resaved and "pairs" not in resaved
 
 
 @pytest.mark.parametrize(
@@ -686,12 +688,9 @@ def test_v1_file_loads_as_built(name, tmp_path):
 )
 def test_v2_file_loads_as_built(name):
     # Written by the version-2 writer: level 0 plus every pair's record and
-    # the genealogy, all checked against the rebuild on load.
-    h = load_hierarchy(DATA / name)
-    ref = build_hierarchy(h.sample, h.metric)
-    assert hierarchy_array_digest(h) == hierarchy_array_digest(ref)
-    # the oracles' version-2 view is what that writer wrote
-    assert hierarchy_json_v2(ref) == json.loads((DATA / name).read_text())
+    # the genealogy, which the oracles' version-2 view reproduces.
+    v2, h = _recorded_build(name)
+    assert hierarchy_json_v2(h) == v2
 
 
 def _set(path, value):
@@ -743,70 +742,6 @@ def test_malformed_hierarchy_raises_hierarchy_error(edit):
     with pytest.raises(HierarchyError) as err:
         hierarchy_from_json(obj)
     assert "\n" not in str(err.value)
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        _set(["version"], 4),
-        _set(["pairs", 0, "exit"], "one"),
-        _set(["pairs", 2, "heads"], [0, 3]),  # the level-1 pair is (1, 2)
-        _set(["pairs", 0, "exit"], 4),  # not a head of the pair (0, 1)
-        _set(["pairs", 0, "exit_target"], 3),  # 1 -> 3 -> 2 -> 1
-        _set(["level0"], [1, 0, 3, 2]),
-        _set(["termination"], "done"),
-        lambda obj: obj.pop("genealogy"),
-        _set(["pairs", 0, "merge_distance"], 4.000000000000001),  # one ulp above 4
-        _set(["pairs", 2, "merge_distance"], 0.0),  # the last level merges nothing
-        _set(["pairs", 0, "target_pair"], 0),  # its exit target lies in pair 1
-        _set(["genealogy", 1, 1], [1, 1]),  # level 1 has only pair 0
-        _set(["termination"], MAX_LEVELS),  # a single pair is left
-        _set(["pairs", 2, "exit"], 1),  # the terminal pair has no exit
-        _set(["pairs", 0, "exit_target"], 2**70),  # beyond any int64 id
-        _set(["level0", 0], 1.5),  # read as point 1, but not an id
-        # JSON true and false equal 1 and 0 in Python, but are not point ids
-        _set(["level0", 1], False),
-        _set(["pairs", 0, "exit"], True),
-        _set(["pairs", 1, "exit_target"], True),
-        _set(["pairs", 0, "heads"], [False, 1]),
-        _set(["pairs", 1, "target_pair"], False),
-    ],
-)
-def test_malformed_v2_hierarchy_raises_hierarchy_error(edit):
-    # The version-2 fixture, which the edits leave one field from valid.
-    obj = json.loads((DATA / "hierarchy_v2_line5.json").read_text())
-    hierarchy_from_json(copy.deepcopy(obj))
-    edit(obj)
-    with pytest.raises(HierarchyError) as err:
-        hierarchy_from_json(obj)
-    assert "\n" not in str(err.value)
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        _set(["levels", 0, "successors", 1], False),
-        _set(["pairs", 0, "exit"], True),
-        _set(["pairs", 0, "heads"], [False, 1]),
-    ],
-)
-def test_v1_boolean_point_ids_raise_hierarchy_error(edit):
-    obj = json.loads((DATA / "hierarchy_v1_line5.json").read_text())
-    hierarchy_from_json(copy.deepcopy(obj))
-    edit(obj)
-    with pytest.raises(HierarchyError) as err:
-        hierarchy_from_json(obj)
-    assert "\n" not in str(err.value)
-
-
-def test_hierarchy_loads_in_any_listing_order(rng):
-    # Version 2 lists pair records and genealogy entries; any order loads.
-    h = build_hierarchy(plane_sample(rng.uniform(0, 10, size=(120, 2)), 0, 10))
-    obj = hierarchy_json_v2(h)
-    flipped = dict(obj, pairs=obj["pairs"][::-1], genealogy=obj["genealogy"][::-1])
-    loaded = hierarchy_from_json(flipped)
-    assert hierarchy_json_v2(loaded) == obj
-    assert hierarchy_array_digest(loaded) == hierarchy_array_digest(h)
 
 
 def test_newick_export():
