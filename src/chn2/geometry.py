@@ -113,15 +113,20 @@ class Metric:
         return cls(obj["kind"], window)
 
 
-def sq_dist_many(coords_a, coords_b, metric: Metric) -> np.ndarray:
-    """Squared distances between rows of coords_a and coords_b (broadcasting),
-    the squared coordinate differences added left to right."""
-    a = np.asarray(coords_a, dtype=float)
-    b = np.asarray(coords_b, dtype=float)
-    delta = np.abs(a - b)
+def axis_gaps(coords_a, coords_b, metric: Metric) -> np.ndarray:
+    """Per-axis distances between rows of coords_a and coords_b
+    (broadcasting), each axis wrapped on the torus."""
+    delta = np.abs(np.asarray(coords_a, dtype=float) - np.asarray(coords_b, dtype=float))
     if metric.kind == TORUS:
         period = metric.window.side_lengths
         delta = np.minimum(delta, period - delta)
+    return delta
+
+
+def sq_dist_many(coords_a, coords_b, metric: Metric) -> np.ndarray:
+    """Squared distances between rows of coords_a and coords_b (broadcasting),
+    the squared `axis_gaps` added left to right."""
+    delta = axis_gaps(coords_a, coords_b, metric)
     sq = delta * delta
     total = sq[..., 0]
     for j in range(1, sq.shape[-1]):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Metric, sq_dist_many
+from .geometry import Metric, axis_gaps, sq_dist_many
 from .pointprocess import Sample
 from .spatial_index import NnIndex
 
@@ -172,13 +172,15 @@ class Merges:
 
 def level0(sample: Sample, metric: Metric | None = None, workers: int | None = None) -> LevelGraph:
     """Nearest-neighbor successor map over the sample (needs >= 2 points);
-    `workers` is the index's query thread count."""
+    `workers` is the index's query thread count. A squared distance that
+    underflows to 0 is refused; later levels' distances are no smaller."""
     metric = metric or Metric.euclidean()
-    n = sample.n
-    if n < 2:
+    if sample.n < 2:
         raise HierarchyError("level 0 needs at least 2 points")
-    index = NnIndex(sample.points, np.arange(n), metric, workers)
-    succ, _ = index.successor_map()
+    succ, sq = NnIndex(sample.points, np.arange(sample.n), metric, workers).successor_map()
+    tied = np.flatnonzero(sq == 0)
+    if axis_gaps(sample.points[tied], sample.points[succ[tied]], metric).any():
+        raise HierarchyError("squared distances between these points underflow to 0")
     return LevelGraph.from_successors(0, succ)
 
 
@@ -226,20 +228,23 @@ def nn_k_step(pairs, coords, metric: Metric | None = None, workers: int | None =
     return np.where(lower, x, y), np.where(lower, y, x)
 
 
-def advance_level(g: LevelGraph, exit, exit_target) -> LevelGraph:
+def advance_level(g: LevelGraph, exit, exit_target):
     """Relink every pair's exit to its exit target, leaving all other images
-    fixed: the one step from level k to level k + 1.
+    fixed: the one step from level k to level k + 1, and all its checks.
+    Returns (level k + 1, target_pair, reach), reach[i] being the first
+    pair on a 2-cycle of the pair map i -> target_pair[i] on i's path.
 
-    Level k + 1 is checked on the pair map i -> target_pair[i], in O(m).
-    Take a valid level k whose exits are heads of their own pairs and whose
-    targets are heads of other pairs. Every vertex still reaches its pair's
-    heads; there the other head leads to exit[i], and exit[i] to a head of
-    target_pair[i]. So the relinked map has one cycle per component of the
-    pair map, through the exits of its pair cycle, and that cycle is a
-    2-cycle iff the pair cycle has length 2 with exit_target[i] ==
-    exit[target_pair[i]]. Level k + 1's pairs are then those exit pairs,
-    sorted by lower head. Any other input goes to
-    `LevelGraph.from_successors` on the relinked map, which words the error.
+    The check is on that pair map, in O(m). In a valid level k the heads
+    are exactly the 2-cycle vertices. If every exit is a head of its own
+    pair and every target one of another pair, every vertex still reaches
+    its pair's heads; there the other head leads to exit[i], and exit[i] to
+    a head of target_pair[i]. So the relinked map has one cycle per
+    component of the pair map, through the exits of its pair cycle, and
+    that cycle is a 2-cycle iff the pair cycle has length 2 with
+    exit_target[i] == exit[target_pair[i]]; level k + 1's pairs are then
+    those exit pairs, sorted by lower head. Any other input goes to
+    `LevelGraph.from_successors` on the relinked map, which words the
+    error; only if it passes is a target not a foreign head.
     """
     exit = np.asarray(exit, dtype=np.int64)
     if exit.shape != (g.n_components,) or not np.all(
@@ -248,50 +253,35 @@ def advance_level(g: LevelGraph, exit, exit_target) -> LevelGraph:
         raise HierarchyError(f"level {g.level}: an exit is not one of its pair's heads")
     succ = g.successor.copy()
     succ[exit] = exit_target
-    pairs = _exit_pairs(g, exit, succ[exit])
-    if pairs is None:
-        return LevelGraph.from_successors(g.level + 1, succ)
-    return LevelGraph(level=g.level + 1, successor=succ, pairs=pairs)
-
-
-def _exit_pairs(g: LevelGraph, exit, target):
-    """Level k + 1's pairs by the pair-map fact of `advance_level`, or None
-    where the fact does not apply or finds a cycle longer than 2."""
-    if target.min() < 0 or target.max() >= g.n:
-        return None
-    if not np.array_equal(g.successor[g.successor[target]], target):
-        return None
+    target = succ[exit]
     ids = np.arange(g.n_components)
-    target_pair = g.pair_of(target)
-    if np.any(target_pair == ids):
-        return None
-    mutual, reach = _reach_two_cycles(target_pair)
-    if not mutual[reach].all() or not np.array_equal(exit[target_pair[mutual]], target[mutual]):
-        return None
-    rows = np.flatnonzero(mutual & (ids < target_pair))
-    a, b = exit[rows], target[rows]
-    low, high = np.minimum(a, b), np.maximum(a, b)
-    order = np.argsort(low)
-    return np.column_stack([low[order], high[order]])
+    if target.min() >= 0 and target.max() < g.n:
+        target_pair = g.pair_of(target)
+        if np.all((target_pair >= 0) & (target_pair != ids)):
+            mutual, reach = _reach_two_cycles(target_pair)
+            if mutual[reach].all() and np.array_equal(exit[target_pair[mutual]], target[mutual]):
+                rows = np.flatnonzero(mutual & (ids < target_pair))
+                a, b = exit[rows], target[rows]
+                low, high = np.minimum(a, b), np.maximum(a, b)
+                pairs = np.column_stack([low, high])[np.argsort(low)]
+                return LevelGraph(g.level + 1, succ, pairs), target_pair, reach
+    LevelGraph.from_successors(g.level + 1, succ)
+    raise HierarchyError(f"level {g.level}: an exit target is not a foreign head")
 
 
 def next_level(g: LevelGraph, exit, exit_target, points, metric: Metric):
     """Level k + 1 and the `Merges` of level k = g.level, from the exit
     columns: the one step that the build and the loader share.
 
-    Every exit target must be a head of another pair. Following
-    target_pair leads every pair to a 2-cycle of pairs, whose exits link
-    each other at level k + 1; the pair they form there is the parent.
+    `advance_level` checks the columns; this adds the merge distances and
+    the parents. Following target_pair leads every pair to a 2-cycle of
+    pairs, whose exits link each other at level k + 1; the pair they form
+    there is the parent.
     """
     if np.shape(exit_target) != np.shape(exit):
         raise HierarchyError(f"level {g.level}: exit and exit_target differ in length")
-    nxt = advance_level(g, exit, exit_target)
-    target_pair = g.pair_of(exit_target)
-    is_head = g.successor[g.successor[exit_target]] == exit_target
-    if not is_head.all() or np.any(target_pair == np.arange(g.n_components)):
-        raise HierarchyError(f"level {g.level}: an exit target is not a foreign head")
+    nxt, target_pair, reach = advance_level(g, exit, exit_target)
     merge_sq = sq_dist_many(points.take(exit_target, axis=0), points.take(exit, axis=0), metric)
-    _, reach = _reach_two_cycles(target_pair)
     parent = nxt.pair_of(exit[reach])
     return nxt, Merges(target_pair, exit, exit_target, merge_sq, parent)
 

@@ -31,28 +31,22 @@ _REL_SLACK = 1e-9
 _PARALLEL_ROWS = 8192
 
 
-def thread_count() -> int:
-    """CHN2_THREADS, or min(8, CPU count) when it is unset."""
+def query_workers() -> int:
+    """Threads for one tree query or for the baseline's pool: CHN2_THREADS,
+    or min(8, CPU count) when it is unset, capped by the CPUs this process
+    may run on, since each worker is one OS thread."""
     env = os.environ.get("CHN2_THREADS")
-    if not env:
-        return min(8, os.cpu_count() or 1)
     try:
-        count = int(env)
+        count = int(env) if env else min(8, os.cpu_count() or 1)
     except ValueError:
         count = 0
     if count < 1:
         raise ValueError(f"CHN2_THREADS must be an integer >= 1, got {env!r}")
-    return count
-
-
-def query_workers() -> int:
-    """Worker threads for one tree query: CHN2_THREADS, capped by the CPUs
-    this process may run on, since scipy starts one thread per worker."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(thread_count(), cpus)
+    return min(count, cpus)
 
 
 class IndexBuildError(ValueError):

@@ -41,7 +41,7 @@ import numpy as np
 from .geometry import Metric, Window
 from .hierarchy import Hierarchy, build_hierarchy
 from .pointprocess import Sample, derive_seed, gen_poisson
-from .spatial_index import thread_count
+from .spatial_index import query_workers
 
 
 class SeriesError(ValueError):
@@ -76,11 +76,20 @@ LEVELS_CSV_FIELDS = (
 
 def _volume(window: Window) -> float:
     """The window's volume, which intensities divide by. It underflows to 0
-    for valid windows of tiny sides, which are refused here, not in `Window`:
-    `_block_series` lifts such windows and never divides by their volume."""
-    if window.volume == 0:
-        raise SeriesError("the window's volume underflows to 0")
-    return window.volume
+    or overflows to inf for valid windows of tiny or huge sides, which are
+    refused here, not in `Window`: `_block_series` lifts such windows and
+    never divides by their volume."""
+    with np.errstate(over="ignore"):
+        volume = window.volume
+    if not 0 < volume < math.inf:
+        raise SeriesError(f"the window's volume is {volume}, not positive and finite")
+    return volume
+
+
+def _mean_merge_distance(merge_sq) -> float:
+    """The mean of one level's merge distances, summed left to right."""
+    merged = np.sqrt(merge_sq).tolist()
+    return sum(merged) / len(merged)
 
 
 def level_stats(h: Hierarchy) -> list:
@@ -89,8 +98,8 @@ def level_stats(h: Hierarchy) -> list:
     volume = _volume(h.sample.window)
     rows = []
     for k, g in enumerate(h.levels):
-        merged = np.sqrt(h.merges[k].merge_sq).tolist() if k < len(h.merges) else []
-        n_exit = len(merged)
+        merge_sq = h.merges[k].merge_sq if k < len(h.merges) else []
+        n_exit = len(merge_sq)
         rows.append(
             LevelStats(
                 level=k,
@@ -99,7 +108,7 @@ def level_stats(h: Hierarchy) -> list:
                 n_exit_points=n_exit,
                 head_intensity=2 * g.n_components / volume,
                 exit_intensity=n_exit / volume,
-                mean_merge_distance=(sum(merged) / n_exit) if n_exit else None,
+                mean_merge_distance=_mean_merge_distance(merge_sq) if n_exit else None,
             )
         )
     return rows
@@ -107,11 +116,7 @@ def level_stats(h: Hierarchy) -> list:
 
 def mean_distance_series(h: Hierarchy) -> list:
     """Mean merge distance per level, for levels that performed a merge."""
-    return [
-        row.mean_merge_distance
-        for row in level_stats(h)
-        if row.mean_merge_distance is not None
-    ]
+    return [_mean_merge_distance(mg.merge_sq) for mg in h.merges]
 
 
 @dataclass(frozen=True)
@@ -180,7 +185,7 @@ def poisson_baseline(
         samples = [gen_poisson(lam, window, window.dim, s) for s in block_seeds]
         return _block_series(samples, metric)
 
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
+    with ThreadPoolExecutor(max_workers=query_workers()) as pool:
         series = pool.map(block, range(0, n_seeds, per_block))
         return BaselineSeries(tuple(itertools.chain.from_iterable(series)))
 
@@ -191,9 +196,8 @@ def _block_series(samples, metric: Metric) -> list:
     Sample j is lifted to j * gap on one extra, last axis, gap being twice
     its window's diagonal (on the torus the extra side is B * gap for B
     samples). It owns the pairs whose low head is one of its points; at each
-    level where it owns two or more, their merge distances, summed left to
-    right as in `level_stats`, are its entry. That is its own build, bit for
-    bit, because:
+    level where it owns two or more, the mean of their merge distances is
+    its entry. That is its own build, bit for bit, because:
     - the extra axis adds exactly +0.0 to every squared distance within a
       sample, in the tree and in `sq_dist_many`, which adds it last;
     - every distance across samples is larger than every one within;
@@ -222,10 +226,8 @@ def _block_series(samples, metric: Metric) -> list:
     for g, mg in zip(h.levels, h.merges):
         counts = np.bincount(owner[g.pairs[:, 0]], minlength=len(samples))
         ends = np.cumsum(counts).tolist()
-        merged = np.sqrt(mg.merge_sq).tolist()
         for j in np.flatnonzero(counts >= 2).tolist():
-            n_exit = int(counts[j])
-            series[j].append(sum(merged[ends[j] - n_exit:ends[j]]) / n_exit)
+            series[j].append(_mean_merge_distance(mg.merge_sq[ends[j] - counts[j]:ends[j]]))
     return [tuple(s) for s in series]
 
 

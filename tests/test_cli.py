@@ -290,9 +290,12 @@ TINY_WINDOW = "1,1.000000000000001"  # about five representable floats wide
     # allocations numpy refuses at once, without touching memory
     (["generate", "binomial", "--count", "10000000000000", "--window", "0,0,10,10"], 1),
     (["baseline", "--window", "0,0,10,10", "--count", "1e12", "--seeds", "0..0"], 1),
-    # squared distances overflow, or the volume underflows to 0
+    # squared distances overflow or underflow to 0, or the volume underflows
+    # to 0 or overflows to inf
     (["baseline", "--window", "0,0,1e200,1e-200", "--count", "30", "--seeds", "0..5"], 1),
+    (["baseline", "--window", "0,1e-300", "--count", "30", "--seeds", "0..5"], 1),
     (["baseline", "--window", "0,0,1e-200,1e-200", "--count", "30", "--seeds", "0..5"], 1),
+    (["baseline", "--window", "0,0,1e155,1e155", "--count", "30", "--seeds", "0..5"], 1),
     # large and tiny windows that still work, lifted blocks included
     (["baseline", "--window", "0,0,1e153,1e153", "--count", "30", "--seeds", "0..5"], 0),
     (["baseline", "--window", "0,0,1e-150,1e-150", "--count", "30", "--seeds", "0..5"], 0),
@@ -324,7 +327,9 @@ def test_cli_extreme_inputs_give_a_row_or_one_error_line(argv, code, tmp_path):
 
 @pytest.mark.parametrize("window, generator, failing", [
     ("0,0,1e200,1e-200", ["poisson", "--lambda", "1"], "cluster"),  # distances overflow
-    ("0,0,1e-200,1e-200", ["binomial", "--count", "5"], "stats"),  # the volume is 0
+    ("0,0,1e-200,1e-200", ["binomial", "--count", "5"], "cluster"),  # distances underflow
+    ("0,0,0,1e-120,1e-120,1e-120", ["binomial", "--count", "5"], "stats"),  # the volume is 0
+    ("0,1e-300", ["binomial", "--count", "30"], "cluster"),  # distances underflow to 0
 ])
 def test_extreme_window_fails_one_step_with_one_error_line(
     window, generator, failing, tmp_path, capsys

@@ -138,7 +138,7 @@ def test_advance_level_five_points():
     s = line_sample([0, 1, 5, 6, 20])
     g = level0(s)
     exits, targets = nn_k_step(g.pairs, s.points, Metric.euclidean())
-    g1 = advance_level(g, exits, targets)
+    g1 = advance_level(g, exits, targets)[0]
     assert g1.level == 1
     assert g1.successor.tolist() == [1, 2, 1, 2, 3]
     assert g1.pairs.tolist() == [[1, 2]]
@@ -153,7 +153,7 @@ def test_advance_level_eight_points():
     s = line_sample([0, 1, 10, 11, 14, 15, 30, 31])
     g = level0(s)
     exits, targets = nn_k_step(g.pairs, s.points, Metric.euclidean())
-    g1 = advance_level(g, exits, targets)
+    g1 = advance_level(g, exits, targets)[0]
     assert g1.n_components == 1
     assert g1.pairs.tolist() == [[3, 4]]  # coords 11 and 14
 
@@ -458,6 +458,21 @@ def test_next_level_matches_vertex_level_step(seed):
         "exit not a head", "target not a head", "target in its own pair",
         "target out of range", "4-cycle", "3-cycle", "3-cycle of pairs",
     }
+
+
+def test_valid_level_step_walks_the_pair_map_once(monkeypatch):
+    s = plane_sample(np.random.default_rng(3).uniform(0, 30, size=(200, 2)), 0, 30)
+    h = build_hierarchy(s)
+    calls = []
+    walk = hierarchy._reach_two_cycles
+    monkeypatch.setattr(
+        hierarchy, "_reach_two_cycles", lambda succ: calls.append(succ.size) or walk(succ)
+    )
+    g, mg = h.levels[0], h.merges[0]
+    nxt, got = next_level(g, mg.exit, mg.exit_target, s.points, Metric.euclidean())
+    assert calls == [g.n_components]
+    assert np.array_equal(nxt.pairs, h.levels[1].pairs)
+    assert np.array_equal(got.parent, mg.parent)
 
 
 def test_structure_rejects_self_loop():

@@ -9,7 +9,6 @@ from chn2.spatial_index import (
     NnIndex,
     NoForeignNeighborError,
     query_workers,
-    thread_count,
 )
 from conftest import nearest_foreign, oracle_nearest_foreign, oracle_successor_map
 
@@ -262,7 +261,6 @@ def test_queries_do_not_mutate(rng):
 def test_query_workers_capped_by_usable_cpus(monkeypatch):
     # scipy starts one thread per worker; only the helper's value is checked.
     monkeypatch.setenv("CHN2_THREADS", "100000")
-    assert thread_count() == 100000
     assert 1 <= query_workers() <= len(os.sched_getaffinity(0))
     monkeypatch.setenv("CHN2_THREADS", "1")
     assert query_workers() == 1

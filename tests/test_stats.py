@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import chn2.stats
 from chn2.geometry import Metric, Window
 from chn2.hierarchy import build_hierarchy
 from chn2.pointprocess import Sample, derive_seed
-from chn2.spatial_index import thread_count
+from chn2.spatial_index import query_workers
 from chn2.stats import (
     BaselineSeries,
     DetectorConfig,
@@ -462,11 +464,34 @@ def test_baseline_csv_seed_gap_fails(tmp_path):
 def test_thread_count_rejects_bad_env(value, monkeypatch):
     monkeypatch.setenv("CHN2_THREADS", value)
     with pytest.raises(ValueError, match="CHN2_THREADS"):
-        thread_count()
+        query_workers()
 
 
 def test_thread_count_reads_env(monkeypatch):
     monkeypatch.setenv("CHN2_THREADS", "3")
-    assert thread_count() == 3
+    assert query_workers() == min(3, len(os.sched_getaffinity(0)))
     monkeypatch.delenv("CHN2_THREADS")
-    assert 1 <= thread_count() <= 8
+    assert 1 <= query_workers() <= 8
+
+
+def test_baseline_pool_capped_by_usable_cpus(monkeypatch):
+    # A recorder stands in for the pool, so no thread is started.
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(chn2.stats, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setenv("CHN2_THREADS", "100000")
+    poisson_baseline(Window([0.0, 0.0], [1.0, 1.0]), 8.0, n_seeds=3)
+    assert asked and 1 <= asked[0] <= len(os.sched_getaffinity(0))
