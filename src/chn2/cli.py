@@ -80,15 +80,12 @@ def metric_for(name: str, window: Window) -> Metric:
 
 def cmd_generate(args) -> int:
     window = parse_window(args.window)
-    dim = args.dim or window.dim
-    if dim != window.dim:
-        raise CliError(f"--dim {dim} does not match window dimension {window.dim}")
     if args.process == "poisson":
-        sample = gen_poisson(args.lam, window, dim, args.seed)
+        sample = gen_poisson(args.lam, window, window.dim, args.seed)
     elif args.process == "binomial":
         if args.count is None:
             raise CliError("binomial needs --count")
-        sample = gen_binomial(args.count, window, dim, args.seed)
+        sample = gen_binomial(args.count, window, window.dim, args.seed)
     else:
         spec = CoxBallSpec(
             lam=args.lam,
@@ -98,7 +95,7 @@ def cmd_generate(args) -> int:
             radius_range=None if args.radius_range is None
             else parse_radius_range(args.radius_range),
         )
-        sample = gen_cox_balls(spec, window, dim, args.seed)
+        sample = gen_cox_balls(spec, window, window.dim, args.seed)
     if sample.n == 0:
         print("warning: the sample is empty", file=sys.stderr)
     save_sample(sample, args.out)
@@ -109,7 +106,7 @@ def cmd_generate(args) -> int:
 def cmd_cluster(args) -> int:
     sample = load_sample(args.input)
     metric = metric_for(args.metric, sample.window)
-    h = build_hierarchy(sample, metric, max_levels=args.max_levels)
+    h = build_hierarchy(sample, metric)
     save_hierarchy(h, args.out)
     print(
         f"wrote hierarchy ({len(h.levels)} levels, termination={h.termination}) to {args.out}"
@@ -208,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="intensity (poisson, cox)")
     g.add_argument("--count", type=int, help="fixed count (binomial)")
     g.add_argument("--window", required=True, help="lo,...,hi,... per axis")
-    g.add_argument("--dim", type=int)
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--centers", help="cox fixed mode: 'x,y;x,y;...'")
     g.add_argument("--radii", help="cox fixed mode: 'r1,r2,...'")
@@ -220,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("cluster", help="build the hierarchy for a sample file")
     c.add_argument("--input", required=True)
     c.add_argument("--metric", choices=["euclidean", "torus"], default="euclidean")
-    c.add_argument("--max-levels", type=int, default=64)
     c.add_argument("--out", required=True)
     c.add_argument("--newick", help="also write the genealogy dendrogram")
     c.set_defaults(func=cmd_cluster)

@@ -54,7 +54,15 @@ class Window:
 
     @property
     def volume(self) -> float:
-        return float(np.prod(self.side_lengths))
+        """The product of the sides. It underflows to 0 or overflows to inf
+        for valid windows of tiny or huge sides; it is refused when read, not
+        when the window is built, as `stats._block_series` lifts such
+        windows and never reads their volume."""
+        with np.errstate(over="ignore"):
+            volume = float(np.prod(self.side_lengths))
+        if not 0 < volume < np.inf:
+            raise GeometryError(f"the window's volume is {volume}, not positive and finite")
+        return volume
 
     def contains(self, coords) -> np.ndarray:
         c = np.atleast_2d(np.asarray(coords, dtype=float))

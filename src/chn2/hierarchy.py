@@ -28,7 +28,6 @@ from .pointprocess import Sample
 from .spatial_index import NnIndex
 
 SINGLE_PAIR = "single_pair"
-MAX_LEVELS = "max_levels"
 DEGENERATE = "degenerate"
 
 
@@ -288,8 +287,8 @@ def next_level(g: LevelGraph, exit, exit_target, points, metric: Metric):
 
 @dataclass
 class Hierarchy:
-    """The level sequence up to termination, with the merge columns of
-    every level but the last."""
+    """The level sequence down to a single pair, with the merge columns of
+    every level but the last; no levels for fewer than 2 points."""
 
     sample: Sample
     metric: Metric
@@ -298,30 +297,28 @@ class Hierarchy:
 
     @property
     def termination(self) -> str:
-        if not self.levels:
-            return DEGENERATE
-        return SINGLE_PAIR if self.levels[-1].n_components == 1 else MAX_LEVELS
+        return SINGLE_PAIR if self.levels else DEGENERATE
 
 
 def build_hierarchy(
-    sample: Sample, metric: Metric | None = None, max_levels: int = 64,
-    workers: int | None = None,
+    sample: Sample, metric: Metric | None = None, workers: int | None = None,
 ) -> Hierarchy:
     """Iterate the level construction until a single pair remains.
 
     `workers` is the tree-query thread count (default
     `spatial_index.query_workers()`); the result does not depend on it.
 
-    Termination is `single_pair` in the regular case; `degenerate` for
-    samples with fewer than 2 points; `max_levels` only if the guard binds
-    first (it cannot, given halving, unless max_levels is set very low).
+    `advance_level` refuses a pair map with a self-target or a cycle other
+    than a 2-cycle, so every level at least halves the pairs and m_0 level-0
+    pairs reach one pair within floor(log2 m_0) levels. Termination is
+    `single_pair`, or `degenerate` for samples with fewer than 2 points.
     """
     metric = metric or Metric.euclidean()
     levels, merges = [], []
     if sample.n >= 2:
         g = level0(sample, metric, workers)
         levels.append(g)
-        while g.n_components > 1 and g.level < max_levels:
+        while g.n_components > 1:
             exits, targets = nn_k_step(g.pairs, sample.points, metric, workers)
             g, mg = next_level(g, exits, targets, sample.points, metric)
             levels.append(g)
@@ -359,7 +356,8 @@ def _point_ids(values, what: str) -> np.ndarray:
 def hierarchy_from_json(obj: dict) -> Hierarchy:
     """Rebuild a hierarchy from a version-3 object: relink level 0 by each
     level's [exit, exit_target] columns through `next_level`, as the build
-    does. Earlier versions, and any defect, raise HierarchyError."""
+    does, down to a single pair. Earlier versions, a last level of several
+    pairs, and any other defect raise HierarchyError."""
     try:
         version = obj.get("version", 1)
         if type(version) is not int or version != 3:
@@ -386,6 +384,11 @@ def hierarchy_from_json(obj: dict) -> Hierarchy:
             )
             levels.append(nxt)
             merges.append(mg)
+        if levels and levels[-1].n_components > 1:
+            raise HierarchyError(
+                f"the hierarchy stops at level {levels[-1].level} with "
+                f"{levels[-1].n_components} pairs; rebuild it with `chn2 cluster`"
+            )
     except HierarchyError:
         raise
     except (
@@ -418,7 +421,8 @@ def load_hierarchy(path) -> Hierarchy:
 
 
 def genealogy_newick(h: Hierarchy) -> str:
-    """Render the pair genealogy as Newick, one tree per terminal pair.
+    """Render the pair genealogy as one Newick tree, rooted at the single
+    terminal pair ("" for a degenerate hierarchy).
 
     Level-0 pairs are the leaves; every merge adds one unit of branch depth,
     so leaf depth equals the level at which its lineage reaches the root.
@@ -436,8 +440,4 @@ def genealogy_newick(h: Hierarchy) -> str:
         inner = ",".join(render(c) + ":1" for c in kids)
         return f"({inner})L{level}_{idx}"
 
-    lines = []
-    if h.levels:
-        top = len(h.levels) - 1
-        lines = [render((top, i)) + ";" for i in range(h.levels[top].n_components)]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return render((len(h.levels) - 1, 0)) + ";\n" if h.levels else ""

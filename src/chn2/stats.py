@@ -74,18 +74,6 @@ LEVELS_CSV_FIELDS = (
 )
 
 
-def _volume(window: Window) -> float:
-    """The window's volume, which intensities divide by. It underflows to 0
-    or overflows to inf for valid windows of tiny or huge sides, which are
-    refused here, not in `Window`: `_block_series` lifts such windows and
-    never divides by their volume."""
-    with np.errstate(over="ignore"):
-        volume = window.volume
-    if not 0 < volume < math.inf:
-        raise SeriesError(f"the window's volume is {volume}, not positive and finite")
-    return volume
-
-
 def _mean_merge_distance(merge_sq) -> float:
     """The mean of one level's merge distances, summed left to right."""
     merged = np.sqrt(merge_sq).tolist()
@@ -95,7 +83,7 @@ def _mean_merge_distance(merge_sq) -> float:
 def level_stats(h: Hierarchy) -> list:
     """One row per level. Exit points exist at every non-terminal level,
     one per component; the terminal level has none."""
-    volume = _volume(h.sample.window)
+    volume = h.sample.window.volume
     rows = []
     for k, g in enumerate(h.levels):
         merge_sq = h.merges[k].merge_sq if k < len(h.merges) else []
@@ -177,7 +165,7 @@ def poisson_baseline(
     if n_seeds < 1:
         raise SeriesError("n_seeds must be >= 1")
     metric = metric or Metric.euclidean()
-    lam = expected_count / _volume(window)
+    lam = expected_count / window.volume
     per_block = max(1, int(_BLOCK_POINTS / max(1.0, expected_count)))
 
     def block(first):

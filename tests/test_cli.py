@@ -296,6 +296,8 @@ TINY_WINDOW = "1,1.000000000000001"  # about five representable floats wide
     (["baseline", "--window", "0,1e-300", "--count", "30", "--seeds", "0..5"], 1),
     (["baseline", "--window", "0,0,1e-200,1e-200", "--count", "30", "--seeds", "0..5"], 1),
     (["baseline", "--window", "0,0,1e155,1e155", "--count", "30", "--seeds", "0..5"], 1),
+    (["generate", "poisson", "--lambda", "1", "--window", "0,0,1e155,1e155"], 1),
+    (["generate", "cox", "--centers", "1,1", "--radii", "1", "--window", "0,0,1e155,1e155"], 1),
     # large and tiny windows that still work, lifted blocks included
     (["baseline", "--window", "0,0,1e153,1e153", "--count", "30", "--seeds", "0..5"], 0),
     (["baseline", "--window", "0,0,1e-150,1e-150", "--count", "30", "--seeds", "0..5"], 0),
@@ -392,6 +394,7 @@ def test_malformed_hierarchy_one_line_error(tmp_path, capsys):
     extra_level = json.loads(text)
     extra_level["exits"].append([[1], [2]])  # the single pair has no exit
     v4 = dict(json.loads(text), version=4)
+    unmerged = dict(json.loads(text), exits=[])  # stops at two level-0 pairs
     # JSON true and 1.0 equal 1 in Python, but are not a version number
     v1 = json.loads((data / "hierarchy_v1_line5.json").read_text())
     v1_true, v1_float = dict(v1, version=True), dict(v1, version=1.0)
@@ -402,7 +405,7 @@ def test_malformed_hierarchy_one_line_error(tmp_path, capsys):
         json.dumps(no_level0), json.dumps(no_levels), json.dumps(bad_exit),
         json.dumps(bad_id), json.dumps(bad_columns), json.dumps(extra_level),
         json.dumps(v4), json.dumps(bad_parent), text[: len(text) // 2],
-        json.dumps(v1_true), json.dumps(v1_float),
+        json.dumps(v1_true), json.dumps(v1_float), json.dumps(unmerged),
     ]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(body)

@@ -10,7 +10,6 @@ from chn2 import hierarchy, spatial_index
 from chn2.geometry import Metric, Window
 from chn2.hierarchy import (
     DEGENERATE,
-    MAX_LEVELS,
     SINGLE_PAIR,
     HierarchyError,
     LevelGraph,
@@ -210,21 +209,6 @@ def test_pair_of_maps_both_heads(rng):
         rows = np.arange(g.n_components)
         assert np.array_equal(g.pair_of(g.pairs[:, 0]), rows)
         assert np.array_equal(g.pair_of(g.pairs[:, 1]), rows)
-
-
-def test_build_hierarchy_max_levels_guard():
-    s = line_sample([0, 1, 5, 6, 20])
-    h = build_hierarchy(s, max_levels=0)
-    assert h.termination == "max_levels"
-    assert len(h.levels) == 1
-    # one tree per terminal pair, here the two unmerged level-0 pairs
-    assert genealogy_newick(h) == "P0;\nP1;\n"
-    rng = np.random.default_rng(3)
-    h = build_hierarchy(plane_sample(rng.uniform(0, 10, size=(200, 2)), 0, 10), max_levels=1)
-    trees = genealogy_newick(h).splitlines()
-    assert h.termination == MAX_LEVELS and len(trees) == h.levels[1].n_components > 1
-    assert all(t.count(";") == 1 and t.count("(") == t.count(")") for t in trees)
-    assert sum(t.count("P") for t in trees) == h.levels[0].n_components
 
 
 def test_genealogy_total_and_consistent(rng):
@@ -540,14 +524,7 @@ def test_hierarchy_determinism(rng):
 
 def test_hierarchy_json_roundtrip(tmp_path, rng):
     plane = plane_sample(rng.uniform(0, 10, size=(300, 2)), 0, 10)
-    cases = [
-        (build_hierarchy(line_sample([0, 1, 5, 6, 20])), SINGLE_PAIR),
-        (build_hierarchy(plane), SINGLE_PAIR),
-        # stopped by the guard: the terminal level keeps several pairs
-        (build_hierarchy(plane, max_levels=1), MAX_LEVELS),
-    ]
-    assert cases[2][0].levels[-1].n_components > 1
-    for h, termination in cases:
+    for h in (build_hierarchy(line_sample([0, 1, 5, 6, 20])), build_hierarchy(plane)):
         obj = hierarchy_to_json(h)
         h2 = hierarchy_from_json(obj)
         assert hierarchy_to_json(h2) == obj
@@ -561,7 +538,7 @@ def test_hierarchy_json_roundtrip(tmp_path, rng):
         for (exits, targets), g in zip(obj["exits"], h.levels):
             assert len(exits) == len(targets) == g.n_components
         for loaded in (h2, h3):
-            assert loaded.termination == termination
+            assert loaded.termination == SINGLE_PAIR
             assert hierarchy_array_digest(loaded) == hierarchy_array_digest(h)
             built = [m.merge_sq.tolist() for m in h.merges]
             got = [m.merge_sq.tolist() for m in loaded.merges]
@@ -739,6 +716,7 @@ def _both(first, second):
         _set(["exits", 0], [[1, 2], [2, 1], [0, 0]]),  # a third column
         _set(["exits"], [[[1, 2], [2, 1]], [[1], [2]]]),  # the single pair has no exit
         _set(["exits"], None),
+        _set(["exits"], []),  # the two level-0 pairs left unmerged
         _set(["level0"], [1, 0, 3, 2]),
         _set(["level0", 0], 1.5),  # read as point 1, but not an id
         # exit columns for a one-point sample, which has no level 0
@@ -837,6 +815,9 @@ def test_hierarchy_matches_whole_hierarchy_oracle(case):
     sample, metric = case
     h = build_hierarchy(sample, metric)
     assert hierarchy_json_v2(h) == oracle_hierarchy_json(sample, metric)
+    # halving: one pair within floor(log2 m_0) levels
+    assert h.levels[-1].n_components == 1
+    assert len(h.levels) - 1 <= h.levels[0].n_components.bit_length() - 1
 
 
 def test_degenerate_hierarchy_roundtrip_and_stats():
