@@ -2,16 +2,8 @@
 patterns, with descending-chain statistics and aggregation detection."""
 
 from .geometry import Metric, Window
-from .hierarchy import (
-    Hierarchy,
-    LevelGraph,
-    Merges,
-    build_hierarchy,
-    level0,
-    nn_k_step,
-)
+from .hierarchy import Hierarchy, LevelGraph, Merges, build_hierarchy
 from .pointprocess import CoxBallSpec, Sample, gen_binomial, gen_cox_balls, gen_poisson
-from .spatial_index import NnIndex
 from .stats import (
     DetectorConfig,
     detect_against_baseline,
@@ -29,14 +21,11 @@ __all__ = [
     "LevelGraph",
     "Merges",
     "build_hierarchy",
-    "level0",
-    "nn_k_step",
     "CoxBallSpec",
     "Sample",
     "gen_binomial",
     "gen_cox_balls",
     "gen_poisson",
-    "NnIndex",
     "DetectorConfig",
     "detect_against_baseline",
     "level_stats",

@@ -3,8 +3,9 @@
 Subcommands: generate (poisson | binomial | cox), cluster, stats, baseline,
 detect, chains. Structured artifacts are JSON, tabular outputs are CSV.
 Every command is deterministic given its full flag set; CHN2_THREADS caps
-the fan-out over blocks of baseline seeds and the tree-query threads (both
-also capped by the usable CPUs), and no output depends on it.
+the fan-out over blocks of baseline seeds, each built on one query thread,
+and the query threads of any other build (both also capped by the usable
+CPUs); no output depends on it.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ single pair remains.
 Every level is arrays: a `LevelGraph` holds the successor map and its pairs
 as an (m, 2) array, and every non-terminal level has one `Merges` record of
 per-pair columns. Level 0 and the exit columns are the whole hierarchy:
-`next_level` derives the rest from them, and checks them, for the build and
-for the loader alike. The hierarchy file (version 3) stores just those,
+`advance_level` derives the rest from them, and checks them, for the build
+and for the loader alike. The hierarchy file (version 3) stores just those,
 and the loader reads no other version.
 """
 
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Metric, axis_gaps, sq_dist_many
+from .geometry import TORUS, Metric, axis_gaps, sq_dist_many
 from .pointprocess import Sample
-from .spatial_index import NnIndex
+from .spatial_index import NnIndex, torus_offsets
 
 SINGLE_PAIR = "single_pair"
 DEGENERATE = "degenerate"
@@ -169,21 +169,21 @@ class Merges:
     parent: np.ndarray
 
 
-def level0(sample: Sample, metric: Metric | None = None, workers: int | None = None) -> LevelGraph:
-    """Nearest-neighbor successor map over the sample (needs >= 2 points);
-    `workers` is the index's query thread count. A squared distance that
-    underflows to 0 is refused; later levels' distances are no smaller."""
+def level0(sample: Sample, metric: Metric | None = None) -> LevelGraph:
+    """Nearest-neighbor successor map over the sample (needs >= 2 points).
+    A squared distance that underflows to 0 is refused; later levels'
+    distances are no smaller."""
     metric = metric or Metric.euclidean()
     if sample.n < 2:
         raise HierarchyError("level 0 needs at least 2 points")
-    succ, sq = NnIndex(sample.points, np.arange(sample.n), metric, workers).successor_map()
+    succ, sq = NnIndex(sample.points, np.arange(sample.n), metric).successor_map()
     tied = np.flatnonzero(sq == 0)
     if axis_gaps(sample.points[tied], sample.points[succ[tied]], metric).any():
         raise HierarchyError("squared distances between these points underflow to 0")
     return LevelGraph.from_successors(0, succ)
 
 
-def nn_k_step(pairs, coords, metric: Metric | None = None, workers: int | None = None):
+def nn_k_step(pairs, coords, metric: Metric | None = None):
     """Exit points for one level's (m, 2) pairs.
 
     Returns the columns (exit, exit_target) of `Merges`: exit[i] ->
@@ -197,7 +197,7 @@ def nn_k_step(pairs, coords, metric: Metric | None = None, workers: int | None =
         raise HierarchyError("need at least 2 pairs to advance a level")
     head_ids = heads.ravel()
     groups = np.repeat(np.arange(m, dtype=np.int64), 2)
-    index = NnIndex(coords.take(head_ids, axis=0), groups, metric, workers)
+    index = NnIndex(coords.take(head_ids, axis=0), groups, metric)
     entry_best, entry_sq = index.successor_map()
 
     # Lexicographic (squared distance, target pair index) over each pair's two
@@ -227,24 +227,27 @@ def nn_k_step(pairs, coords, metric: Metric | None = None, workers: int | None =
     return np.where(lower, x, y), np.where(lower, y, x)
 
 
-def advance_level(g: LevelGraph, exit, exit_target):
-    """Relink every pair's exit to its exit target, leaving all other images
-    fixed: the one step from level k to level k + 1, and all its checks.
-    Returns (level k + 1, target_pair, reach), reach[i] being the first
-    pair on a 2-cycle of the pair map i -> target_pair[i] on i's path.
+def advance_level(g: LevelGraph, exit, exit_target, points, metric: Metric):
+    """Level k + 1 and the `Merges` of level k = g.level, from the exit
+    columns: relink every pair's exit to its exit target, leaving all other
+    images fixed. This is the one step, with all its checks, that the build
+    and the loader share.
 
-    The check is on that pair map, in O(m). In a valid level k the heads
-    are exactly the 2-cycle vertices. If every exit is a head of its own
-    pair and every target one of another pair, every vertex still reaches
-    its pair's heads; there the other head leads to exit[i], and exit[i] to
-    a head of target_pair[i]. So the relinked map has one cycle per
-    component of the pair map, through the exits of its pair cycle, and
-    that cycle is a 2-cycle iff the pair cycle has length 2 with
+    The check is on the pair map i -> target_pair[i], in O(m). In a valid
+    level k the heads are exactly the 2-cycle vertices. If every exit is a
+    head of its own pair and every target one of another pair, every vertex
+    still reaches its pair's heads; there the other head leads to exit[i],
+    and exit[i] to a head of target_pair[i]. So the relinked map has one
+    cycle per component of the pair map, through the exits of its pair
+    cycle, and that cycle is a 2-cycle iff the pair cycle has length 2 with
     exit_target[i] == exit[target_pair[i]]; level k + 1's pairs are then
-    those exit pairs, sorted by lower head. Any other input goes to
+    those exit pairs, sorted by lower head, and the one that pair i's path
+    in the pair map reaches is its parent. Any other input goes to
     `LevelGraph.from_successors` on the relinked map, which words the
     error; only if it passes is a target not a foreign head.
     """
+    if np.shape(exit_target) != np.shape(exit):
+        raise HierarchyError(f"level {g.level}: exit and exit_target differ in length")
     exit = np.asarray(exit, dtype=np.int64)
     if exit.shape != (g.n_components,) or not np.all(
         (g.pairs[:, 0] == exit) | (g.pairs[:, 1] == exit)
@@ -262,27 +265,14 @@ def advance_level(g: LevelGraph, exit, exit_target):
                 rows = np.flatnonzero(mutual & (ids < target_pair))
                 a, b = exit[rows], target[rows]
                 low, high = np.minimum(a, b), np.maximum(a, b)
-                pairs = np.column_stack([low, high])[np.argsort(low)]
-                return LevelGraph(g.level + 1, succ, pairs), target_pair, reach
+                nxt = LevelGraph(g.level + 1, succ, np.column_stack([low, high])[np.argsort(low)])
+                merge_sq = sq_dist_many(
+                    points.take(exit_target, axis=0), points.take(exit, axis=0), metric
+                )
+                parent = nxt.pair_of(exit[reach])
+                return nxt, Merges(target_pair, exit, exit_target, merge_sq, parent)
     LevelGraph.from_successors(g.level + 1, succ)
     raise HierarchyError(f"level {g.level}: an exit target is not a foreign head")
-
-
-def next_level(g: LevelGraph, exit, exit_target, points, metric: Metric):
-    """Level k + 1 and the `Merges` of level k = g.level, from the exit
-    columns: the one step that the build and the loader share.
-
-    `advance_level` checks the columns; this adds the merge distances and
-    the parents. Following target_pair leads every pair to a 2-cycle of
-    pairs, whose exits link each other at level k + 1; the pair they form
-    there is the parent.
-    """
-    if np.shape(exit_target) != np.shape(exit):
-        raise HierarchyError(f"level {g.level}: exit and exit_target differ in length")
-    nxt, target_pair, reach = advance_level(g, exit, exit_target)
-    merge_sq = sq_dist_many(points.take(exit_target, axis=0), points.take(exit, axis=0), metric)
-    parent = nxt.pair_of(exit[reach])
-    return nxt, Merges(target_pair, exit, exit_target, merge_sq, parent)
 
 
 @dataclass
@@ -300,13 +290,8 @@ class Hierarchy:
         return SINGLE_PAIR if self.levels else DEGENERATE
 
 
-def build_hierarchy(
-    sample: Sample, metric: Metric | None = None, workers: int | None = None,
-) -> Hierarchy:
+def build_hierarchy(sample: Sample, metric: Metric | None = None) -> Hierarchy:
     """Iterate the level construction until a single pair remains.
-
-    `workers` is the tree-query thread count (default
-    `spatial_index.query_workers()`); the result does not depend on it.
 
     `advance_level` refuses a pair map with a self-target or a cycle other
     than a 2-cycle, so every level at least halves the pairs and m_0 level-0
@@ -316,11 +301,11 @@ def build_hierarchy(
     metric = metric or Metric.euclidean()
     levels, merges = [], []
     if sample.n >= 2:
-        g = level0(sample, metric, workers)
+        g = level0(sample, metric)
         levels.append(g)
         while g.n_components > 1:
-            exits, targets = nn_k_step(g.pairs, sample.points, metric, workers)
-            g, mg = next_level(g, exits, targets, sample.points, metric)
+            exits, targets = nn_k_step(g.pairs, sample.points, metric)
+            g, mg = advance_level(g, exits, targets, sample.points, metric)
             levels.append(g)
             merges.append(mg)
     return Hierarchy(sample, metric, levels, merges)
@@ -355,9 +340,14 @@ def _point_ids(values, what: str) -> np.ndarray:
 
 def hierarchy_from_json(obj: dict) -> Hierarchy:
     """Rebuild a hierarchy from a version-3 object: relink level 0 by each
-    level's [exit, exit_target] columns through `next_level`, as the build
-    does, down to a single pair. Earlier versions, a last level of several
-    pairs, and any other defect raise HierarchyError."""
+    level's [exit, exit_target] columns through `advance_level`, as the build
+    does, down to a single pair.
+
+    HierarchyError refuses a file whose structure is malformed (earlier
+    versions, ids that are not points, columns that break the level
+    structure, a last level of several pairs) or whose torus window does
+    not contain the sample. That each exit is its pair's nearest foreign
+    head is not checked: only a rebuild could check it."""
     try:
         version = obj.get("version", 1)
         if type(version) is not int or version != 3:
@@ -367,6 +357,8 @@ def hierarchy_from_json(obj: dict) -> Hierarchy:
             )
         sample = Sample.from_json(obj["sample"])
         metric = Metric.from_json(obj["metric"])
+        if metric.kind == TORUS:
+            torus_offsets(sample.points, metric.window)
         succ0, exit_columns = obj["level0"], obj["exits"]
         if len(succ0) != (sample.n if sample.n >= 2 else 0):
             raise HierarchyError("level 0 does not fit the sample")
@@ -378,7 +370,7 @@ def hierarchy_from_json(obj: dict) -> Hierarchy:
         for exit_col, target_col in exit_columns:
             g = levels[-1]
             what = f"level {g.level}: an exit column"
-            nxt, mg = next_level(
+            nxt, mg = advance_level(
                 g, _point_ids(exit_col, what), _point_ids(target_col, what),
                 sample.points, metric,
             )

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import itertools
 import os
+import threading
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Metric, TORUS, sq_dist_many
+from .geometry import Metric, TORUS, Window, sq_dist_many
 
 # Candidate gathering slack: wide enough to absorb the tree's rounding (on
 # the torus, the shift to the lower corner and the wrap by the box side),
@@ -32,9 +33,9 @@ _PARALLEL_ROWS = 8192
 
 
 def query_workers() -> int:
-    """Threads for one tree query or for the baseline's pool: CHN2_THREADS,
-    or min(8, CPU count) when it is unset, capped by the CPUs this process
-    may run on, since each worker is one OS thread."""
+    """Threads for a tree query on the main thread or for the baseline's
+    pool: CHN2_THREADS, or min(8, CPU count) when it is unset, capped by the
+    CPUs this process may run on, since each worker is one OS thread."""
     env = os.environ.get("CHN2_THREADS")
     try:
         count = int(env) if env else min(8, os.cpu_count() or 1)
@@ -53,6 +54,17 @@ class IndexBuildError(ValueError):
     pass
 
 
+def torus_offsets(coords, window: Window) -> np.ndarray:
+    """Each point's offset from the window's lower corner: the torus metric
+    on that window measures only points whose offsets lie in [0, side]."""
+    if np.shape(coords)[1:] != window.lo.shape:
+        raise IndexBuildError(f"the torus window is {window.dim}-D, the points are not")
+    data = coords - window.lo
+    if np.any(data < 0) or np.any(data > window.side_lengths):
+        raise IndexBuildError("the torus window must contain every point")
+    return data
+
+
 class NoForeignNeighborError(LookupError):
     """Raised when every indexed entry belongs to the excluded group."""
 
@@ -60,13 +72,16 @@ class NoForeignNeighborError(LookupError):
 class NnIndex:
     """Immutable nearest-neighbor structure over (point, group) entries.
 
-    Queries of at least _PARALLEL_ROWS rows run on `workers` threads
-    (default `query_workers()`); no answer depends on the count. Group ids
-    are nonnegative and best kept below the entry count: `successor_map`
-    sizes its groups with one `np.bincount` table over 0..largest id.
+    Queries of at least _PARALLEL_ROWS rows run on `query_workers()` threads
+    when the index is built on the main thread, and on one thread otherwise:
+    a caller on another thread (the baseline's pool) is already one of
+    several, and nested query threads only contend for the same cores. No
+    answer depends on the count. Group ids are nonnegative and best kept
+    below the entry count: `successor_map` sizes its groups with one
+    `np.bincount` table over 0..largest id.
     """
 
-    def __init__(self, coords, groups, metric: Metric | None = None, workers: int | None = None):
+    def __init__(self, coords, groups, metric: Metric | None = None):
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         if coords.shape[0] == 0:
             raise IndexBuildError("cannot build an index over an empty point set")
@@ -78,13 +93,12 @@ class NnIndex:
             raise IndexBuildError("group ids must be nonnegative")
         self.metric = metric or Metric.euclidean()
         self.n = coords.shape[0]
-        self.workers = query_workers() if workers is None else workers
+        main = threading.current_thread() is threading.main_thread()
+        self.workers = query_workers() if main else 1
         scale = [1.0, float(np.max(np.abs(coords)))]
         if self.metric.kind == TORUS:
             side = self.metric.window.side_lengths
-            data = coords - self.metric.window.lo
-            if np.any(data < 0) or np.any(data > side):
-                raise IndexBuildError("torus index needs every point inside the window")
+            data = torus_offsets(coords, self.metric.window)
             # The upper face is the lower one on the torus; the tree wants [0, L).
             data[data == side] = 0.0
             tree_data, boxsize = data, side

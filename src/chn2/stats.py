@@ -194,9 +194,8 @@ def _block_series(samples, metric: Metric) -> list:
       heads and never changes them, and owns at most one pair from then on.
     A one-sample block is built as the plain sample.
     """
-    # One query thread per build: the pool already fills CHN2_THREADS.
     if len(samples) == 1:
-        return [tuple(mean_distance_series(build_hierarchy(samples[0], metric, workers=1)))]
+        return [tuple(mean_distance_series(build_hierarchy(samples[0], metric)))]
     window = samples[0].window
     gap = 2.0 * math.hypot(*window.side_lengths)
     top = len(samples) * gap
@@ -209,7 +208,7 @@ def _block_series(samples, metric: Metric) -> list:
     points = np.column_stack([np.concatenate([s.points for s in samples]), owner * gap])
     block = Sample(points, lift(window), window.dim + 1, {"kind": "block"}, 0)
     lifted = Metric(metric.kind, None if metric.window is None else lift(metric.window))
-    h = build_hierarchy(block, lifted, workers=1)
+    h = build_hierarchy(block, lifted)
     series = [[] for _ in samples]
     for g, mg in zip(h.levels, h.merges):
         counts = np.bincount(owner[g.pairs[:, 0]], minlength=len(samples))

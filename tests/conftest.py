@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
+from chn2 import spatial_index
 from chn2.geometry import Metric, TORUS, sq_dist_many
 from chn2.hierarchy import (
     HierarchyError,
@@ -385,3 +386,22 @@ def oracle_expected_chains_weighted(n, d, trials, seed):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def tree_calls(monkeypatch):
+    """A list of (query kind, rows, workers), one per k-d tree query that
+    the package makes while the test runs."""
+    calls = []
+
+    class SpyTree(spatial_index.cKDTree):
+        def query(self, x, *args, workers=1, **kwargs):
+            calls.append(("query", len(x), workers))
+            return super().query(x, *args, workers=workers, **kwargs)
+
+        def query_ball_point(self, x, *args, workers=1, **kwargs):
+            calls.append(("ball", len(x), workers))
+            return super().query_ball_point(x, *args, workers=workers, **kwargs)
+
+    monkeypatch.setattr(spatial_index, "cKDTree", SpyTree)
+    return calls

@@ -395,6 +395,8 @@ def test_malformed_hierarchy_one_line_error(tmp_path, capsys):
     extra_level["exits"].append([[1], [2]])  # the single pair has no exit
     v4 = dict(json.loads(text), version=4)
     unmerged = dict(json.loads(text), exits=[])  # stops at two level-0 pairs
+    small_torus = json.loads(text)  # a torus window that does not hold the sample
+    small_torus["metric"] = {"kind": "torus", "window": {"lo": [0.0], "hi": [1.0]}}
     # JSON true and 1.0 equal 1 in Python, but are not a version number
     v1 = json.loads((data / "hierarchy_v1_line5.json").read_text())
     v1_true, v1_float = dict(v1, version=True), dict(v1, version=1.0)
@@ -406,6 +408,7 @@ def test_malformed_hierarchy_one_line_error(tmp_path, capsys):
         json.dumps(bad_id), json.dumps(bad_columns), json.dumps(extra_level),
         json.dumps(v4), json.dumps(bad_parent), text[: len(text) // 2],
         json.dumps(v1_true), json.dumps(v1_float), json.dumps(unmerged),
+        json.dumps(small_torus),
     ]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(body)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chn2.geometry import GeometryError, Metric, Window, sq_dist_many
-from chn2.hierarchy import HierarchyError, LevelGraph, next_level, nn_k_step
+from chn2.hierarchy import HierarchyError, LevelGraph, advance_level, nn_k_step
 from chn2.pointprocess import Sample, SampleError
 from conftest import oracle_single_linkage_sq, oracle_sq_dist
 
@@ -69,12 +69,12 @@ def test_window_validation():
 
 # The single-linkage pseudo-distance between two pairs is what nn_k_step's
 # exit witness gives: each pair's (exit, exit target, squared distance), the
-# distance as next_level derives it.
+# distance as advance_level derives it.
 def two_pair_exits(S, T):
     coords = np.asarray(S + T, float)
     g = LevelGraph.from_successors(0, [1, 0, 3, 2])
     exits, targets = nn_k_step(g.pairs, coords, EUCLID)
-    mg = next_level(g, exits, targets, coords, EUCLID)[1]
+    mg = advance_level(g, exits, targets, coords, EUCLID)[1]
     return list(zip(mg.exit.tolist(), mg.exit_target.tolist(), mg.merge_sq.tolist()))
 
 

@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,6 @@ from chn2.hierarchy import (
     hierarchy_to_json,
     level0,
     load_hierarchy,
-    next_level,
     nn_k_step,
     save_hierarchy,
 )
@@ -58,7 +58,7 @@ def first_merges(s):
     """The `Merges` of level 0 of sample s, under the Euclidean metric."""
     g = level0(s)
     exits, targets = nn_k_step(g.pairs, s.points, Metric.euclidean())
-    return next_level(g, exits, targets, s.points, Metric.euclidean())[1]
+    return advance_level(g, exits, targets, s.points, Metric.euclidean())[1]
 
 
 def step_exits(mg):
@@ -137,7 +137,7 @@ def test_advance_level_five_points():
     s = line_sample([0, 1, 5, 6, 20])
     g = level0(s)
     exits, targets = nn_k_step(g.pairs, s.points, Metric.euclidean())
-    g1 = advance_level(g, exits, targets)[0]
+    g1 = advance_level(g, exits, targets, s.points, Metric.euclidean())[0]
     assert g1.level == 1
     assert g1.successor.tolist() == [1, 2, 1, 2, 3]
     assert g1.pairs.tolist() == [[1, 2]]
@@ -152,7 +152,7 @@ def test_advance_level_eight_points():
     s = line_sample([0, 1, 10, 11, 14, 15, 30, 31])
     g = level0(s)
     exits, targets = nn_k_step(g.pairs, s.points, Metric.euclidean())
-    g1 = advance_level(g, exits, targets)[0]
+    g1 = advance_level(g, exits, targets, s.points, Metric.euclidean())[0]
     assert g1.n_components == 1
     assert g1.pairs.tolist() == [[3, 4]]  # coords 11 and 14
 
@@ -183,8 +183,8 @@ def test_build_runs_the_loader_checks(monkeypatch):
     # An exit target in the exit's own pair still leaves a valid next level
     # here (1 -> 0 is pair (0, 1)'s own 2-cycle edge), so only the check
     # shared with the loader refuses it.
-    def own_partner(pairs, coords, metric=None, workers=None):
-        exits, targets = nn_k_step(pairs, coords, metric, workers)
+    def own_partner(pairs, coords, metric=None):
+        exits, targets = nn_k_step(pairs, coords, metric)
         assert exits[0] == 1
         return exits, np.concatenate([[0], targets[1:]])
 
@@ -432,11 +432,12 @@ def test_next_level_matches_vertex_level_step(seed):
             h = build_hierarchy(s, metric)
             for g, mg in zip(h.levels, h.merges):
                 args = (g, mg.exit, mg.exit_target, s, metric)
-                assert step_outcome(next_level, *args) == step_outcome(vertex_next_level, *args)
+                want = step_outcome(vertex_next_level, *args)
+                assert step_outcome(advance_level, *args) == want
                 for kind, x, t in corrupted_exit_columns(rng, g, mg.exit, mg.exit_target):
                     args = (g, x, t, s, metric)
                     want = step_outcome(vertex_next_level, *args)
-                    assert step_outcome(next_level, *args) == want, kind
+                    assert step_outcome(advance_level, *args) == want, kind
                     outcomes.add((kind, want[0]))
     assert {kind for kind, got in outcomes if got in (HierarchyError, StructureError)} == {
         "exit not a head", "target not a head", "target in its own pair",
@@ -453,7 +454,7 @@ def test_valid_level_step_walks_the_pair_map_once(monkeypatch):
         hierarchy, "_reach_two_cycles", lambda succ: calls.append(succ.size) or walk(succ)
     )
     g, mg = h.levels[0], h.merges[0]
-    nxt, got = next_level(g, mg.exit, mg.exit_target, s.points, Metric.euclidean())
+    nxt, got = advance_level(g, mg.exit, mg.exit_target, s.points, Metric.euclidean())
     assert calls == [g.n_components]
     assert np.array_equal(nxt.pairs, h.levels[1].pairs)
     assert np.array_equal(got.parent, mg.parent)
@@ -607,7 +608,7 @@ def test_sample_file_with_extra_key_keeps_no_text(where, tmp_path, rng):
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "torus"])
-def test_hierarchy_does_not_depend_on_thread_count(kind, tmp_path, monkeypatch):
+def test_hierarchy_does_not_depend_on_thread_count(kind, tmp_path, monkeypatch, tree_calls):
     # Inputs large enough that tree queries run on several workers: 20,000
     # uniform points, and about 12,000 grid cells on a torus, most of whose
     # rows tie and go through the ball query.
@@ -620,35 +621,34 @@ def test_hierarchy_does_not_depend_on_thread_count(kind, tmp_path, monkeypatch):
         pts = pts[rng.permutation(len(pts))]
     s = plane_sample(pts, 0.0, side)
     metric = Metric.euclidean() if kind == "euclidean" else Metric.torus(s.window)
-
-    calls = []
-
-    class SpyTree(spatial_index.cKDTree):
-        def query(self, x, *args, workers=1, **kwargs):
-            calls.append(("query", len(x), workers))
-            return super().query(x, *args, workers=workers, **kwargs)
-
-        def query_ball_point(self, x, *args, workers=1, **kwargs):
-            calls.append(("ball", len(x), workers))
-            return super().query_ball_point(x, *args, workers=workers, **kwargs)
-
-    monkeypatch.setattr(spatial_index, "cKDTree", SpyTree)
     digests, saved = [], []
     for threads in ("1", "2"):
         monkeypatch.setenv("CHN2_THREADS", threads)
-        calls.clear()
+        tree_calls.clear()
         h = build_hierarchy(s, metric)
         digests.append(hierarchy_array_digest(h))
         save_hierarchy(h, tmp_path / f"h{threads}.json")
         saved.append((tmp_path / f"h{threads}.json").read_bytes())
-        wide = {(name, w) for name, rows, w in calls if rows >= spatial_index._PARALLEL_ROWS}
+        wide = {(name, w) for name, rows, w in tree_calls if rows >= spatial_index._PARALLEL_ROWS}
         want = spatial_index.query_workers()
         assert ("query", want) in wide
         if kind == "torus":
             assert ("ball", want) in wide
-        assert all(w == 1 for _, rows, w in calls if rows < spatial_index._PARALLEL_ROWS)
+        assert all(w == 1 for _, rows, w in tree_calls if rows < spatial_index._PARALLEL_ROWS)
     assert digests[0] == digests[1]
     assert saved[0] == saved[1]
+
+
+def test_build_on_a_worker_thread_queries_on_one_thread(monkeypatch, tree_calls):
+    # A build on a pool's thread is one of several already, so its queries
+    # stay on one thread even where a main-thread build would fan out.
+    s = plane_sample(np.random.default_rng(12).uniform(0, 1, size=(20_000, 2)), 0.0, 1.0)
+    monkeypatch.setenv("CHN2_THREADS", "2")
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        h = pool.submit(build_hierarchy, s).result()
+    assert any(rows >= spatial_index._PARALLEL_ROWS for _, rows, _ in tree_calls)
+    assert {w for *_, w in tree_calls} == {1}
+    assert hierarchy_array_digest(h) == hierarchy_array_digest(build_hierarchy(s))
 
 
 def _recorded_build(name):
@@ -726,6 +726,9 @@ def _both(first, second):
         _set(["level0", 1], False),
         _set(["exits", 0, 0, 0], True),
         _set(["exits", 0, 1, 1], True),
+        # a torus window that does not hold the sample, or is of another dimension
+        _set(["metric"], {"kind": "torus", "window": {"lo": [0.0], "hi": [1.0]}}),
+        _set(["metric"], {"kind": "torus", "window": {"lo": [-1e3] * 3, "hi": [1e3] * 3}}),
     ],
 )
 def test_malformed_hierarchy_raises_hierarchy_error(edit):

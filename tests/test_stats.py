@@ -7,7 +7,7 @@ import chn2.stats
 from chn2.geometry import Metric, Window
 from chn2.hierarchy import build_hierarchy
 from chn2.pointprocess import Sample, derive_seed
-from chn2.spatial_index import query_workers
+from chn2.spatial_index import _PARALLEL_ROWS, query_workers
 from chn2.stats import (
     BaselineSeries,
     DetectorConfig,
@@ -495,3 +495,13 @@ def test_baseline_pool_capped_by_usable_cpus(monkeypatch):
     monkeypatch.setenv("CHN2_THREADS", "100000")
     poisson_baseline(Window([0.0, 0.0], [1.0, 1.0]), 8.0, n_seeds=3)
     assert asked and 1 <= asked[0] <= len(os.sched_getaffinity(0))
+
+
+def test_baseline_builds_query_on_one_thread(monkeypatch, tree_calls):
+    # Seeds of 10,000 points make one-seed blocks whose level-0 queries pass
+    # _PARALLEL_ROWS; the pool already fills CHN2_THREADS, so each of its
+    # builds queries on one thread.
+    monkeypatch.setenv("CHN2_THREADS", "2")
+    poisson_baseline(Window([0.0, 0.0], [1.0, 1.0]), 10_000.0, n_seeds=3, master_seed=7)
+    assert any(rows >= _PARALLEL_ROWS for _, rows, _ in tree_calls)
+    assert {w for *_, w in tree_calls} == {1}
