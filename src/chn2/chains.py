@@ -55,6 +55,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .pointprocess import derive_seed
+from .spatial_index import tree_cut
 
 # Limits of the Monte Carlo estimator, checked before any trial is drawn:
 # the expected points per trial, lam * w_d * (n R)^d, and the largest
@@ -96,11 +97,11 @@ def _neighbour_lists(coords, owner, R):
     """Within-R neighbour lists of a block of samples, in CSR form.
 
     Row v's sample is owner[v]. The samples are laid side by side along the
-    first axis, 2R apart, so one k-d tree pair query, at R plus a rounding
-    slack as in `NnIndex`, finds every within-R pair of every sample and no
-    pair across samples. Each pair's distance is then recomputed from the
-    unshifted coordinates with the dense-matrix formula, so the strict
-    compares below see exactly the distances a per-sample matrix would.
+    first axis, 2R apart, so one k-d tree pair query, at `tree_cut(R)`,
+    finds every within-R pair of every sample and no pair across samples.
+    Each pair's distance is then recomputed from the unshifted coordinates
+    with the dense-matrix formula, so the strict compares below see exactly
+    the distances a per-sample matrix would.
     Distances are replaced by their dense rank over the block, which keeps
     every `<` and tie. Returns (key, dst, start, stride): the neighbours of v
     are dst[start[v]:start[v + 1]], ordered by key = v * stride + rank, so
@@ -108,8 +109,8 @@ def _neighbour_lists(coords, owner, R):
     """
     shifted = coords.copy()
     shifted[:, 0] += owner * (float(np.ptp(coords[:, 0])) + 2.0 * R)
-    slack = 16 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(shifted))))
-    pairs = cKDTree(shifted).query_pairs(R * (1.0 + 1e-9) + slack, output_type="ndarray")
+    scale = max(1.0, float(np.max(np.abs(shifted))))
+    pairs = cKDTree(shifted).query_pairs(tree_cut(R, scale), output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]
     dist = np.sqrt(np.sum((coords[i] - coords[j]) ** 2, axis=-1))
     keep = dist < R

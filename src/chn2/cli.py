@@ -30,15 +30,11 @@ from .pointprocess import (
 )
 
 
-class CliError(ValueError):
-    pass
-
-
 def parse_window(text: str) -> Window:
     """Comma-separated lo then hi per axis, e.g. '0,0,110,110' in 2-D."""
     vals = [float(v) for v in text.split(",") if v.strip() != ""]
     if len(vals) % 2 or not vals:
-        raise CliError(f"window needs an even number of coordinates, got {text!r}")
+        raise ValueError(f"window needs an even number of coordinates, got {text!r}")
     d = len(vals) // 2
     return Window(np.asarray(vals[:d]), np.asarray(vals[d:]))
 
@@ -51,7 +47,7 @@ def parse_centers(text: str) -> np.ndarray:
         if chunk.strip()
     ]
     if not rows or len({len(r) for r in rows}) != 1:
-        raise CliError(f"malformed centers: {text!r}")
+        raise ValueError(f"malformed centers: {text!r}")
     return np.asarray(rows, dtype=float)
 
 
@@ -60,7 +56,7 @@ def parse_radius_range(text: str) -> tuple[float, float]:
     try:
         r_min, r_max = (float(v) for v in text.split(","))
     except ValueError:
-        raise CliError(f"--radius-range needs two numbers r_min,r_max, got {text!r}") from None
+        raise ValueError(f"--radius-range needs two numbers r_min,r_max, got {text!r}") from None
     return r_min, r_max
 
 
@@ -70,7 +66,7 @@ def parse_seed_range(text: str):
         a, b = text.split("..", 1)
         lo, hi = int(a), int(b)
         if hi < lo:
-            raise CliError(f"empty seed range {text!r}")
+            raise ValueError(f"empty seed range {text!r}")
         return list(range(lo, hi + 1))
     return [int(text)]
 
@@ -85,7 +81,7 @@ def cmd_generate(args) -> int:
         sample = gen_poisson(args.lam, window, window.dim, args.seed)
     elif args.process == "binomial":
         if args.count is None:
-            raise CliError("binomial needs --count")
+            raise ValueError("binomial needs --count")
         sample = gen_binomial(args.count, window, window.dim, args.seed)
     else:
         spec = CoxBallSpec(
@@ -265,7 +261,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,12 +31,9 @@ SINGLE_PAIR = "single_pair"
 DEGENERATE = "degenerate"
 
 
-class StructureError(RuntimeError):
-    """A level graph violated the one-2-cycle-per-component structure."""
-
-
 class HierarchyError(ValueError):
-    pass
+    """A level or a hierarchy file breaks the one-2-cycle-per-component
+    structure, or a build cannot proceed."""
 
 
 def functional_structure(succ):
@@ -121,15 +118,15 @@ class LevelGraph:
         successor = np.asarray(successor, dtype=np.int64)
         n = successor.size
         if successor.ndim != 1 or n == 0 or np.any(successor < 0) or np.any(successor >= n):
-            raise StructureError("successor map must be total")
+            raise HierarchyError(f"level {level}: successor map must be total")
         ids = np.arange(n)
         if np.any(successor == ids):
-            raise StructureError("self-loops are not allowed")
+            raise HierarchyError(f"level {level}: self-loops are not allowed")
         mutual, reach = _reach_two_cycles(successor)
         if not mutual[reach].all():
             _, cycles, _ = functional_structure(successor)
             cyc = next(c for c in cycles if len(c) != 2)
-            raise StructureError(
+            raise HierarchyError(
                 f"level {level}: component cycle {cyc} has length {len(cyc)}, expected 2"
             )
         low = np.flatnonzero(mutual & (ids < successor))
@@ -169,11 +166,10 @@ class Merges:
     parent: np.ndarray
 
 
-def level0(sample: Sample, metric: Metric | None = None) -> LevelGraph:
+def level0(sample: Sample, metric: Metric = Metric()) -> LevelGraph:
     """Nearest-neighbor successor map over the sample (needs >= 2 points).
     A squared distance that underflows to 0 is refused; later levels'
     distances are no smaller."""
-    metric = metric or Metric.euclidean()
     if sample.n < 2:
         raise HierarchyError("level 0 needs at least 2 points")
     succ, sq = NnIndex(sample.points, np.arange(sample.n), metric).successor_map()
@@ -183,14 +179,13 @@ def level0(sample: Sample, metric: Metric | None = None) -> LevelGraph:
     return LevelGraph.from_successors(0, succ)
 
 
-def nn_k_step(pairs, coords, metric: Metric | None = None):
+def nn_k_step(pairs, coords, metric: Metric = Metric()):
     """Exit points for one level's (m, 2) pairs.
 
     Returns the columns (exit, exit_target) of `Merges`: exit[i] ->
     exit_target[i] witnesses the single-linkage distance from pair i to
     its nearest foreign pair (ties by pair index).
     """
-    metric = metric or Metric.euclidean()
     heads = np.asarray(pairs, dtype=np.int64)
     m = len(heads)
     if m < 2:
@@ -290,7 +285,7 @@ class Hierarchy:
         return SINGLE_PAIR if self.levels else DEGENERATE
 
 
-def build_hierarchy(sample: Sample, metric: Metric | None = None) -> Hierarchy:
+def build_hierarchy(sample: Sample, metric: Metric = Metric()) -> Hierarchy:
     """Iterate the level construction until a single pair remains.
 
     `advance_level` refuses a pair map with a self-target or a cycle other
@@ -298,7 +293,6 @@ def build_hierarchy(sample: Sample, metric: Metric | None = None) -> Hierarchy:
     pairs reach one pair within floor(log2 m_0) levels. Termination is
     `single_pair`, or `degenerate` for samples with fewer than 2 points.
     """
-    metric = metric or Metric.euclidean()
     levels, merges = [], []
     if sample.n >= 2:
         g = level0(sample, metric)
@@ -383,9 +377,7 @@ def hierarchy_from_json(obj: dict) -> Hierarchy:
             )
     except HierarchyError:
         raise
-    except (
-        LookupError, TypeError, ValueError, AttributeError, OverflowError, StructureError
-    ) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise HierarchyError(
             f"malformed hierarchy object: {type(exc).__name__}: {exc}"
         ) from exc

@@ -20,10 +20,28 @@ class SampleError(ValueError):
     pass
 
 
+def _check_seed(seed: int) -> int:
+    """The seed itself; numpy seeds only nonnegative integers."""
+    if seed < 0:
+        raise SampleError(f"seeds must be nonnegative, got {seed!r}")
+    return seed
+
+
 def derive_seed(master_seed: int, index: int) -> int:
     """Deterministic child seed for fan-out over trials or baseline runs."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(index,))
+    ss = np.random.SeedSequence(_check_seed(master_seed), spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+# The largest mean numpy's Poisson sampler accepts (its counts are int64).
+_POISSON_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
+
+def _poisson_count(rng, mean: float, what: str) -> int:
+    """A Poisson(mean) count of `what`s; a mean past _POISSON_MAX is refused."""
+    if not mean <= _POISSON_MAX:
+        raise SampleError(f"the expected {what} count {mean:.4g} is too large to draw")
+    return int(rng.poisson(mean))
 
 
 @dataclass(frozen=True)
@@ -141,8 +159,8 @@ def gen_poisson(lam: float, window: Window, dim: int, seed: int) -> Sample:
         raise SampleError(f"intensity must be nonnegative, got {lam!r}")
     if window.dim != dim:
         raise SampleError("window dimension does not match dim")
-    rng = np.random.default_rng(seed)
-    n = int(rng.poisson(lam * window.volume)) if lam > 0 else 0
+    rng = np.random.default_rng(_check_seed(seed))
+    n = _poisson_count(rng, lam * window.volume, "point") if lam > 0 else 0
     pts = _distinct(_uniform_points(rng, n, window))
     gen = {"kind": "poisson", "lambda": lam}
     return Sample(pts, window, dim, gen, seed)
@@ -155,7 +173,7 @@ def gen_binomial(n: int, window: Window, dim: int, seed: int) -> Sample:
         raise SampleError("count must be nonnegative")
     if window.dim != dim:
         raise SampleError("window dimension does not match dim")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     pts = _distinct(_uniform_points(rng, n, window))
     if pts.shape[0] < n:
         raise SampleError(f"only {pts.shape[0]} of {n} uniform draws are distinct in this window")
@@ -171,7 +189,8 @@ class CoxBallSpec:
     centers are drawn as a Poisson process of intensity `center_intensity`
     (on the window dilated by the largest possible radius, so balls whose
     centers fall just outside still contribute), with radii i.i.d. uniform
-    in `radius_range`. `lam` is the point intensity inside the region.
+    in `radius_range`. A spec sets the fields of one mode only. `lam` is
+    the point intensity inside the region.
     """
 
     lam: float
@@ -183,8 +202,14 @@ class CoxBallSpec:
     def __post_init__(self):
         if not self.lam >= 0:
             raise SampleError(f"cox intensity lam must be nonnegative, got {self.lam!r}")
-        fixed = self.centers is not None
-        if fixed:
+        if (self.centers is not None or self.radii is not None) and (
+            self.center_intensity is not None or self.radius_range is not None
+        ):
+            raise SampleError(
+                "a cox spec is fixed (centers, radii) or random "
+                "(center_intensity, radius_range), not both"
+            )
+        if self.fixed:
             if self.radii is None:
                 raise SampleError("fixed mode needs radii")
             centers = np.atleast_2d(np.asarray(self.centers, float))
@@ -198,9 +223,13 @@ class CoxBallSpec:
         else:
             if self.center_intensity is None or self.radius_range is None:
                 raise SampleError("random mode needs center_intensity and radius_range")
+            if not self.center_intensity >= 0:
+                raise SampleError(
+                    f"cox center_intensity must be nonnegative, got {self.center_intensity!r}"
+                )
             r_min, r_max = self.radius_range
-            if not (0 < r_min <= r_max):
-                raise SampleError("radius_range must satisfy 0 < r_min <= r_max")
+            if not (0 < r_min <= r_max < np.inf):
+                raise SampleError("radius_range must satisfy 0 < r_min <= r_max < inf")
 
     @property
     def fixed(self) -> bool:
@@ -225,7 +254,7 @@ def gen_cox_balls(spec: CoxBallSpec, window: Window, dim: int, seed: int) -> Sam
     """
     if window.dim != dim:
         raise SampleError("window dimension does not match dim")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     if spec.fixed:
         centers, radii = spec.centers, spec.radii
         if centers.shape[1] != dim:
@@ -233,11 +262,11 @@ def gen_cox_balls(spec: CoxBallSpec, window: Window, dim: int, seed: int) -> Sam
     else:
         r_min, r_max = spec.radius_range
         dilated = Window(window.lo - r_max, window.hi + r_max)
-        m = int(rng.poisson(spec.center_intensity * dilated.volume))
+        m = _poisson_count(rng, spec.center_intensity * dilated.volume, "center")
         centers = _uniform_points(rng, m, dilated)
         radii = rng.uniform(r_min, r_max, size=m)
 
-    n_all = int(rng.poisson(spec.lam * window.volume))
+    n_all = _poisson_count(rng, spec.lam * window.volume, "point")
     candidates = _uniform_points(rng, n_all, window)
     pts = _distinct(candidates[_in_union_of_balls(candidates, centers, radii)])
 

@@ -21,14 +21,11 @@ from scipy.spatial import cKDTree
 
 from .geometry import Metric, TORUS, Window, sq_dist_many
 
-# Candidate gathering slack: wide enough to absorb the tree's rounding (on
-# the torus, the shift to the lower corner and the wrap by the box side),
-# far below any genuine distance gap.
-_REL_SLACK = 1e-9
-
-# Fewest rows at which a tree query gets more than one worker thread; below
-# it, starting the second thread costs more than it saves (measured on a
-# 2-core x86-64 VM: break-even between 8k and 12k rows).
+# Fewest rows at which a tree query gets more than one worker thread. Timed
+# alone on a 2-core x86-64 VM, `successor_map` gains nothing from a second
+# thread below about 131k rows (0.94-1.05x), yet whole 1M-point builds are
+# fastest at this value: medians of 3.82 s, against 4.00 s at 32,768 and
+# 4.06 s at 131,072, over 8 alternating runs.
 _PARALLEL_ROWS = 8192
 
 
@@ -52,6 +49,14 @@ def query_workers() -> int:
 
 class IndexBuildError(ValueError):
     pass
+
+
+def tree_cut(dist, scale: float):
+    """The radius at which a k-d tree query over coordinates of magnitude at
+    most `scale` (>= 1) finds every entry within `dist`: wide enough to
+    absorb the tree's rounding (on the torus, the shift to the lower corner
+    and the wrap by the box side), far below any genuine distance gap."""
+    return dist * (1.0 + 1e-9) + 16 * np.finfo(float).eps * scale
 
 
 def torus_offsets(coords, window: Window) -> np.ndarray:
@@ -81,7 +86,7 @@ class NnIndex:
     `np.bincount` table over 0..largest id.
     """
 
-    def __init__(self, coords, groups, metric: Metric | None = None):
+    def __init__(self, coords, groups, metric: Metric = Metric()):
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         if coords.shape[0] == 0:
             raise IndexBuildError("cannot build an index over an empty point set")
@@ -91,7 +96,7 @@ class NnIndex:
             raise IndexBuildError("need exactly one group id per point")
         if self.groups.min() < 0:
             raise IndexBuildError("group ids must be nonnegative")
-        self.metric = metric or Metric.euclidean()
+        self.metric = metric
         self.n = coords.shape[0]
         main = threading.current_thread() is threading.main_thread()
         self.workers = query_workers() if main else 1
@@ -108,10 +113,7 @@ class NnIndex:
         # The tree only gathers candidates and the exact recheck ranks them,
         # so its shape is free: sliding-midpoint splits build fastest.
         self._tree = cKDTree(tree_data, boxsize=boxsize, balanced_tree=False, compact_nodes=False)
-        self._abs_slack = 16 * np.finfo(float).eps * max(scale)
-
-    def _cut(self, dist: float) -> float:
-        return dist * (1.0 + _REL_SLACK) + self._abs_slack
+        self._scale = max(scale)
 
     def _workers(self, rows: int) -> int:
         return self.workers if rows >= _PARALLEL_ROWS else 1
@@ -157,7 +159,7 @@ class NnIndex:
         first = np.argmax(foreign, axis=1)
         if not foreign[rows, first].all():
             raise NoForeignNeighborError("no entry outside the excluded group")
-        cut = self._cut(dists[rows, first])
+        cut = tree_cut(dists[rows, first], self._scale)
         foreign[rows, first] = False
         second = np.argmax(foreign, axis=1)
         # Ambiguous if another candidate (seen or beyond the k-th) could tie

@@ -34,7 +34,7 @@ import itertools
 import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -48,30 +48,15 @@ class SeriesError(ValueError):
     pass
 
 
-class InsufficientDepthError(SeriesError):
-    """Fewer than 2 common levels: detection is not meaningful."""
-
-
 @dataclass(frozen=True)
 class LevelStats:
     level: int
     n_components: int
     n_heads: int
-    n_exit_points: int
+    n_exit: int
     head_intensity: float
     exit_intensity: float
     mean_merge_distance: float | None
-
-
-LEVELS_CSV_FIELDS = (
-    "level",
-    "n_components",
-    "n_heads",
-    "n_exit",
-    "head_intensity",
-    "exit_intensity",
-    "mean_merge_distance",
-)
 
 
 def _mean_merge_distance(merge_sq) -> float:
@@ -93,7 +78,7 @@ def level_stats(h: Hierarchy) -> list:
                 level=k,
                 n_components=g.n_components,
                 n_heads=2 * g.n_components,
-                n_exit_points=n_exit,
+                n_exit=n_exit,
                 head_intensity=2 * g.n_components / volume,
                 exit_intensity=n_exit / volume,
                 mean_merge_distance=_mean_merge_distance(merge_sq) if n_exit else None,
@@ -145,7 +130,7 @@ def poisson_baseline(
     window: Window,
     expected_count: float,
     n_seeds: int,
-    metric: Metric | None = None,
+    metric: Metric = Metric(),
     master_seed: int = 0,
     seeds=None,
 ) -> BaselineSeries:
@@ -164,7 +149,6 @@ def poisson_baseline(
         n_seeds = len(seeds)
     if n_seeds < 1:
         raise SeriesError("n_seeds must be >= 1")
-    metric = metric or Metric.euclidean()
     lam = expected_count / window.volume
     per_block = max(1, int(_BLOCK_POINTS / max(1.0, expected_count)))
 
@@ -259,9 +243,7 @@ def align_series(target, baseline):
     """Truncate both series to their common levels; at least 2 required."""
     common = min(len(target), len(baseline))
     if common < 2:
-        raise InsufficientDepthError(
-            f"only {common} common level(s) between target and baseline"
-        )
+        raise SeriesError(f"only {common} common level(s) between target and baseline")
     return list(target[:common]), list(baseline[:common])
 
 
@@ -301,6 +283,8 @@ def _monte_carlo_p_value(target, seed_series) -> float:
     among the m + 1 samples' own (see the module note)."""
     samples = [target, *seed_series]
     depth = min(map(len, samples))
+    if depth == 0:
+        raise SeriesError("the target and the baseline seeds share no level to compare")
     logs = [[math.log(v) for v in s[:depth]] for s in samples]
     stat = [_max_deviation(logs, i) for i in range(len(logs))]
     return (1 + sum(s >= stat[0] for s in stat[1:])) / len(stat)
@@ -331,7 +315,7 @@ def _write_csv(path, header, rows) -> None:
 
 
 def write_levels_csv(rows, path) -> None:
-    _write_csv(path, LEVELS_CSV_FIELDS, map(astuple, rows))
+    _write_csv(path, [f.name for f in fields(LevelStats)], map(astuple, rows))
 
 
 SERIES_COLUMN = "mean_merge_distance"

@@ -29,6 +29,18 @@ def test_ball_volume():
     assert ball_volume(1) == pytest.approx(2.0)
     assert ball_volume(2) == pytest.approx(math.pi)
     assert ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        ball_volume(0)
+
+
+def test_ball_mass_past_float_range():
+    # R^d overflows, yet lam w_d R^d may not; past float range it is 0 or inf.
+    assert chains._ball_mass(1e-300, 1e200, 2) == pytest.approx(math.pi * 1e100, rel=1e-12)
+    assert chains._ball_mass(0.0, 1e200, 2) == 0.0
+    assert chains._ball_mass(1.0, 1e200, 2) == math.inf
+    assert expected_chain_count_formula(1e-300, 1e200, 2, 3) == pytest.approx(
+        math.pi**3 * 1e300, rel=1e-12
+    )
 
 
 def test_predicate_examples():
@@ -63,6 +75,10 @@ def test_chain_record():
 def test_count_empty_chain():
     pts = np.array([[0.0, 0.0], [0.5, 0.0]])
     assert count_chains_from_origin(pts, 0, 1.0) == 1
+    assert count_chains_from_origin(np.empty((0, 2)), 2, 1.0) == 0
+    assert mc_chain_count(ChainCountConfig(lam=1.0, R=1.0, d=2, n=0, trials=5, seed=0)) == (
+        1.0, 0.0
+    )
 
 
 def test_count_length_one_counts_neighbors():

@@ -32,6 +32,11 @@ def test_parse_centers_and_seeds():
     assert c.shape == (3, 2)
     assert parse_seed_range("3..6") == [3, 4, 5, 6]
     assert parse_seed_range("9") == [9]
+    for text in ("1,2;3", ";", ""):
+        with pytest.raises(ValueError, match="malformed centers"):
+            parse_centers(text)
+    with pytest.raises(ValueError, match="empty seed range '5..3'"):
+        parse_seed_range("5..3")
 
 
 def test_generate_poisson_roundtrip(tmp_path):
@@ -238,6 +243,10 @@ def test_chains_formula_beyond_float_range(capsys):
     assert run("chains", "formula", "--lambda", 100, "--n", 400) == 0
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert row[:3] == ["400", "inf", "inf"]
+    # lam w_d R^d = pi 1e100, though R^d alone is past float range
+    assert run("chains", "formula", "--n", 3, "--R", 1e200, "--lambda", 1e-300) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(row[1]) == pytest.approx(math.pi**3 * 1e300, rel=1e-12)
 
 
 def test_chains_mc_beyond_float_range_is_one_error_line(capsys):
@@ -272,6 +281,9 @@ def test_chains_mc_budget_is_one_error_line(monkeypatch, capsys):
 
 TINY_WINDOW = "1,1.000000000000001"  # about five representable floats wide
 
+# numpy's own refusals of a Poisson mean or a seed
+NUMPY_WORDING = ("lam value too large", "lam < 0 or lam is NaN", "expected non-negative integer")
+
 
 @pytest.mark.parametrize("argv, code", [
     (["generate", "binomial", "--count", "10", "--window", TINY_WINDOW], 1),
@@ -301,12 +313,36 @@ TINY_WINDOW = "1,1.000000000000001"  # about five representable floats wide
     # large and tiny windows that still work, lifted blocks included
     (["baseline", "--window", "0,0,1e153,1e153", "--count", "30", "--seeds", "0..5"], 0),
     (["baseline", "--window", "0,0,1e-150,1e-150", "--count", "30", "--seeds", "0..5"], 0),
+    # Poisson means and seeds that numpy refuses
+    (["generate", "poisson", "--lambda", "inf", "--window", "0,0,10,10"], 1),
+    (["generate", "poisson", "--lambda", "1e300", "--window", "0,0,10,10"], 1),
+    (["generate", "cox", "--lambda", "1e300", "--centers", "1,1", "--radii", "1",
+      "--window", "0,0,10,10"], 1),
+    (["generate", "cox", "--center-intensity", "1e300", "--radius-range", "1,2",
+      "--window", "0,0,10,10"], 1),
+    (["baseline", "--window", "0,0,10,10", "--count", "inf", "--seeds", "0..1"], 1),
+    (["generate", "cox", "--center-intensity", "-1", "--radius-range", "1,2",
+      "--window", "0,0,10,10"], 1),
+    (["generate", "cox", "--center-intensity", "nan", "--radius-range", "1,2",
+      "--window", "0,0,10,10"], 1),
+    (["generate", "poisson", "--window", "0,0,10,10", "--seed", "-1"], 1),
+    (["chains", "mc", "--n", "2", "--seed", "-1", "--trials", "5"], 1),
+    (["baseline", "--window", "0,0,10,10", "--count", "10", "--seeds=-5..-3"], 1),
+    # a Cox spec of both modes, and an infinite largest radius
+    (["generate", "cox", "--centers", "5,5", "--radii", "2", "--center-intensity", "5",
+      "--radius-range", "1,2", "--window", "0,0,10,10"], 1),
+    (["generate", "cox", "--center-intensity", "5", "--radius-range", "1,inf",
+      "--window", "0,0,10,10"], 1),
+    # the expected count passes float range on the way (chains._ball_mass)
+    (["chains", "formula", "--n", "2", "--R", "1e200", "--lambda", "1e-300"], 0),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_cli_extreme_inputs_give_a_row_or_one_error_line(argv, code, tmp_path):
-    """In a fresh process with a deadline: a hang or a traceback fails."""
+    """In a fresh process with a deadline: a hang or a traceback fails, and
+    so does an error line in numpy's words rather than the program's."""
     out = tmp_path / "out"
     if argv[0] != "chains":
-        argv = argv + ["--out", str(out)] + (["--seed", "1"] if argv[0] == "generate" else [])
+        seed = ["--seed", "1"] if argv[0] == "generate" and "--seed" not in argv else []
+        argv = argv + ["--out", str(out)] + seed
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-m", "chn2.cli", *argv], capture_output=True, text=True,
@@ -316,6 +352,7 @@ def test_cli_extreme_inputs_give_a_row_or_one_error_line(argv, code, tmp_path):
     assert proc.returncode == code, proc.stderr
     if code == 1:
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+        assert not any(words in proc.stderr for words in NUMPY_WORDING), proc.stderr
     elif argv[0] == "chains":
         header, row = proc.stdout.splitlines()
         assert header.startswith("n,closed_form,recursive") and row.startswith("2,")
@@ -370,6 +407,10 @@ def test_bad_input_nonzero_exit(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 2}')
     assert run("cluster", "--input", bad, "--out", tmp_path / "h.json") == 1
+    capsys.readouterr()
+    assert run("generate", "binomial", "--window", "0,0,1,1", "--seed", 1,
+               "--out", tmp_path / "s.json") == 1
+    assert capsys.readouterr().err == "error: binomial needs --count\n"
 
 
 def test_malformed_hierarchy_one_line_error(tmp_path, capsys):

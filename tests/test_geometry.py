@@ -62,9 +62,23 @@ def test_torus_requires_window():
 
 
 def test_window_validation():
-    with pytest.raises(GeometryError):
-        Window([0.0, 0.0], [1.0, 0.0])
+    for lo, hi, words in [
+        ([0.0, 0.0], [1.0, 0.0], "lo < hi"),
+        ([0.0, 0.0], [1.0], "equal length"),
+        ([[0.0]], [[1.0]], "equal length"),
+        ([], [], "equal length"),
+        ([0.0, -np.inf], [1.0, 1.0], "finite"),
+        ([0.0, 0.0], [1.0, np.nan], "finite"),
+    ]:
+        with pytest.raises(GeometryError, match=words):
+            Window(lo, hi)
     assert Window([0, 0], [2, 3]).volume == 6.0
+
+
+def test_metric_kind_is_known():
+    with pytest.raises(GeometryError, match="unknown metric kind: 'manhattan'"):
+        Metric("manhattan")
+    assert Metric() == Metric.euclidean()
 
 
 # The single-linkage pseudo-distance between two pairs is what nn_k_step's

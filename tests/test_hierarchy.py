@@ -14,7 +14,6 @@ from chn2.hierarchy import (
     SINGLE_PAIR,
     HierarchyError,
     LevelGraph,
-    StructureError,
     advance_level,
     build_hierarchy,
     functional_structure,
@@ -265,7 +264,7 @@ def test_functional_structure_generic_cycle_detection():
     assert cycles == [(0, 1, 2)]
     assert comp.tolist() == [0, 0, 0, 0]
     assert head_of[3] == 0
-    with pytest.raises(StructureError):
+    with pytest.raises(HierarchyError):
         LevelGraph.from_successors(0, succ)
 
 
@@ -318,7 +317,7 @@ def test_from_successors_matches_functional_structure(rng, monkeypatch):
         want = structure_oracle(3, succ)
         kinds.add(isinstance(want, str))
         if isinstance(want, str):
-            with pytest.raises(StructureError) as err:
+            with pytest.raises(HierarchyError) as err:
                 LevelGraph.from_successors(3, succ)
             assert str(err.value) == want
         else:
@@ -358,7 +357,7 @@ def test_reach_two_cycles_early_exit_matches_full_rounds(rng):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         expected = structure_oracle(1, succ)
         if isinstance(expected, str):
-            with pytest.raises(StructureError) as err:
+            with pytest.raises(HierarchyError) as err:
                 LevelGraph.from_successors(1, succ)
             assert str(err.value) == expected
         else:
@@ -439,7 +438,9 @@ def test_next_level_matches_vertex_level_step(seed):
                     want = step_outcome(vertex_next_level, *args)
                     assert step_outcome(advance_level, *args) == want, kind
                     outcomes.add((kind, want[0]))
-    assert {kind for kind, got in outcomes if got in (HierarchyError, StructureError)} == {
+                    if want[0] is HierarchyError:
+                        assert want[1].startswith("level "), want[1]
+    assert {kind for kind, got in outcomes if got is HierarchyError} == {
         "exit not a head", "target not a head", "target in its own pair",
         "target out of range", "4-cycle", "3-cycle", "3-cycle of pairs",
     }
@@ -461,8 +462,14 @@ def test_valid_level_step_walks_the_pair_map_once(monkeypatch):
 
 
 def test_structure_rejects_self_loop():
-    with pytest.raises(StructureError):
+    with pytest.raises(HierarchyError, match="^level 0: self-loops are not allowed$"):
         LevelGraph.from_successors(0, np.array([0, 0]))
+
+
+def test_structure_rejects_partial_map_naming_the_level():
+    for succ in ([1, 2], [1, -1], [], [[1, 0]]):
+        with pytest.raises(HierarchyError, match="^level 4: successor map must be total$"):
+            LevelGraph.from_successors(4, np.array(succ, dtype=np.int64))
 
 
 def test_descent_violation_surfaced_not_suppressed():

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,12 @@ def test_poisson_determinism():
 
 def test_binomial_counts():
     assert gen_binomial(0, UNIT_SQ, 2, seed=3).n == 0
+    with pytest.raises(SampleError, match="count must be nonnegative"):
+        gen_binomial(-1, UNIT_SQ, 2, seed=3)
+    # about five floats wide: ten draws cannot all differ
+    tiny = Window([1.0], [1.000000000000001])
+    with pytest.raises(SampleError, match="only [0-9] of 10 uniform draws are distinct"):
+        gen_binomial(10, tiny, 1, seed=3)
     one = gen_binomial(1, UNIT_SQ, 2, seed=3)
     assert one.n == 1
     assert one.window.contains(one.points).all()
@@ -93,6 +100,8 @@ def test_cox_fixture_scale():
     assert 1700 <= s.n <= 2300
     s2 = cox_fixture("four_balls")
     assert 2200 <= s2.n <= 2800
+    with pytest.raises(ValueError, match="unknown fixture 'nope'"):
+        cox_fixture("nope")
 
 
 def test_cox_empty_region_warns_not_raises():
@@ -112,13 +121,61 @@ def test_cox_random_mode_runs():
     assert a.generator["mode"] == "random"
 
 
+COX_SPEC_REFUSALS = [
+    ({"centers": [[0.0, 0.0]]}, "fixed mode needs radii"),
+    ({"centers": np.array([[0.0, 0.0]]), "radii": np.array([1.0, 2.0])}, "one radius per center"),
+    ({}, "random mode needs center_intensity and radius_range"),
+    ({"centers": [[0.0, 0.0], [1.0, 1.0]], "radii": [1.0, 0.0]}, "radii must be positive"),
+    ({"centers": [[0.0, 0.0]], "radii": [-1.0]}, "radii must be positive"),
+    ({"center_intensity": 0.1, "radius_range": (2.0, 1.0)}, "0 < r_min <= r_max < inf"),
+    ({"center_intensity": 0.1, "radius_range": (0.0, 1.0)}, "0 < r_min <= r_max < inf"),
+    ({"center_intensity": 0.1, "radius_range": (1.0, math.inf)}, "0 < r_min <= r_max < inf"),
+    ({"center_intensity": 0.1, "radius_range": (1.0, math.nan)}, "0 < r_min <= r_max < inf"),
+    ({"center_intensity": -1.0, "radius_range": (1.0, 2.0)}, "center_intensity must be nonneg"),
+    ({"center_intensity": math.nan, "radius_range": (1.0, 2.0)}, "center_intensity must be"),
+    # fields of both modes
+    ({"centers": [[5.0, 5.0]], "radii": [2.0], "center_intensity": 5.0,
+      "radius_range": (1.0, 2.0)}, "not both"),
+    ({"centers": [[5.0, 5.0]], "radii": [2.0], "center_intensity": 5.0}, "not both"),
+    ({"radii": [2.0], "radius_range": (1.0, 2.0)}, "not both"),
+]
+
+
 def test_cox_spec_validation():
-    with pytest.raises(SampleError, match="fixed mode needs radii"):
-        CoxBallSpec(lam=1.0, centers=[[0.0, 0.0]])
-    with pytest.raises(SampleError):
-        CoxBallSpec(lam=1.0, centers=np.array([[0.0, 0.0]]), radii=np.array([1.0, 2.0]))
-    with pytest.raises(SampleError):
-        CoxBallSpec(lam=1.0)
+    for fields, words in COX_SPEC_REFUSALS:
+        with pytest.raises(SampleError, match=re.escape(words)):
+            CoxBallSpec(lam=1.0, **fields)
+
+
+def test_cox_center_dimension_must_match():
+    spec = CoxBallSpec(lam=1.0, centers=[[1.0, 1.0, 1.0]], radii=[1.0])
+    with pytest.raises(SampleError, match="center dimension does not match dim"):
+        gen_cox_balls(spec, UNIT_SQ, 2, seed=1)
+
+
+@pytest.mark.parametrize("generate", [
+    lambda seed: gen_poisson(1.0, UNIT_SQ, 2, seed),
+    lambda seed: gen_binomial(3, UNIT_SQ, 2, seed),
+    lambda seed: gen_cox_balls(CoxBallSpec(lam=1.0, centers=[[0.5, 0.5]], radii=[0.5]),
+                               UNIT_SQ, 2, seed),
+    lambda seed: derive_seed(seed, 0),
+])
+def test_negative_seed_refused_in_own_words(generate):
+    generate(0)
+    with pytest.raises(SampleError, match="^seeds must be nonnegative, got -1$"):
+        generate(-1)
+
+
+def test_poisson_mean_beyond_numpy_range_refused_in_own_words():
+    for lam in (math.inf, 1e300):
+        with pytest.raises(SampleError, match="expected point count .* is too large to draw"):
+            gen_poisson(lam, UNIT_SQ, 2, seed=1)
+        with pytest.raises(SampleError, match="expected point count .* is too large to draw"):
+            gen_cox_balls(CoxBallSpec(lam=lam, centers=[[0.5, 0.5]], radii=[0.5]),
+                          UNIT_SQ, 2, seed=1)
+    spec = CoxBallSpec(lam=1.0, center_intensity=1e300, radius_range=(1.0, 2.0))
+    with pytest.raises(SampleError, match="expected center count .* is too large to draw"):
+        gen_cox_balls(spec, UNIT_SQ, 2, seed=1)
 
 
 @pytest.mark.parametrize("mode", [
@@ -158,6 +215,19 @@ def test_loaded_sample_arrays_are_read_only(tmp_path):
     with pytest.raises(ValueError):
         loaded.window.lo[0] = -1.0
     assert np.array_equal(loaded.points, points)
+
+
+def test_sample_dimensions_must_match():
+    with pytest.raises(SampleError, match=r"points must be an \(n, 3\) array"):
+        Sample(np.zeros((2, 2)), UNIT_SQ, 3, {}, 0)
+    with pytest.raises(SampleError, match="window dimension does not match sample dimension"):
+        Sample(np.zeros((2, 3)), UNIT_SQ, 3, {}, 0)
+    for generate in (gen_poisson, gen_binomial):
+        with pytest.raises(SampleError, match="window dimension does not match dim"):
+            generate(1, UNIT_SQ, 3, 0)
+    spec = CoxBallSpec(lam=1.0, centers=[[0.5, 0.5]], radii=[0.5])
+    with pytest.raises(SampleError, match="window dimension does not match dim"):
+        gen_cox_balls(spec, UNIT_SQ, 3, 0)
 
 
 def test_sample_reader_validates():

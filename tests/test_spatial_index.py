@@ -27,6 +27,9 @@ def test_empty_build_errors():
         NnIndex(np.empty((0, 2)), np.empty(0, dtype=int))
     with pytest.raises(IndexBuildError, match="nonnegative"):
         NnIndex([[0.0], [1.0]], [0, -1])
+    for groups in ([0], [0, 1, 2], [[0, 1]]):
+        with pytest.raises(IndexBuildError, match="one group id per point"):
+            NnIndex([[0.0], [1.0]], groups)
     with pytest.raises(IndexBuildError):
         NnIndex([[11.0, 0.0]], [0], Metric.torus(Window([0.0, 0.0], [10.0, 10.0])))
 

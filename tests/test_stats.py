@@ -12,7 +12,7 @@ from chn2.stats import (
     BaselineSeries,
     DetectorConfig,
     DetectionResult,
-    InsufficientDepthError,
+    MIN_SEEDS,
     SeriesError,
     align_series,
     detect_against_baseline,
@@ -46,12 +46,12 @@ def test_level_stats_fixture():
     rows = level_stats(h)
     assert rows[0].n_components == 2
     assert rows[0].n_heads == 4
-    assert rows[0].n_exit_points == 2
+    assert rows[0].n_exit == 2
     assert rows[0].mean_merge_distance == pytest.approx(4.0)
     assert rows[0].head_intensity == pytest.approx(4 / WIDE.volume)
     assert rows[0].exit_intensity == pytest.approx(2 / WIDE.volume)
     # terminal level has no exits
-    assert rows[-1].n_exit_points == 0
+    assert rows[-1].n_exit == 0
     assert rows[-1].mean_merge_distance is None
 
 
@@ -63,9 +63,9 @@ def test_level_stats_counts_structural(rng):
     for k, row in enumerate(rows):
         assert row.n_heads == 2 * row.n_components
         if k < len(rows) - 1:
-            assert row.n_exit_points == row.n_components
+            assert row.n_exit == row.n_components
     for a, b in zip(rows[:-2], rows[1:-1]):
-        assert b.n_exit_points <= a.n_exit_points / 2
+        assert b.n_exit <= a.n_exit / 2
 
 
 def test_mean_distance_series_fixture():
@@ -119,7 +119,7 @@ def test_detect_errors():
 def test_align_series():
     t, b = align_series([1, 2, 3, 4], [1, 2, 3])
     assert t == [1, 2, 3] and b == [1, 2, 3]
-    with pytest.raises(InsufficientDepthError):
+    with pytest.raises(SeriesError, match="only 1 common level"):
         align_series([1.0], [1.0, 2.0])
 
 
@@ -206,6 +206,24 @@ def test_block_keeps_seeds_whose_pairs_span_the_window():
         expect = tuple(mean_distance_series(build_hierarchy(sample, metric)))
         assert len(expect) == 1
         assert _block_series([sample, sample], metric) == [expect, expect]
+
+
+def test_baseline_needs_a_seed():
+    for kwargs in ({"seeds": []}, {"n_seeds": 0}):
+        args = {"n_seeds": 3, **kwargs}
+        with pytest.raises(SeriesError, match="n_seeds must be >= 1"):
+            poisson_baseline(Window([0.0, 0.0], [1.0, 1.0]), 8.0, **args)
+
+
+def test_detect_refuses_a_monte_carlo_test_over_no_level():
+    # About 8 points a seed: two of the 20 seeds never merge, so no level is
+    # shared by the target and every seed and there is nothing to compare.
+    base = poisson_baseline(Window([0, 0], [10, 10]), 8, 20, master_seed=1)
+    assert base.n_seeds >= MIN_SEEDS and min(map(len, base.seed_series)) == 0
+    target = [base.values[0], 3 * base.values[1]]
+    assert tau_rule(target, base.values).level == 1
+    with pytest.raises(SeriesError, match="share no level"):
+        detect_against_baseline(target, base)
 
 
 def test_baseline_deterministic():
