@@ -36,14 +36,16 @@ in every dimension, against the recursion's (1/2) (lam w_d R^d)^4
 upper bounds still vanish as n grows, which is all the finiteness argument
 needs; the Monte-Carlo estimator is the ground truth for point values.
 
-Counting is exact and breadth first over a block of samples at once: one
-k-d tree pair query gives every sample's within-R neighbour lists, and each
-step extends every partial chain of the block by its admissible next
-vertices. A chain keeps its vertices as columns, and distinctness is a
-compare against them, so a sample may hold any number of points. The work
-is the number of partial chains; `mc_chain_count` refuses, before drawing
-any trial, a configuration whose expected points or partial chains per
-trial exceed MAX_POINTS_PER_TRIAL or MAX_PARTIAL_CHAINS.
+Trials are drawn and counted a block at a time. Each trial keeps its own
+generator and its own draws; normalising, scaling and placing the origins
+is one array pass over the block. Counting is exact and breadth first over
+the whole block: one k-d tree pair query gives every sample's within-R
+neighbour lists, and each step extends every partial chain of the block by
+its admissible next vertices. A chain keeps its vertices as columns, and
+distinctness is a compare against them, so a sample may hold any number of
+points. The work is the number of partial chains; `mc_chain_count`
+refuses, before drawing any trial, a configuration whose expected points or
+partial chains per trial exceed MAX_POINTS_PER_TRIAL or MAX_PARTIAL_CHAINS.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ from .spatial_index import tree_cut
 # one row per partial chain, so the second limit bounds its memory.
 MAX_POINTS_PER_TRIAL = 5_000
 MAX_PARTIAL_CHAINS = 1_000
-# Trials are counted in blocks of about this many expected points, so peak
-# memory depends on the configuration and not on the number of trials.
+# Trials are drawn and counted in blocks of about this many expected points,
+# so peak memory depends on the configuration and not on the number of trials.
 _BLOCK_POINTS = 1 << 11
 
 
@@ -98,7 +100,9 @@ def _neighbour_lists(coords, owner, R):
 
     Row v's sample is owner[v]. The samples are laid side by side along the
     first axis, 2R apart, so one k-d tree pair query, at `tree_cut(R)`,
-    finds every within-R pair of every sample and no pair across samples.
+    finds every within-R pair of every sample. When R is below the cut's
+    absolute slack it finds pairs across samples too; only pairs with
+    owner[i] == owner[j] are kept, so no neighbour list leaves its sample.
     Each pair's distance is then recomputed from the unshifted coordinates
     with the dense-matrix formula, so the strict compares below see exactly
     the distances a per-sample matrix would.
@@ -113,14 +117,16 @@ def _neighbour_lists(coords, owner, R):
     pairs = cKDTree(shifted).query_pairs(tree_cut(R, scale), output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]
     dist = np.sqrt(np.sum((coords[i] - coords[j]) ** 2, axis=-1))
-    keep = dist < R
+    keep = (dist < R) & (owner[i] == owner[j])
+    i, j = i[keep], j[keep]
     levels, rank = np.unique(dist[keep], return_inverse=True)
     stride = len(levels) + 1
-    key = np.concatenate([i[keep] * stride + rank, j[keep] * stride + rank])
-    dst = np.concatenate([j[keep], i[keep]])
+    src, dst = np.concatenate([i, j]), np.concatenate([j, i])
+    key = src * stride + np.concatenate([rank, rank])
     order = np.argsort(key)
     key, dst = key[order], dst[order]
-    start = np.searchsorted(key, np.arange(len(coords) + 1) * stride)
+    start = np.zeros(len(coords) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=len(coords)), out=start[1:])
     return key, dst, start, stride
 
 
@@ -164,6 +170,10 @@ def count_chains_from_origin(points, n: int, R: float) -> int:
     them at once, enumerates exactly the chains; this is the one-sample case
     of the block pass that `mc_chain_count` runs.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if not 0 <= R < math.inf:
+        raise ValueError(f"R must be finite and >= 0, got R = {R!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if n == 0:
         return 1
@@ -227,14 +237,6 @@ class ChainCountConfig:
             raise ValueError("trials must be >= 1")
 
 
-def _uniform_ball(rng, count, d, radius):
-    x = rng.standard_normal((count, d))
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    r = radius * rng.random((count, 1)) ** (1.0 / d)
-    return x / norms * r
-
-
 def _expected_points(cfg: ChainCountConfig) -> float:
     """Mean point count of a trial's Poisson sample on the ball of radius n*R."""
     return _ball_mass(cfg.lam, cfg.n * cfg.R, cfg.d)
@@ -262,27 +264,48 @@ def _check_budget(cfg: ChainCountConfig) -> None:
             break
 
 
+def _block_points(cfg: ChainCountConfig, first: int, last: int):
+    """Trials first..last-1 as one block (see `_neighbour_lists`): each
+    trial's Poisson sample on the ball of radius n*R, uniform directions
+    times radius * u^(1/d), its origin first.
+
+    Only the trial's own generator and its three draws are per trial; the
+    normalising, scaling and origin rows are one pass over the block. Returns
+    (coords, owner, origins).
+    """
+    mean = _expected_points(cfg)
+    normals, uniforms = [], []
+    for t in range(first, last):
+        rng = np.random.default_rng(derive_seed(cfg.seed, t))
+        k = rng.poisson(mean)
+        normals.append(rng.standard_normal((k, cfg.d)))
+        uniforms.append(rng.random((k, 1)))
+    sizes = np.array([len(u) for u in uniforms]) + 1
+    owner = np.repeat(np.arange(last - first), sizes)
+    origins = np.cumsum(sizes) - sizes
+    x = np.concatenate(normals)
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    r = cfg.n * cfg.R * np.concatenate(uniforms) ** (1.0 / cfg.d)
+    coords = np.zeros((len(owner), cfg.d))
+    drawn = np.ones(len(owner), dtype=bool)
+    drawn[origins] = False
+    coords[drawn] = x / norms * r
+    return coords, owner, origins
+
+
 def _trial_points(cfg: ChainCountConfig, t: int) -> np.ndarray:
-    """Trial t's Poisson sample on the ball of radius n*R, origin first."""
-    rng = np.random.default_rng(derive_seed(cfg.seed, t))
-    k = rng.poisson(_expected_points(cfg))
-    return np.vstack([np.zeros((1, cfg.d)), _uniform_ball(rng, k, cfg.d, cfg.n * cfg.R)])
+    """Trial t's sample, origin first: the one-trial block."""
+    return _block_points(cfg, t, t + 1)[0]
 
 
 def _trial_counts(cfg: ChainCountConfig) -> np.ndarray:
-    """Exact chain count of every trial, counted block by block."""
+    """Exact chain count of every trial, drawn and counted block by block."""
     per_block = max(1, int(_BLOCK_POINTS / max(1.0, _expected_points(cfg))))
     counts = np.empty(cfg.trials, dtype=float)
     for first in range(0, cfg.trials, per_block):
-        samples = [
-            _trial_points(cfg, t) for t in range(first, min(first + per_block, cfg.trials))
-        ]
-        sizes = np.array([len(pts) for pts in samples])
-        owner = np.repeat(np.arange(len(samples)), sizes)
-        origins = np.cumsum(sizes) - sizes
-        counts[first:first + len(samples)] = _count_block(
-            np.concatenate(samples), owner, origins, cfg.n, cfg.R
-        )
+        last = min(first + per_block, cfg.trials)
+        counts[first:last] = _count_block(*_block_points(cfg, first, last), cfg.n, cfg.R)
     return counts
 
 

@@ -21,7 +21,7 @@ from chn2.hierarchy import (
     build_hierarchy,
     genealogy_newick,
 )
-from chn2.pointprocess import gen_poisson
+from chn2.pointprocess import derive_seed, gen_poisson
 from chn2.stats import mean_distance_series
 
 
@@ -359,6 +359,23 @@ def oracle_count_chains_dfs(points, n, R, origin=0):
             else:
                 stack.append((w, depth + 1, step, d1, visited | {w}))
     return count
+
+
+def oracle_trial_points(cfg, t):
+    """Trial t of a chain Monte Carlo config, drawn on its own: a Poisson
+    count on the ball of radius n*R from trial t's generator, then normal
+    directions and uniform radii, normalised and scaled, origin first."""
+    import math
+
+    rng = np.random.default_rng(derive_seed(cfg.seed, t))
+    radius = cfg.n * cfg.R
+    w_d = math.pi ** (cfg.d / 2) / math.gamma(cfg.d / 2 + 1)
+    k = rng.poisson(cfg.lam * (w_d * radius**cfg.d))
+    x = rng.standard_normal((k, cfg.d))
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    r = radius * rng.random((k, 1)) ** (1.0 / cfg.d)
+    return np.vstack([np.zeros((1, cfg.d)), x / norms * r])
 
 
 def oracle_expected_chains_weighted(n, d, trials, seed):

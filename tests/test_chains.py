@@ -22,6 +22,7 @@ from conftest import (
     oracle_count_chains,
     oracle_count_chains_dfs,
     oracle_second_order_descending,
+    oracle_trial_points,
 )
 
 
@@ -81,6 +82,15 @@ def test_count_empty_chain():
     )
 
 
+def test_count_refuses_bad_arguments_in_words():
+    pts = np.array([[0.0, 0.0], [0.5, 0.0]])
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        count_chains_from_origin(pts, -1, 1.0)
+    for R in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="R must be finite and >= 0"):
+            count_chains_from_origin(pts, 2, R)
+
+
 def test_count_length_one_counts_neighbors():
     pts = np.array([[0.0], [0.3], [0.9], [1.5]])
     assert count_chains_from_origin(pts, 1, 1.0) == 2
@@ -138,6 +148,30 @@ def test_trial_counts_match_dfs_oracle(d):
         assert counts.tolist() == want, (d, n)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_trial_counts_stay_inside_their_trial(n):
+    # The same lam w_d R^d as lam = R = 1, at an R far below the tree cut's
+    # absolute slack: the query finds pairs across the block's trials, and
+    # no chain may follow one.
+    cfg = ChainCountConfig(lam=1e32, R=1e-16, d=2, n=n, trials=60, seed=9)
+    counts = chains._trial_counts(cfg)
+    want = [oracle_count_chains_dfs(chains._trial_points(cfg, t), n, cfg.R) for t in range(60)]
+    assert counts.tolist() == want
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_block_points_match_the_per_trial_draw(d):
+    for lam in (1.0, 0.02):  # the second leaves most trials empty
+        cfg = ChainCountConfig(lam=lam, R=1.0, d=d, n=3, trials=20, seed=11)
+        samples = [oracle_trial_points(cfg, t) for t in range(cfg.trials)]
+        for first, last in ((5, 6), (3, 10), (0, cfg.trials)):
+            coords, owner, origins = chains._block_points(cfg, first, last)
+            assert coords.tobytes() == np.concatenate(samples[first:last]).tobytes()
+            sizes = [len(pts) for pts in samples[first:last]]
+            assert owner.tolist() == np.repeat(np.arange(last - first), sizes).tolist()
+            assert origins.tolist() == (np.cumsum(sizes) - sizes).tolist()
+
+
 def test_trial_counts_do_not_depend_on_block_size(monkeypatch):
     cfg = ChainCountConfig(lam=1.0, R=1.0, d=2, n=3, trials=97, seed=4)
     whole = chains._trial_counts(cfg)
@@ -155,12 +189,12 @@ def test_count_tied_distances():
         assert count_chains_from_origin(pts, n, 1.5) == oracle_count_chains_dfs(pts, n, 1.5)
 
 
-def _no_trials(cfg, t):
+def _no_trials(cfg, first, last):
     raise AssertionError("a trial was drawn before the budget check")
 
 
 def test_budget_rejects_before_drawing(monkeypatch):
-    monkeypatch.setattr(chains, "_trial_points", _no_trials)
+    monkeypatch.setattr(chains, "_block_points", _no_trials)
     too_many_points = ChainCountConfig(lam=1000.0, R=1.0, d=2, n=4, trials=10, seed=0)
     with pytest.raises(ValueError, match="MAX_POINTS_PER_TRIAL"):
         mc_chain_count(too_many_points)

@@ -269,10 +269,10 @@ def test_chains_mc_csv(tmp_path):
 def test_chains_mc_budget_is_one_error_line(monkeypatch, capsys):
     import chn2.chains
 
-    def no_trials(cfg, t):
+    def no_trials(cfg, first, last):
         raise AssertionError("a trial was drawn before the budget check")
 
-    monkeypatch.setattr(chn2.chains, "_trial_points", no_trials)
+    monkeypatch.setattr(chn2.chains, "_block_points", no_trials)
     for lam, n, bound in ((1000, 4, "MAX_POINTS_PER_TRIAL"), (100, 2, "MAX_PARTIAL_CHAINS")):
         assert run("chains", "mc", "--lambda", lam, "--n", n, "--trials", 10**9) == 1
         err = capsys.readouterr().err
