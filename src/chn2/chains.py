@@ -99,10 +99,11 @@ def _neighbour_lists(coords, owner, R):
     """Within-R neighbour lists of a block of samples, in CSR form.
 
     Row v's sample is owner[v]. The samples are laid side by side along the
-    first axis, 2R apart, so one k-d tree pair query, at `tree_cut(R)`,
-    finds every within-R pair of every sample. When R is below the cut's
-    absolute slack it finds pairs across samples too; only pairs with
-    owner[i] == owner[j] are kept, so no neighbour list leaves its sample.
+    first axis, two unit-scale tree cuts of R apart, so one k-d tree pair
+    query, at `tree_cut(R)`, finds every within-R pair of every sample and,
+    even when R is below the cut's absolute slack, next to none across
+    samples. Only pairs with owner[i] == owner[j] are kept, so no neighbour
+    list leaves its sample.
     Each pair's distance is then recomputed from the unshifted coordinates
     with the dense-matrix formula, so the strict compares below see exactly
     the distances a per-sample matrix would.
@@ -112,7 +113,7 @@ def _neighbour_lists(coords, owner, R):
     those closer than rank b end at searchsorted(key, v * stride + b).
     """
     shifted = coords.copy()
-    shifted[:, 0] += owner * (float(np.ptp(coords[:, 0])) + 2.0 * R)
+    shifted[:, 0] += owner * (float(np.ptp(coords[:, 0])) + 2.0 * tree_cut(R, 1.0))
     scale = max(1.0, float(np.max(np.abs(shifted))))
     pairs = cKDTree(shifted).query_pairs(tree_cut(R, scale), output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]
@@ -292,11 +293,6 @@ def _block_points(cfg: ChainCountConfig, first: int, last: int):
     drawn[origins] = False
     coords[drawn] = x / norms * r
     return coords, owner, origins
-
-
-def _trial_points(cfg: ChainCountConfig, t: int) -> np.ndarray:
-    """Trial t's sample, origin first: the one-trial block."""
-    return _block_points(cfg, t, t + 1)[0]
 
 
 def _trial_counts(cfg: ChainCountConfig) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TORUS, Metric, axis_gaps, sq_dist_many
+from .geometry import TORUS, Metric, sq_dist_many
 from .pointprocess import Sample
 from .spatial_index import NnIndex, torus_offsets
 
@@ -150,16 +150,15 @@ class LevelGraph:
 
 @dataclass(frozen=True)
 class Merges:
-    """How the pairs of one non-terminal level merge, one row per pair.
+    """How the pairs of one non-terminal level g merge, one row per pair.
 
-    `target_pair[i]` is the pair nearest to pair i under the single-linkage
-    distance, `exit[i]` the head of pair i achieving that minimum,
-    `exit_target[i]` its image in the target pair and `merge_sq[i]` the
+    `exit[i]` is the head of pair i achieving the single-linkage distance
+    to its nearest pair, `exit_target[i]` its image in that target pair
+    (the pair map is `g.pair_of(exit_target)`) and `merge_sq[i]` the
     squared minimum. Relinking every exit to its exit target gives the next
     level, where pair i's component belongs to pair `parent[i]`.
     """
 
-    target_pair: np.ndarray
     exit: np.ndarray
     exit_target: np.ndarray
     merge_sq: np.ndarray
@@ -168,14 +167,11 @@ class Merges:
 
 def level0(sample: Sample, metric: Metric = Metric()) -> LevelGraph:
     """Nearest-neighbor successor map over the sample (needs >= 2 points).
-    A squared distance that underflows to 0 is refused; later levels'
-    distances are no smaller."""
+    `NnIndex.successor_map` refuses squared distances that overflow or
+    underflow to 0 with GeometryError."""
     if sample.n < 2:
         raise HierarchyError("level 0 needs at least 2 points")
-    succ, sq = NnIndex(sample.points, np.arange(sample.n), metric).successor_map()
-    tied = np.flatnonzero(sq == 0)
-    if axis_gaps(sample.points[tied], sample.points[succ[tied]], metric).any():
-        raise HierarchyError("squared distances between these points underflow to 0")
+    succ, _ = NnIndex(sample.points, np.arange(sample.n), metric).successor_map()
     return LevelGraph.from_successors(0, succ)
 
 
@@ -265,7 +261,7 @@ def advance_level(g: LevelGraph, exit, exit_target, points, metric: Metric):
                     points.take(exit_target, axis=0), points.take(exit, axis=0), metric
                 )
                 parent = nxt.pair_of(exit[reach])
-                return nxt, Merges(target_pair, exit, exit_target, merge_sq, parent)
+                return nxt, Merges(exit, exit_target, merge_sq, parent)
     LevelGraph.from_successors(g.level + 1, succ)
     raise HierarchyError(f"level {g.level}: an exit target is not a foreign head")
 

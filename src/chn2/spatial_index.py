@@ -19,7 +19,7 @@ import threading
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Metric, TORUS, Window, sq_dist_many
+from .geometry import GeometryError, Metric, TORUS, Window, axis_gaps, sq_dist_many
 
 # Fewest rows at which a tree query gets more than one worker thread. Timed
 # alone on a 2-core x86-64 VM, `successor_map` gains nothing from a second
@@ -47,10 +47,6 @@ def query_workers() -> int:
     return min(count, cpus)
 
 
-class IndexBuildError(ValueError):
-    pass
-
-
 def tree_cut(dist, scale: float):
     """The radius at which a k-d tree query over coordinates of magnitude at
     most `scale` (>= 1) finds every entry within `dist`: wide enough to
@@ -63,15 +59,11 @@ def torus_offsets(coords, window: Window) -> np.ndarray:
     """Each point's offset from the window's lower corner: the torus metric
     on that window measures only points whose offsets lie in [0, side]."""
     if np.shape(coords)[1:] != window.lo.shape:
-        raise IndexBuildError(f"the torus window is {window.dim}-D, the points are not")
+        raise GeometryError(f"the torus window is {window.dim}-D, the points are not")
     data = coords - window.lo
     if np.any(data < 0) or np.any(data > window.side_lengths):
-        raise IndexBuildError("the torus window must contain every point")
+        raise GeometryError("the torus window must contain every point")
     return data
-
-
-class NoForeignNeighborError(LookupError):
-    """Raised when every indexed entry belongs to the excluded group."""
 
 
 class NnIndex:
@@ -81,21 +73,14 @@ class NnIndex:
     when the index is built on the main thread, and on one thread otherwise:
     a caller on another thread (the baseline's pool) is already one of
     several, and nested query threads only contend for the same cores. No
-    answer depends on the count. Group ids are nonnegative and best kept
-    below the entry count: `successor_map` sizes its groups with one
-    `np.bincount` table over 0..largest id.
+    answer depends on the count. Group ids, one per point and unchecked, are
+    nonnegative and best kept below the entry count: `successor_map` sizes
+    its groups with one `np.bincount` table over 0..largest id.
     """
 
     def __init__(self, coords, groups, metric: Metric = Metric()):
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        if coords.shape[0] == 0:
-            raise IndexBuildError("cannot build an index over an empty point set")
-        self.coords = coords
+        self.coords = coords = np.atleast_2d(np.asarray(coords, dtype=float))
         self.groups = np.asarray(groups, dtype=np.int64)
-        if self.groups.shape != (coords.shape[0],):
-            raise IndexBuildError("need exactly one group id per point")
-        if self.groups.min() < 0:
-            raise IndexBuildError("group ids must be nonnegative")
         self.metric = metric
         self.n = coords.shape[0]
         main = threading.current_thread() is threading.main_thread()
@@ -132,7 +117,7 @@ class NnIndex:
         """
         ids = np.flatnonzero(self.groups != own_group)
         if ids.size == 0:
-            raise NoForeignNeighborError("no entry outside the excluded group")
+            raise LookupError("no entry outside the excluded group")
         sq = sq_dist_many(self.coords[ids], np.asarray(query, dtype=float), self.metric)
         best = sq.min()
         return float(best), ids[sq == best]
@@ -147,6 +132,10 @@ class NnIndex:
         ball query per row at the leader's cut gathers every candidate, whose
         exact squared distances are ranked by (squared distance, entry id).
         Returns (ids, sq_distances).
+
+        GeometryError refuses squared distances that overflow, or that
+        underflow to 0 between distinct points; LookupError, a row with no
+        foreign entry.
         """
         out = np.full(self.n, -1, dtype=np.int64)
         out_sq = np.full(self.n, np.inf)
@@ -154,11 +143,11 @@ class NnIndex:
         largest = np.bincount(self.groups).max()
         dists, cand = self._query(self._tree.data, largest + 2)
         if cand.max() == self.n:  # the tree's mark for a neighbour at inf
-            raise IndexBuildError("squared distances between these points overflow")
+            raise GeometryError("squared distances between these points overflow")
         foreign = self.groups[cand] != self.groups[:, None]
         first = np.argmax(foreign, axis=1)
         if not foreign[rows, first].all():
-            raise NoForeignNeighborError("no entry outside the excluded group")
+            raise LookupError("no entry outside the excluded group")
         cut = tree_cut(dists[rows, first], self._scale)
         foreign[rows, first] = False
         second = np.argmax(foreign, axis=1)
@@ -172,22 +161,23 @@ class NnIndex:
         take = self.coords.take
         out_sq[sure] = sq_dist_many(take(out[sure], axis=0), take(sure, axis=0), self.metric)
         amb = np.flatnonzero(ambiguous)
-        if amb.size == 0:
-            return out, out_sq
-
-        # Every foreign entry within each ambiguous row's cut, ranked by
-        # (row, exact squared distance, entry id); each row's first wins.
-        hits = self._tree.query_ball_point(
-            self._tree.data[amb], r=cut[amb], workers=self._workers(amb.size)
-        )
-        row = np.repeat(amb, np.fromiter(map(len, hits), dtype=np.int64, count=amb.size))
-        ids = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64, count=row.size)
-        keep = self.groups[ids] != self.groups[row]
-        row, ids = row[keep], ids[keep]
-        sq = sq_dist_many(take(ids, axis=0), take(row, axis=0), self.metric)
-        order = np.lexsort((ids, sq, row))
-        row, ids, sq = row[order], ids[order], sq[order]
-        win = np.flatnonzero(np.diff(row, prepend=-1))
-        out[row[win]] = ids[win]
-        out_sq[row[win]] = sq[win]
+        if amb.size:
+            # Every foreign entry within each ambiguous row's cut, ranked by
+            # (row, exact squared distance, entry id); each row's first wins.
+            hits = self._tree.query_ball_point(
+                self._tree.data[amb], r=cut[amb], workers=self._workers(amb.size)
+            )
+            row = np.repeat(amb, np.fromiter(map(len, hits), dtype=np.int64, count=amb.size))
+            ids = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64, count=row.size)
+            keep = self.groups[ids] != self.groups[row]
+            row, ids = row[keep], ids[keep]
+            sq = sq_dist_many(take(ids, axis=0), take(row, axis=0), self.metric)
+            order = np.lexsort((ids, sq, row))
+            row, ids, sq = row[order], ids[order], sq[order]
+            win = np.flatnonzero(np.diff(row, prepend=-1))
+            out[row[win]] = ids[win]
+            out_sq[row[win]] = sq[win]
+        tied = np.flatnonzero(out_sq == 0)
+        if axis_gaps(take(tied, axis=0), take(out[tied], axis=0), self.metric).any():
+            raise GeometryError("squared distances between these points underflow to 0")
         return out, out_sq

@@ -169,10 +169,21 @@ def oracle_hierarchy_json(sample, metric: Metric) -> dict:
     return out
 
 
+def oracle_target_pairs(g, exit_target) -> np.ndarray:
+    """The index of the level-g pair that holds each exit target (-1 for a
+    vertex that is no head), read from a dictionary over g's pairs rather
+    than from `LevelGraph.pair_of`."""
+    pair_of_head = {x: i for i, heads in enumerate(g.pairs.tolist()) for x in heads}
+    return np.array([pair_of_head.get(x, -1) for x in np.asarray(exit_target).tolist()],
+                    dtype=np.int64)
+
+
 def vertex_next_level(g, exit, exit_target, points, metric: Metric):
     """`next_level` as it was before level k + 1 was checked on the pair
     map: relink the exits, then check the whole n-vertex successor map with
-    `LevelGraph.from_successors`, with the same errors in the same order."""
+    `LevelGraph.from_successors`, with the same errors in the same order.
+    Its target pairs come from `oracle_target_pairs`, and must equal the
+    ones derived from the exit targets by `pair_of`."""
     if np.shape(exit_target) != np.shape(exit):
         raise HierarchyError(f"level {g.level}: exit and exit_target differ in length")
     exit = np.asarray(exit, dtype=np.int64)
@@ -181,14 +192,15 @@ def vertex_next_level(g, exit, exit_target, points, metric: Metric):
     succ = g.successor.copy()
     succ[exit] = exit_target
     nxt = LevelGraph.from_successors(g.level + 1, succ)
-    target_pair = g.pair_of(exit_target)
+    target_pair = oracle_target_pairs(g, exit_target)
     is_head = g.successor[g.successor[exit_target]] == exit_target
     if not is_head.all() or np.any(target_pair == np.arange(g.n_components)):
         raise HierarchyError(f"level {g.level}: an exit target is not a foreign head")
+    assert np.array_equal(target_pair, g.pair_of(exit_target))
     merge_sq = sq_dist_many(points[exit_target], points[exit], metric)
     _, reach = _reach_two_cycles(target_pair)
     parent = nxt.pair_of(exit[reach])
-    return nxt, Merges(target_pair, exit, exit_target, merge_sq, parent)
+    return nxt, Merges(exit, exit_target, merge_sq, parent)
 
 
 def oracle_baseline_series(window, expected_count, seeds, metric: Metric) -> tuple:
@@ -208,7 +220,7 @@ def _merge_json(h) -> dict:
             mg = h.merges[k]
             columns = zip(
                 mg.exit.tolist(), mg.exit_target.tolist(),
-                np.sqrt(mg.merge_sq).tolist(), mg.target_pair.tolist(),
+                np.sqrt(mg.merge_sq).tolist(), g.pair_of(mg.exit_target).tolist(),
             )
             genealogy += [[[k, i], [k + 1, j]] for i, j in enumerate(mg.parent.tolist())]
         else:
@@ -252,12 +264,17 @@ def oracle_cluster_subtrees(g) -> dict:
 
 def hierarchy_array_digest(h) -> str:
     """sha256 over a hierarchy's arrays: every level's successor map and
-    pairs, every merge column (dtype, shape and bytes alike), then the
-    termination and the Newick genealogy. It depends on no file layout, so
-    a built and a loaded hierarchy agree on it exactly when they are equal
-    bit for bit."""
+    pairs, every level's pair map and merge columns (dtype, shape and bytes
+    alike), then the termination and the Newick genealogy. It depends on no
+    file layout, so a built and a loaded hierarchy agree on it exactly when
+    they are equal bit for bit. The pair map, `pair_of(exit_target)`, is
+    hashed first, where `Merges` once held it as a column, and must equal
+    `oracle_target_pairs`."""
     arrays = [a for g in h.levels for a in (g.successor, g.pairs)]
-    arrays += [getattr(mg, f.name) for mg in h.merges for f in dataclasses.fields(mg)]
+    for g, mg in zip(h.levels, h.merges):
+        target_pair = g.pair_of(mg.exit_target)
+        assert np.array_equal(target_pair, oracle_target_pairs(g, mg.exit_target))
+        arrays += [target_pair, *(getattr(mg, f.name) for f in dataclasses.fields(mg))]
     sha = hashlib.sha256()
     for a in arrays:
         sha.update(f"{a.dtype.str}{a.shape}".encode())

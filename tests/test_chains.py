@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from chn2 import chains
 from chn2.chains import (
@@ -121,7 +122,7 @@ def test_count_exact_beyond_64_points():
     counts = chains._trial_counts(MC_101)
     large = 0
     for t in range(MC_101.trials):
-        pts = chains._trial_points(MC_101, t)
+        pts = chains._block_points(MC_101, t, t + 1)[0]
         if len(pts) <= 64:
             continue
         large += 1
@@ -132,7 +133,7 @@ def test_count_exact_beyond_64_points():
 
 
 def test_count_pinned_trial_332():
-    pts = chains._trial_points(MC_101, 332)
+    pts = chains._block_points(MC_101, 332, 333)[0]
     assert len(pts) == 68
     assert oracle_count_chains_dfs(pts, 4, 1.0) == 27
     assert count_chains_from_origin(pts, 4, 1.0) == 27
@@ -144,19 +145,45 @@ def test_trial_counts_match_dfs_oracle(d):
     for n in (1, 2, 3, 4):
         cfg = ChainCountConfig(lam=0.4 if d == 3 else 1.0, R=1.0, d=d, n=n, trials=60, seed=9)
         counts = chains._trial_counts(cfg)
-        want = [oracle_count_chains_dfs(chains._trial_points(cfg, t), n, 1.0) for t in range(60)]
+        want = [
+            oracle_count_chains_dfs(chains._block_points(cfg, t, t + 1)[0], n, 1.0)
+            for t in range(60)
+        ]
         assert counts.tolist() == want, (d, n)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_trial_counts_stay_inside_their_trial(n):
     # The same lam w_d R^d as lam = R = 1, at an R far below the tree cut's
-    # absolute slack: the query finds pairs across the block's trials, and
-    # no chain may follow one.
+    # absolute slack: the block's trials lie within a few cuts of each other,
+    # and no chain may cross from one to the next.
     cfg = ChainCountConfig(lam=1e32, R=1e-16, d=2, n=n, trials=60, seed=9)
     counts = chains._trial_counts(cfg)
-    want = [oracle_count_chains_dfs(chains._trial_points(cfg, t), n, cfg.R) for t in range(60)]
+    want = [
+        oracle_count_chains_dfs(chains._block_points(cfg, t, t + 1)[0], n, cfg.R)
+        for t in range(60)
+    ]
     assert counts.tolist() == want
+
+
+def test_pair_query_stays_inside_each_trial(monkeypatch):
+    # Trials laid 2R apart at R = 1e-17 all fall within the tree cut's
+    # absolute slack of each other, and the pair query would return nearly
+    # every pair of the block; laid two cuts apart, it returns none across.
+    found = []
+
+    class RecordingTree(cKDTree):
+        def query_pairs(self, *args, **kwargs):
+            found.append(super().query_pairs(*args, **kwargs))
+            return found[-1]
+
+    monkeypatch.setattr(chains, "cKDTree", RecordingTree)
+    cfg = ChainCountConfig(lam=1e34, R=1e-17, d=2, n=2, trials=20, seed=3)
+    coords, owner, _ = chains._block_points(cfg, 0, cfg.trials)
+    chains._neighbour_lists(coords, owner, cfg.R)
+    (pairs,) = found
+    assert len(pairs) > 0
+    assert np.array_equal(owner[pairs[:, 0]], owner[pairs[:, 1]])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -54,10 +54,12 @@ def mutual_links(nn_map):
 
 
 def first_merges(s):
-    """The `Merges` of level 0 of sample s, under the Euclidean metric."""
+    """The `Merges` of level 0 of sample s, under the Euclidean metric, and
+    its pair map: the pair that holds each exit target."""
     g = level0(s)
     exits, targets = nn_k_step(g.pairs, s.points, Metric.euclidean())
-    return advance_level(g, exits, targets, s.points, Metric.euclidean())[1]
+    mg = advance_level(g, exits, targets, s.points, Metric.euclidean())[1]
+    return mg, g.pair_of(mg.exit_target)
 
 
 def step_exits(mg):
@@ -98,9 +100,9 @@ def test_level_pairs_match_components():
 
 def test_nn_step_two_pairs():
     s = line_sample([0, 1, 5, 6, 20])
-    step = first_merges(s)
-    assert step.target_pair.tolist() == [1, 0]
-    assert mutual_links(step.target_pair) == [(0, 1)]
+    step, target_pair = first_merges(s)
+    assert target_pair.tolist() == [1, 0]
+    assert mutual_links(target_pair) == [(0, 1)]
     # exits: point 1 (coord 1) <-> point 2 (coord 5), distance 4
     assert step_exits(step)[0] == (1, 2, 16.0)
     assert step_exits(step)[1] == (2, 1, 16.0)
@@ -108,10 +110,10 @@ def test_nn_step_two_pairs():
 
 def test_nn_step_eight_point_example():
     s = line_sample([0, 1, 10, 11, 14, 15, 30, 31])
-    step = first_merges(s)
+    step, target_pair = first_merges(s)
     # pairs: A=(0,1) B=(2,3) C=(4,5) D=(6,7) by ids
-    assert step.target_pair.tolist() == [1, 2, 1, 2]
-    assert mutual_links(step.target_pair) == [(1, 2)]
+    assert target_pair.tolist() == [1, 2, 1, 2]
+    assert mutual_links(target_pair) == [(1, 2)]
     exits = step_exits(step)
     assert exits[0] == (1, 2, 81.0)  # coord 1 -> coord 10
     assert exits[1] == (3, 4, 9.0)  # coord 11 -> coord 14
@@ -125,8 +127,8 @@ def test_globally_closest_pair_is_mutual(rng):
         g = level0(s)
         if g.n_components < 2:
             continue
-        mg = first_merges(s)
-        nn_map, sq = mg.target_pair, mg.merge_sq
+        mg, nn_map = first_merges(s)
+        sq = mg.merge_sq
         best = min(range(g.n_components), key=lambda i: (sq[i], i))
         j = int(nn_map[best])
         assert nn_map[j] == best

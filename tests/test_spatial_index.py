@@ -3,35 +3,37 @@ import os
 import numpy as np
 import pytest
 
-from chn2.geometry import Metric, Window
-from chn2.spatial_index import (
-    IndexBuildError,
-    NnIndex,
-    NoForeignNeighborError,
-    query_workers,
-)
+from chn2.geometry import GeometryError, Metric, Window
+from chn2.spatial_index import NnIndex, query_workers
 from conftest import nearest_foreign, oracle_nearest_foreign, oracle_successor_map
 
 
 def test_single_point_index():
     idx = NnIndex(np.array([[1.0, 2.0]]), np.array([0]))
     assert idx.n == 1
-    with pytest.raises(NoForeignNeighborError):
+    with pytest.raises(LookupError):
         nearest_foreign(idx, [1.0, 2.0], own_group=0)
-    with pytest.raises(NoForeignNeighborError):
+    with pytest.raises(LookupError):
         idx.successor_map()
 
 
 def test_empty_build_errors():
-    with pytest.raises(IndexBuildError):
-        NnIndex(np.empty((0, 2)), np.empty(0, dtype=int))
-    with pytest.raises(IndexBuildError, match="nonnegative"):
-        NnIndex([[0.0], [1.0]], [0, -1])
-    for groups in ([0], [0, 1, 2], [[0, 1]]):
-        with pytest.raises(IndexBuildError, match="one group id per point"):
-            NnIndex([[0.0], [1.0]], groups)
-    with pytest.raises(IndexBuildError):
+    with pytest.raises(GeometryError):
         NnIndex([[11.0, 0.0]], [0], Metric.torus(Window([0.0, 0.0], [10.0, 10.0])))
+
+
+def test_successor_map_refuses_unrepresentable_squared_distances():
+    # Points 1e-170 apart have a squared distance of 1e-340, which
+    # underflows to 0, whether they are single points or the nearest foreign
+    # entries of two groups; coincident points keep an exact 0.
+    for coords, groups in (([[0.0], [1e-170]], [0, 1]),
+                           ([[0.0], [0.0], [1e-170], [1e-170]], [0, 0, 1, 1])):
+        with pytest.raises(GeometryError, match="underflow"):
+            NnIndex(coords, groups).successor_map()
+    with pytest.raises(GeometryError, match="overflow"):
+        NnIndex([[0.0, 0.0], [1e200, 1e-200]], [0, 1]).successor_map()
+    succ, sq = NnIndex([[0.0], [0.0]], [0, 1]).successor_map()
+    assert succ.tolist() == [1, 0] and sq.tolist() == [0.0, 0.0]
 
 
 def test_query_own_coordinates_hits_self():
@@ -50,7 +52,7 @@ def test_two_groups_1d():
 
 def test_all_groups_excluded_errors():
     idx = NnIndex(np.array([[0.0], [5.0]]), np.array([7, 7]))
-    with pytest.raises(NoForeignNeighborError):
+    with pytest.raises(LookupError):
         nearest_foreign(idx, [1.0], own_group=7)
 
 
@@ -228,7 +230,7 @@ def test_successor_map_one_group_tree_backed_raises():
     for n in (1, 3, 100):
         coords = np.random.default_rng(5).uniform(0, 1, size=(n, 2))
         idx = NnIndex(coords, np.zeros(n, dtype=np.int64))
-        with pytest.raises(NoForeignNeighborError):
+        with pytest.raises(LookupError):
             idx.successor_map()
 
 
