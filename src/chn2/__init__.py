@@ -2,7 +2,7 @@
 patterns, with descending-chain statistics and aggregation detection."""
 
 from .geometry import Metric, Window
-from .hierarchy import Hierarchy, LevelGraph, Merges, build_hierarchy
+from .hierarchy import Hierarchy, LevelGraph, build_hierarchy
 from .pointprocess import CoxBallSpec, Sample, gen_binomial, gen_cox_balls, gen_poisson
 from .stats import (
     DetectorConfig,
@@ -19,7 +19,6 @@ __all__ = [
     "Window",
     "Hierarchy",
     "LevelGraph",
-    "Merges",
     "build_hierarchy",
     "CoxBallSpec",
     "Sample",

@@ -140,7 +140,8 @@ def _count_block(coords, owner, origins, n: int, R: float) -> np.ndarray:
     extends every row by the prefix of its end vertex's neighbour list that
     the descent bound admits, then drops extensions onto a vertex already in
     the row. The rank sentinel `stride - 1` exceeds every rank, so the first
-    two steps are bounded by R alone.
+    two steps are bounded by R alone. A step that leaves no row ends the
+    pass, as every count is then 0.
     """
     key, dst, start, stride = _neighbour_lists(coords, owner, R)
     path = np.asarray(origins)[:, None]
@@ -155,7 +156,7 @@ def _count_block(coords, owner, origins, n: int, R: float) -> np.ndarray:
         w = dst[edge]
         fresh = np.all(path[row] != w[:, None], axis=1)
         row, edge = row[fresh], edge[fresh]
-        if depth == n - 1:
+        if depth == n - 1 or not row.size:
             return np.bincount(sample[row], minlength=len(origins))
         path = np.column_stack([path[row], w[fresh]])
         sample, prev, last = sample[row], last[row], key[edge] - v[row] * stride
@@ -189,7 +190,8 @@ def _expectation(lam: float, R: float, d: int, n: int, shift: float) -> float:
     with a = lam w_d R^d.
 
     Built by repeated multiplication, so a product beyond float range ends
-    in 0 or inf instead of raising.
+    in 0 or inf instead of raising; once it has, no later factor moves it,
+    so the loop stops there.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -198,6 +200,8 @@ def _expectation(lam: float, R: float, d: int, n: int, shift: float) -> float:
     a = _ball_mass(lam, R, d)
     value = a if n % 2 else 1.0
     for i in range(1, n // 2 + 1):
+        if not 0.0 < value < math.inf:
+            break
         value *= a * a / (i + shift)
     return value
 

@@ -9,11 +9,11 @@ so the successor map stays total while components coarsen strictly until a
 single pair remains.
 
 Every level is arrays: a `LevelGraph` holds the successor map and its pairs
-as an (m, 2) array, and every non-terminal level has one `Merges` record of
-per-pair columns. Level 0 and the exit columns are the whole hierarchy:
-`advance_level` derives the rest from them, and checks them, for the build
-and for the loader alike. The hierarchy file (version 3) stores just those,
-and the loader reads no other version.
+as an (m, 2) array, and every level k >= 1 also holds the step that made
+it, as per-pair columns over level k - 1. Level 0 and the exit columns are
+the whole hierarchy: `advance_level` derives the rest from them, and checks
+them, for the build and for the loader alike. The hierarchy file (version
+3) stores just those, and the loader reads no other version.
 """
 
 from __future__ import annotations
@@ -107,11 +107,23 @@ def _reach_two_cycles(succ):
 @dataclass(frozen=True)
 class LevelGraph:
     """One level of the hierarchy: a total successor map and its 2-cycles,
-    one (low head, high head) row per pair in ascending order of low head."""
+    one (low head, high head) row per pair in ascending order of low head.
+
+    A level k >= 1 also holds the step from level k - 1, one row per pair i
+    there (`None` on level 0): the head `exit[i]` of pair i that achieves
+    the single-linkage distance to its nearest pair, its image
+    `exit_target[i]` in that pair, the squared minimum `merge_sq[i]`, and
+    `parent[i]`, the pair of this level that pair i's component joins.
+    Level k - 1's pair map is `levels[k - 1].pair_of(exit_target)`.
+    """
 
     level: int
     successor: np.ndarray
     pairs: np.ndarray
+    exit: np.ndarray | None = None
+    exit_target: np.ndarray | None = None
+    merge_sq: np.ndarray | None = None
+    parent: np.ndarray | None = None
 
     @classmethod
     def from_successors(cls, level, successor):
@@ -148,23 +160,6 @@ class LevelGraph:
         return index[heads]
 
 
-@dataclass(frozen=True)
-class Merges:
-    """How the pairs of one non-terminal level g merge, one row per pair.
-
-    `exit[i]` is the head of pair i achieving the single-linkage distance
-    to its nearest pair, `exit_target[i]` its image in that target pair
-    (the pair map is `g.pair_of(exit_target)`) and `merge_sq[i]` the
-    squared minimum. Relinking every exit to its exit target gives the next
-    level, where pair i's component belongs to pair `parent[i]`.
-    """
-
-    exit: np.ndarray
-    exit_target: np.ndarray
-    merge_sq: np.ndarray
-    parent: np.ndarray
-
-
 def level0(sample: Sample, metric: Metric = Metric()) -> LevelGraph:
     """Nearest-neighbor successor map over the sample (needs >= 2 points).
     `NnIndex.successor_map` refuses squared distances that overflow or
@@ -178,9 +173,9 @@ def level0(sample: Sample, metric: Metric = Metric()) -> LevelGraph:
 def nn_k_step(pairs, coords, metric: Metric = Metric()):
     """Exit points for one level's (m, 2) pairs.
 
-    Returns the columns (exit, exit_target) of `Merges`: exit[i] ->
-    exit_target[i] witnesses the single-linkage distance from pair i to
-    its nearest foreign pair (ties by pair index).
+    Returns the next level's step columns (exit, exit_target): exit[i] ->
+    exit_target[i] witnesses the single-linkage distance from pair i to its
+    nearest foreign pair (ties by pair index).
     """
     heads = np.asarray(pairs, dtype=np.int64)
     m = len(heads)
@@ -219,7 +214,7 @@ def nn_k_step(pairs, coords, metric: Metric = Metric()):
 
 
 def advance_level(g: LevelGraph, exit, exit_target, points, metric: Metric):
-    """Level k + 1 and the `Merges` of level k = g.level, from the exit
+    """Level k + 1, holding the step from level k = g.level, from the exit
     columns: relink every pair's exit to its exit target, leaving all other
     images fixed. This is the one step, with all its checks, that the build
     and the loader share.
@@ -233,9 +228,10 @@ def advance_level(g: LevelGraph, exit, exit_target, points, metric: Metric):
     cycle, and that cycle is a 2-cycle iff the pair cycle has length 2 with
     exit_target[i] == exit[target_pair[i]]; level k + 1's pairs are then
     those exit pairs, sorted by lower head, and the one that pair i's path
-    in the pair map reaches is its parent. Any other input goes to
-    `LevelGraph.from_successors` on the relinked map, which words the
-    error; only if it passes is a target not a foreign head.
+    in the pair map reaches is its parent, read from the new pairs' ranks.
+    Any other input goes to `LevelGraph.from_successors` on the relinked
+    map, which words the error; only if it passes is a target not a foreign
+    head.
     """
     if np.shape(exit_target) != np.shape(exit):
         raise HierarchyError(f"level {g.level}: exit and exit_target differ in length")
@@ -256,25 +252,28 @@ def advance_level(g: LevelGraph, exit, exit_target, points, metric: Metric):
                 rows = np.flatnonzero(mutual & (ids < target_pair))
                 a, b = exit[rows], target[rows]
                 low, high = np.minimum(a, b), np.maximum(a, b)
-                nxt = LevelGraph(g.level + 1, succ, np.column_stack([low, high])[np.argsort(low)])
+                order = np.argsort(low)
+                rank = np.empty(g.n_components, dtype=np.int64)
+                rank[rows[order]] = np.arange(rows.size)
                 merge_sq = sq_dist_many(
                     points.take(exit_target, axis=0), points.take(exit, axis=0), metric
                 )
-                parent = nxt.pair_of(exit[reach])
-                return nxt, Merges(exit, exit_target, merge_sq, parent)
+                return LevelGraph(
+                    g.level + 1, succ, np.column_stack([low, high])[order], exit, exit_target,
+                    merge_sq, rank[np.minimum(reach, target_pair[reach])],
+                )
     LevelGraph.from_successors(g.level + 1, succ)
     raise HierarchyError(f"level {g.level}: an exit target is not a foreign head")
 
 
 @dataclass
 class Hierarchy:
-    """The level sequence down to a single pair, with the merge columns of
-    every level but the last; no levels for fewer than 2 points."""
+    """The level sequence down to a single pair, each level above 0 with
+    the step that made it; no levels for fewer than 2 points."""
 
     sample: Sample
     metric: Metric
     levels: list
-    merges: list
 
     @property
     def termination(self) -> str:
@@ -289,28 +288,26 @@ def build_hierarchy(sample: Sample, metric: Metric = Metric()) -> Hierarchy:
     pairs reach one pair within floor(log2 m_0) levels. Termination is
     `single_pair`, or `degenerate` for samples with fewer than 2 points.
     """
-    levels, merges = [], []
+    levels = []
     if sample.n >= 2:
-        g = level0(sample, metric)
-        levels.append(g)
-        while g.n_components > 1:
+        levels.append(level0(sample, metric))
+        while levels[-1].n_components > 1:
+            g = levels[-1]
             exits, targets = nn_k_step(g.pairs, sample.points, metric)
-            g, mg = advance_level(g, exits, targets, sample.points, metric)
-            levels.append(g)
-            merges.append(mg)
-    return Hierarchy(sample, metric, levels, merges)
+            levels.append(advance_level(g, exits, targets, sample.points, metric))
+    return Hierarchy(sample, metric, levels)
 
 
 def _v3_layout(h: Hierarchy, sample) -> dict:
     """Hierarchy JSON version 3, with `sample` in the sample's slot: level
-    0's successors and, per non-terminal level, the [exit, exit_target]
-    columns that give the next level (see `advance_level`)."""
+    0's successors and, per level above 0, the [exit, exit_target]
+    columns that give it (see `advance_level`)."""
     return {
         "version": 3,
         "sample": sample,
         "metric": h.metric.to_json(),
         "level0": h.levels[0].successor.tolist() if h.levels else [],
-        "exits": [[mg.exit.tolist(), mg.exit_target.tolist()] for mg in h.merges],
+        "exits": [[g.exit.tolist(), g.exit_target.tolist()] for g in h.levels[1:]],
     }
 
 
@@ -352,7 +349,7 @@ def hierarchy_from_json(obj: dict) -> Hierarchy:
         succ0, exit_columns = obj["level0"], obj["exits"]
         if len(succ0) != (sample.n if sample.n >= 2 else 0):
             raise HierarchyError("level 0 does not fit the sample")
-        levels, merges = [], []
+        levels = []
         if len(succ0):
             levels.append(LevelGraph.from_successors(0, _point_ids(succ0, "level 0")))
         elif len(exit_columns):
@@ -360,12 +357,10 @@ def hierarchy_from_json(obj: dict) -> Hierarchy:
         for exit_col, target_col in exit_columns:
             g = levels[-1]
             what = f"level {g.level}: an exit column"
-            nxt, mg = advance_level(
+            levels.append(advance_level(
                 g, _point_ids(exit_col, what), _point_ids(target_col, what),
                 sample.points, metric,
-            )
-            levels.append(nxt)
-            merges.append(mg)
+            ))
         if levels and levels[-1].n_components > 1:
             raise HierarchyError(
                 f"the hierarchy stops at level {levels[-1].level} with "
@@ -377,7 +372,7 @@ def hierarchy_from_json(obj: dict) -> Hierarchy:
         raise HierarchyError(
             f"malformed hierarchy object: {type(exc).__name__}: {exc}"
         ) from exc
-    return Hierarchy(sample, metric, levels, merges)
+    return Hierarchy(sample, metric, levels)
 
 
 def save_hierarchy(h: Hierarchy, path) -> None:
@@ -404,20 +399,16 @@ def genealogy_newick(h: Hierarchy) -> str:
     """Render the pair genealogy as one Newick tree, rooted at the single
     terminal pair ("" for a degenerate hierarchy).
 
-    Level-0 pairs are the leaves; every merge adds one unit of branch depth,
-    so leaf depth equals the level at which its lineage reaches the root.
+    Level-0 pairs are the leaves P{i}; level k groups the names of level
+    k - 1 under `parent` into (...)L{k}_{j}, each child one unit of branch
+    depth below, so leaf depth equals the level of the root.
     """
-    children = {}
-    for k, mg in enumerate(h.merges):
-        for i, j in enumerate(mg.parent.tolist()):
-            children.setdefault((k + 1, j), []).append((k, i))
-
-    def render(node):
-        level, idx = node
-        kids = children.get(node, [])
-        if not kids:
-            return f"P{idx}" if level == 0 else f"L{level}_{idx}"
-        inner = ",".join(render(c) + ":1" for c in kids)
-        return f"({inner})L{level}_{idx}"
-
-    return render((len(h.levels) - 1, 0)) + ";\n" if h.levels else ""
+    if not h.levels:
+        return ""
+    names = [f"P{i}" for i in range(h.levels[0].n_components)]
+    for g in h.levels[1:]:
+        kids = [[] for _ in range(g.n_components)]
+        for name, j in zip(names, g.parent.tolist()):
+            kids[j].append(name + ":1")
+        names = [f"({','.join(inner)})L{g.level}_{j}" for j, inner in enumerate(kids)]
+    return names[0] + ";\n"

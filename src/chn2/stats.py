@@ -70,12 +70,12 @@ def level_stats(h: Hierarchy) -> list:
     one per component; the terminal level has none."""
     volume = h.sample.window.volume
     rows = []
-    for k, g in enumerate(h.levels):
-        merge_sq = h.merges[k].merge_sq if k < len(h.merges) else []
+    steps = [nxt.merge_sq for nxt in h.levels[1:]] + [[]]
+    for g, merge_sq in zip(h.levels, steps):
         n_exit = len(merge_sq)
         rows.append(
             LevelStats(
-                level=k,
+                level=g.level,
                 n_components=g.n_components,
                 n_heads=2 * g.n_components,
                 n_exit=n_exit,
@@ -89,7 +89,7 @@ def level_stats(h: Hierarchy) -> list:
 
 def mean_distance_series(h: Hierarchy) -> list:
     """Mean merge distance per level, for levels that performed a merge."""
-    return [_mean_merge_distance(mg.merge_sq) for mg in h.merges]
+    return [_mean_merge_distance(nxt.merge_sq) for nxt in h.levels[1:]]
 
 
 @dataclass(frozen=True)
@@ -194,11 +194,11 @@ def _block_series(samples, metric: Metric) -> list:
     lifted = Metric(metric.kind, None if metric.window is None else lift(metric.window))
     h = build_hierarchy(block, lifted)
     series = [[] for _ in samples]
-    for g, mg in zip(h.levels, h.merges):
+    for g, nxt in zip(h.levels, h.levels[1:]):
         counts = np.bincount(owner[g.pairs[:, 0]], minlength=len(samples))
         ends = np.cumsum(counts).tolist()
         for j in np.flatnonzero(counts >= 2).tolist():
-            series[j].append(_mean_merge_distance(mg.merge_sq[ends[j] - counts[j]:ends[j]]))
+            series[j].append(_mean_merge_distance(nxt.merge_sq[ends[j] - counts[j]:ends[j]]))
     return [tuple(s) for s in series]
 
 

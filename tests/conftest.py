@@ -16,7 +16,6 @@ from chn2.geometry import Metric, TORUS, sq_dist_many
 from chn2.hierarchy import (
     HierarchyError,
     LevelGraph,
-    Merges,
     _reach_two_cycles,
     build_hierarchy,
     genealogy_newick,
@@ -183,7 +182,8 @@ def vertex_next_level(g, exit, exit_target, points, metric: Metric):
     map: relink the exits, then check the whole n-vertex successor map with
     `LevelGraph.from_successors`, with the same errors in the same order.
     Its target pairs come from `oracle_target_pairs`, and must equal the
-    ones derived from the exit targets by `pair_of`."""
+    ones derived from the exit targets by `pair_of`; its parents are read
+    from the new level's `pair_of` rather than from the new pairs' ranks."""
     if np.shape(exit_target) != np.shape(exit):
         raise HierarchyError(f"level {g.level}: exit and exit_target differ in length")
     exit = np.asarray(exit, dtype=np.int64)
@@ -200,7 +200,9 @@ def vertex_next_level(g, exit, exit_target, points, metric: Metric):
     merge_sq = sq_dist_many(points[exit_target], points[exit], metric)
     _, reach = _reach_two_cycles(target_pair)
     parent = nxt.pair_of(exit[reach])
-    return nxt, Merges(exit, exit_target, merge_sq, parent)
+    return dataclasses.replace(
+        nxt, exit=exit, exit_target=exit_target, merge_sq=merge_sq, parent=parent
+    )
 
 
 def oracle_baseline_series(window, expected_count, seeds, metric: Metric) -> tuple:
@@ -216,13 +218,13 @@ def _merge_json(h) -> dict:
     the version-2 writer wrote them."""
     pairs, genealogy = [], []
     for k, g in enumerate(h.levels):
-        if k < len(h.merges):
-            mg = h.merges[k]
+        if k + 1 < len(h.levels):
+            nxt = h.levels[k + 1]
             columns = zip(
-                mg.exit.tolist(), mg.exit_target.tolist(),
-                np.sqrt(mg.merge_sq).tolist(), g.pair_of(mg.exit_target).tolist(),
+                nxt.exit.tolist(), nxt.exit_target.tolist(),
+                np.sqrt(nxt.merge_sq).tolist(), g.pair_of(nxt.exit_target).tolist(),
             )
-            genealogy += [[[k, i], [k + 1, j]] for i, j in enumerate(mg.parent.tolist())]
+            genealogy += [[[k, i], [k + 1, j]] for i, j in enumerate(nxt.parent.tolist())]
         else:
             columns = [(None, None, None, None)] * g.n_components
         pairs += [
@@ -264,17 +266,18 @@ def oracle_cluster_subtrees(g) -> dict:
 
 def hierarchy_array_digest(h) -> str:
     """sha256 over a hierarchy's arrays: every level's successor map and
-    pairs, every level's pair map and merge columns (dtype, shape and bytes
-    alike), then the termination and the Newick genealogy. It depends on no
-    file layout, so a built and a loaded hierarchy agree on it exactly when
-    they are equal bit for bit. The pair map, `pair_of(exit_target)`, is
-    hashed first, where `Merges` once held it as a column, and must equal
+    pairs, then per level k below the top its pair map and the step columns
+    that level k + 1 holds (dtype, shape and bytes alike), then the
+    termination and the Newick genealogy. It depends on no file layout, so a
+    built and a loaded hierarchy agree on it exactly when they are equal bit
+    for bit. The pair map, `levels[k].pair_of(exit_target)`, comes first,
+    in the order the recorded digests hash it, and must equal
     `oracle_target_pairs`."""
     arrays = [a for g in h.levels for a in (g.successor, g.pairs)]
-    for g, mg in zip(h.levels, h.merges):
-        target_pair = g.pair_of(mg.exit_target)
-        assert np.array_equal(target_pair, oracle_target_pairs(g, mg.exit_target))
-        arrays += [target_pair, *(getattr(mg, f.name) for f in dataclasses.fields(mg))]
+    for g, nxt in zip(h.levels, h.levels[1:]):
+        target_pair = g.pair_of(nxt.exit_target)
+        assert np.array_equal(target_pair, oracle_target_pairs(g, nxt.exit_target))
+        arrays += [target_pair, nxt.exit, nxt.exit_target, nxt.merge_sq, nxt.parent]
     sha = hashlib.sha256()
     for a in arrays:
         sha.update(f"{a.dtype.str}{a.shape}".encode())

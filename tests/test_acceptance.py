@@ -543,8 +543,8 @@ def test_criterion_6_scale_translation_invariance():
                     and np.array_equal(a.pairs, b.pairs)
                     for a, b in zip(h.levels, hv.levels)
                 )
-                and [m.parent.tolist() for m in h.merges]
-                == [m.parent.tolist() for m in hv.merges]
+                and [g.parent.tolist() for g in h.levels[1:]]
+                == [g.parent.tolist() for g in hv.levels[1:]]
             )
             if not same:
                 failures.append(i)

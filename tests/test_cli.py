@@ -335,6 +335,10 @@ NUMPY_WORDING = ("lam value too large", "lam < 0 or lam is NaN", "expected non-n
       "--window", "0,0,10,10"], 1),
     # the expected count passes float range on the way (chains._ball_mass)
     (["chains", "formula", "--n", "2", "--R", "1e200", "--lambda", "1e-300"], 0),
+    # a product that has left float range, and trials whose chains all end
+    # at once, stop early instead of stepping through every length
+    (["chains", "formula", "--n", "1000000000000"], 0),
+    (["chains", "mc", "--n", "100000000", "--lambda", "1e-30", "--trials", "10"], 0),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_cli_extreme_inputs_give_a_row_or_one_error_line(argv, code, tmp_path):
     """In a fresh process with a deadline: a hang or a traceback fails, and
@@ -355,7 +359,8 @@ def test_cli_extreme_inputs_give_a_row_or_one_error_line(argv, code, tmp_path):
         assert not any(words in proc.stderr for words in NUMPY_WORDING), proc.stderr
     elif argv[0] == "chains":
         header, row = proc.stdout.splitlines()
-        assert header.startswith("n,closed_form,recursive") and row.startswith("2,")
+        n = argv[argv.index("--n") + 1]
+        assert header.startswith("n,closed_form,recursive") and row.startswith(f"{n},")
         assert all(not math.isnan(float(v)) for v in row.split(",")[:3]), row
     elif argv[0] == "baseline":
         rows = list(csv.DictReader(out.open()))

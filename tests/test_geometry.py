@@ -88,8 +88,8 @@ def two_pair_exits(S, T):
     coords = np.asarray(S + T, float)
     g = LevelGraph.from_successors(0, [1, 0, 3, 2])
     exits, targets = nn_k_step(g.pairs, coords, EUCLID)
-    mg = advance_level(g, exits, targets, coords, EUCLID)[1]
-    return list(zip(mg.exit.tolist(), mg.exit_target.tolist(), mg.merge_sq.tolist()))
+    nxt = advance_level(g, exits, targets, coords, EUCLID)
+    return list(zip(nxt.exit.tolist(), nxt.exit_target.tolist(), nxt.merge_sq.tolist()))
 
 
 def test_single_linkage_bruteforce_min():

@@ -53,18 +53,20 @@ def mutual_links(nn_map):
     return [(i, int(j)) for i, j in enumerate(nn_map) if nn_map[j] == i and i < j]
 
 
-def first_merges(s):
-    """The `Merges` of level 0 of sample s, under the Euclidean metric, and
-    its pair map: the pair that holds each exit target."""
+def first_step(s):
+    """Level 1 of sample s, under the Euclidean metric, which holds the step
+    from level 0, and level 0's pair map: the pair that holds each exit
+    target."""
     g = level0(s)
     exits, targets = nn_k_step(g.pairs, s.points, Metric.euclidean())
-    mg = advance_level(g, exits, targets, s.points, Metric.euclidean())[1]
-    return mg, g.pair_of(mg.exit_target)
+    nxt = advance_level(g, exits, targets, s.points, Metric.euclidean())
+    return nxt, g.pair_of(nxt.exit_target)
 
 
-def step_exits(mg):
-    """(exit, exit target, squared distance) per pair of a `Merges`."""
-    return list(zip(mg.exit.tolist(), mg.exit_target.tolist(), mg.merge_sq.tolist()))
+def step_exits(nxt):
+    """(exit, exit target, squared distance) per pair of the step a level
+    holds."""
+    return list(zip(nxt.exit.tolist(), nxt.exit_target.tolist(), nxt.merge_sq.tolist()))
 
 
 def test_level0_four_points():
@@ -72,7 +74,7 @@ def test_level0_four_points():
     assert g.successor.tolist() == [1, 0, 1, 2]
     assert g.n_components == 1
     assert g.pairs.tolist() == [[0, 1]]
-    assert build_hierarchy(line_sample([0, 1, 3, 7])).merges == []
+    assert [lv.exit for lv in build_hierarchy(line_sample([0, 1, 3, 7])).levels] == [None]
 
 
 def test_level0_two_components():
@@ -100,7 +102,7 @@ def test_level_pairs_match_components():
 
 def test_nn_step_two_pairs():
     s = line_sample([0, 1, 5, 6, 20])
-    step, target_pair = first_merges(s)
+    step, target_pair = first_step(s)
     assert target_pair.tolist() == [1, 0]
     assert mutual_links(target_pair) == [(0, 1)]
     # exits: point 1 (coord 1) <-> point 2 (coord 5), distance 4
@@ -110,7 +112,7 @@ def test_nn_step_two_pairs():
 
 def test_nn_step_eight_point_example():
     s = line_sample([0, 1, 10, 11, 14, 15, 30, 31])
-    step, target_pair = first_merges(s)
+    step, target_pair = first_step(s)
     # pairs: A=(0,1) B=(2,3) C=(4,5) D=(6,7) by ids
     assert target_pair.tolist() == [1, 2, 1, 2]
     assert mutual_links(target_pair) == [(1, 2)]
@@ -127,8 +129,8 @@ def test_globally_closest_pair_is_mutual(rng):
         g = level0(s)
         if g.n_components < 2:
             continue
-        mg, nn_map = first_merges(s)
-        sq = mg.merge_sq
+        step, nn_map = first_step(s)
+        sq = step.merge_sq
         best = min(range(g.n_components), key=lambda i: (sq[i], i))
         j = int(nn_map[best])
         assert nn_map[j] == best
@@ -138,7 +140,7 @@ def test_advance_level_five_points():
     s = line_sample([0, 1, 5, 6, 20])
     g = level0(s)
     exits, targets = nn_k_step(g.pairs, s.points, Metric.euclidean())
-    g1 = advance_level(g, exits, targets, s.points, Metric.euclidean())[0]
+    g1 = advance_level(g, exits, targets, s.points, Metric.euclidean())
     assert g1.level == 1
     assert g1.successor.tolist() == [1, 2, 1, 2, 3]
     assert g1.pairs.tolist() == [[1, 2]]
@@ -153,7 +155,7 @@ def test_advance_level_eight_points():
     s = line_sample([0, 1, 10, 11, 14, 15, 30, 31])
     g = level0(s)
     exits, targets = nn_k_step(g.pairs, s.points, Metric.euclidean())
-    g1 = advance_level(g, exits, targets, s.points, Metric.euclidean())[0]
+    g1 = advance_level(g, exits, targets, s.points, Metric.euclidean())
     assert g1.n_components == 1
     assert g1.pairs.tolist() == [[3, 4]]  # coords 11 and 14
 
@@ -218,12 +220,10 @@ def test_genealogy_total_and_consistent(rng):
     genealogy = hierarchy_json_v2(h)["genealogy"]
     assert len(genealogy) == sum(g.n_components for g in h.levels[:-1])
     assert all(parent[0] == child[0] + 1 for child, parent in genealogy)
-    assert len(h.merges) == len(h.levels) - 1
-    for k, mg in enumerate(h.merges):
-        next_g = h.levels[k + 1]
+    for g, next_g in zip(h.levels, h.levels[1:]):
         comp = functional_structure(next_g.successor)[0]
-        assert len(mg.parent) == h.levels[k].n_components
-        for heads, parent in zip(h.levels[k].pairs, mg.parent):
+        assert len(next_g.parent) == g.n_components
+        for heads, parent in zip(g.pairs, next_g.parent):
             assert parent < next_g.n_components
             # the pair's heads live inside the parent's component
             assert comp[heads[0]] == comp[next_g.pairs[parent][0]]
@@ -370,10 +370,10 @@ def test_reach_two_cycles_early_exit_matches_full_rounds(rng):
 def step_outcome(step, g, exit, exit_target, sample, metric):
     """What a level step gives: its arrays bit for bit, or its error."""
     try:
-        nxt, mg = step(g, exit, exit_target, sample.points, metric)
+        nxt = step(g, exit, exit_target, sample.points, metric)
     except Exception as exc:  # the type and the text are compared
         return type(exc), str(exc)
-    arrays = [nxt.successor, nxt.pairs, *(getattr(mg, f) for f in mg.__dataclass_fields__)]
+    arrays = [getattr(nxt, f) for f in nxt.__dataclass_fields__ if f != "level"]
     return nxt.level, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
@@ -431,11 +431,11 @@ def test_next_level_matches_vertex_level_step(seed):
     for s in cases:
         for metric in (Metric.euclidean(), Metric.torus(s.window)):
             h = build_hierarchy(s, metric)
-            for g, mg in zip(h.levels, h.merges):
-                args = (g, mg.exit, mg.exit_target, s, metric)
+            for g, nxt in zip(h.levels, h.levels[1:]):
+                args = (g, nxt.exit, nxt.exit_target, s, metric)
                 want = step_outcome(vertex_next_level, *args)
                 assert step_outcome(advance_level, *args) == want
-                for kind, x, t in corrupted_exit_columns(rng, g, mg.exit, mg.exit_target):
+                for kind, x, t in corrupted_exit_columns(rng, g, nxt.exit, nxt.exit_target):
                     args = (g, x, t, s, metric)
                     want = step_outcome(vertex_next_level, *args)
                     assert step_outcome(advance_level, *args) == want, kind
@@ -456,11 +456,11 @@ def test_valid_level_step_walks_the_pair_map_once(monkeypatch):
     monkeypatch.setattr(
         hierarchy, "_reach_two_cycles", lambda succ: calls.append(succ.size) or walk(succ)
     )
-    g, mg = h.levels[0], h.merges[0]
-    nxt, got = advance_level(g, mg.exit, mg.exit_target, s.points, Metric.euclidean())
+    g, nxt = h.levels[0], h.levels[1]
+    got = advance_level(g, nxt.exit, nxt.exit_target, s.points, Metric.euclidean())
     assert calls == [g.n_components]
-    assert np.array_equal(nxt.pairs, h.levels[1].pairs)
-    assert np.array_equal(got.parent, mg.parent)
+    assert np.array_equal(got.pairs, nxt.pairs)
+    assert np.array_equal(got.parent, nxt.parent)
 
 
 def test_structure_rejects_self_loop():
@@ -518,7 +518,9 @@ def test_scale_and_translation_invariance(rng):
         for g, gc in zip(h.levels, hc.levels):
             assert np.array_equal(g.successor, gc.successor)
             assert np.array_equal(g.pairs, gc.pairs)
-        assert [m.parent.tolist() for m in h.merges] == [m.parent.tolist() for m in hc.merges]
+        assert [g.parent.tolist() for g in h.levels[1:]] == [
+            g.parent.tolist() for g in hc.levels[1:]
+        ]
     shifted = Sample(s.points + 37.25, Window([0, 0], [1e3, 1e3]), 2, s.generator, 0)
     hs = build_hierarchy(shifted)
     for g, gs in zip(h.levels, hs.levels):
@@ -543,16 +545,37 @@ def test_hierarchy_json_roundtrip(tmp_path, rng):
         h3 = load_hierarchy(path)
         assert hierarchy_to_json(h3) == obj
         assert json.loads(path.read_text()) == obj
-        # one [exit, exit_target] pair of columns per non-terminal level
+        # one [exit, exit_target] pair of columns per level above 0
         assert len(obj["exits"]) == len(h.levels) - 1
         for (exits, targets), g in zip(obj["exits"], h.levels):
             assert len(exits) == len(targets) == g.n_components
         for loaded in (h2, h3):
             assert loaded.termination == SINGLE_PAIR
             assert hierarchy_array_digest(loaded) == hierarchy_array_digest(h)
-            built = [m.merge_sq.tolist() for m in h.merges]
-            got = [m.merge_sq.tolist() for m in loaded.merges]
+            built = [g.merge_sq.tolist() for g in h.levels[1:]]
+            got = [g.merge_sq.tolist() for g in loaded.levels[1:]]
             assert got == built
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "torus"])
+def test_each_level_holds_the_step_that_made_it(kind, rng):
+    # Level 0 holds no step; level k >= 1 is level k - 1 with every exit
+    # relinked to its exit target, built and loaded alike.
+    s = plane_sample(rng.uniform(0, 30, size=(400, 2)), 0, 30)
+    metric = Metric.torus(s.window) if kind == "torus" else Metric.euclidean()
+    h = build_hierarchy(s, metric)
+    assert len(h.levels) >= 3
+    for levels in (h.levels, hierarchy_from_json(hierarchy_to_json(h)).levels):
+        g0 = levels[0]
+        assert (g0.exit, g0.exit_target, g0.merge_sq, g0.parent) == (None,) * 4
+        for g, nxt in zip(levels, levels[1:]):
+            relinked = g.successor.copy()
+            relinked[nxt.exit] = nxt.exit_target
+            assert np.array_equal(nxt.successor, relinked)
+            assert all(
+                len(a) == g.n_components
+                for a in (nxt.exit, nxt.exit_target, nxt.merge_sq, nxt.parent)
+            )
 
 
 @pytest.mark.parametrize("n", [0, 1, 2000])
@@ -837,7 +860,7 @@ def test_degenerate_hierarchy_roundtrip_and_stats():
 
     h = build_hierarchy(line_sample([3.0]))
     assert h.termination == DEGENERATE
-    assert h.levels == [] and h.merges == []
+    assert h.levels == []
     assert level_stats(h) == []
     assert mean_distance_series(h) == []
     assert genealogy_newick(h) == ""
