@@ -36,8 +36,12 @@ in every dimension, against the recursion's (1/2) (lam w_d R^d)^4
 upper bounds still vanish as n grows, which is all the finiteness argument
 needs; the Monte-Carlo estimator is the ground truth for point values.
 
-Trials are drawn and counted a block at a time. Each trial keeps its own
-generator and its own draws; normalising, scaling and placing the origins
+Trials are drawn and counted a block at a time. Trial t's stream is
+`np.random.default_rng(derive_seed(seed, t))`, bit for bit, but the
+generator states of a run of trials are derived at once, in one array pass
+that follows numpy's SeedSequence and PCG64 seeding (the tests pin it to
+numpy's own); a block then sets one generator to each trial's state in turn
+for that trial's three draws. Normalising, scaling and placing the origins
 is one array pass over the block. Counting is exact and breadth first over
 the whole block: one k-d tree pair query gives every sample's within-R
 neighbour lists, and each step extends every partial chain of the block by
@@ -56,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .pointprocess import derive_seed
+from .pointprocess import derive_seed, pcg64_states
 from .spatial_index import tree_cut
 
 # Limits of the Monte Carlo estimator, checked before any trial is drawn:
@@ -69,6 +73,11 @@ MAX_PARTIAL_CHAINS = 1_000
 # Trials are drawn and counted in blocks of about this many expected points,
 # so peak memory depends on the configuration and not on the number of trials.
 _BLOCK_POINTS = 1 << 11
+# Trial generator states are derived this many trials at a time (rounded
+# down to whole blocks, at least one block): an array pass costs about
+# 0.3 ms however few trials it serves, as much as drawing 40 trials, and
+# each state held is about 0.5 kB.
+_STATE_TRIALS = 1 << 12
 
 
 def ball_volume(d: int) -> float:
@@ -269,24 +278,33 @@ def _check_budget(cfg: ChainCountConfig) -> None:
             break
 
 
-def _block_points(cfg: ChainCountConfig, first: int, last: int):
-    """Trials first..last-1 as one block (see `_neighbour_lists`): each
-    trial's Poisson sample on the ball of radius n*R, uniform directions
-    times radius * u^(1/d), its origin first.
+def _trial_states(cfg: ChainCountConfig, first: int, last: int) -> list:
+    """Generator states of trials first..last-1, trial t's being
+    `np.random.default_rng(derive_seed(cfg.seed, t)).bit_generator.state`,
+    all derived in one array pass (`pcg64_states`)."""
+    return pcg64_states(derive_seed(cfg.seed, np.arange(first, last)))
 
-    Only the trial's own generator and its three draws are per trial; the
-    normalising, scaling and origin rows are one pass over the block. Returns
-    (coords, owner, origins).
+
+def _block_points(cfg: ChainCountConfig, states):
+    """The trials of generator states `states` as one block (see
+    `_neighbour_lists`): each trial's Poisson sample on the ball of radius
+    n*R, uniform directions times radius * u^(1/d), its origin first.
+
+    Only setting the generator's state and the trial's three draws are per
+    trial; the normalising, scaling and origin rows are one pass over the
+    block. Returns (coords, owner, origins).
     """
     mean = _expected_points(cfg)
     normals, uniforms = [], []
-    for t in range(first, last):
-        rng = np.random.default_rng(derive_seed(cfg.seed, t))
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for state in states:
+        bit_generator.state = state
         k = rng.poisson(mean)
         normals.append(rng.standard_normal((k, cfg.d)))
         uniforms.append(rng.random((k, 1)))
     sizes = np.array([len(u) for u in uniforms]) + 1
-    owner = np.repeat(np.arange(last - first), sizes)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
     origins = np.cumsum(sizes) - sizes
     x = np.concatenate(normals)
     norms = np.linalg.norm(x, axis=1, keepdims=True)
@@ -300,13 +318,16 @@ def _block_points(cfg: ChainCountConfig, first: int, last: int):
 
 
 def _trial_counts(cfg: ChainCountConfig) -> np.ndarray:
-    """Exact chain count of every trial, drawn and counted block by block."""
+    """Exact chain count of every trial, drawn and counted block by block;
+    the generator states are derived about _STATE_TRIALS trials at a time."""
     per_block = max(1, int(_BLOCK_POINTS / max(1.0, _expected_points(cfg))))
-    counts = np.empty(cfg.trials, dtype=float)
-    for first in range(0, cfg.trials, per_block):
-        last = min(first + per_block, cfg.trials)
-        counts[first:last] = _count_block(*_block_points(cfg, first, last), cfg.n, cfg.R)
-    return counts
+    per_pass = per_block * max(1, _STATE_TRIALS // per_block)
+    counts = []
+    for start in range(0, cfg.trials, per_pass):
+        states = _trial_states(cfg, start, min(start + per_pass, cfg.trials))
+        for i in range(0, len(states), per_block):
+            counts.append(_count_block(*_block_points(cfg, states[i:i + per_block]), cfg.n, cfg.R))
+    return np.concatenate(counts).astype(float)
 
 
 def mc_chain_count(cfg: ChainCountConfig):

@@ -143,7 +143,7 @@ def poisson_baseline(
     (`_block_series`).
     """
     if seeds is None:
-        seeds = [derive_seed(master_seed, i) for i in range(n_seeds)]
+        seeds = derive_seed(master_seed, np.arange(n_seeds)).tolist()
     else:
         seeds = list(seeds)
         n_seeds = len(seeds)

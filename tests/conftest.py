@@ -20,7 +20,7 @@ from chn2.hierarchy import (
     build_hierarchy,
     genealogy_newick,
 )
-from chn2.pointprocess import derive_seed, gen_poisson
+from chn2.pointprocess import gen_poisson
 from chn2.stats import mean_distance_series
 
 
@@ -381,13 +381,30 @@ def oracle_count_chains_dfs(points, n, R, origin=0):
     return count
 
 
+# Master seeds and spawn indices at which the package's seed derivation is
+# pinned to numpy's: one-word and many-word seeds, word boundaries, and the
+# indices around one chain block's end. SECOND_WORD_INDICES need a second
+# spawn-key word.
+PINNED_SEEDS = [0, 1, 101, 2**32 - 1, 2**32, 2**64 - 1, 2**140 + 7]
+PINNED_INDICES = [0, 1, 39, 40, 2**16, 2**32 - 1]
+SECOND_WORD_INDICES = [2**32, 2**40 + 3, 2**64 - 1]
+
+
+def oracle_child_seed(seed, index) -> int:
+    """Child seed `index` of `seed` from numpy's own SeedSequence."""
+    ss = np.random.SeedSequence(seed, spawn_key=(index,))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
 def oracle_trial_points(cfg, t):
     """Trial t of a chain Monte Carlo config, drawn on its own: a Poisson
     count on the ball of radius n*R from trial t's generator, then normal
-    directions and uniform radii, normalised and scaled, origin first."""
+    directions and uniform radii, normalised and scaled, origin first.
+    The generator is seeded through numpy's own SeedSequence, not the
+    package's seed derivation."""
     import math
 
-    rng = np.random.default_rng(derive_seed(cfg.seed, t))
+    rng = np.random.default_rng(oracle_child_seed(cfg.seed, t))
     radius = cfg.n * cfg.R
     w_d = math.pi ** (cfg.d / 2) / math.gamma(cfg.d / 2 + 1)
     k = rng.poisson(cfg.lam * (w_d * radius**cfg.d))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,14 @@ from chn2.chains import (
     expected_chain_count_recursive,
     mc_chain_count,
 )
+from chn2.pointprocess import _in_union_of_balls
 from conftest import (
+    PINNED_INDICES,
+    PINNED_SEEDS,
     oracle_chain_lengths,
     oracle_count_chains,
     oracle_count_chains_dfs,
+    oracle_child_seed,
     oracle_second_order_descending,
     oracle_trial_points,
 )
@@ -113,6 +118,16 @@ def test_count_matches_unpruned_enumeration(rng):
         assert got == want, (trial, m, n)
 
 
+def block_points(cfg, first, last):
+    """Trials first..last-1 of a config, drawn as one block."""
+    return chains._block_points(cfg, chains._trial_states(cfg, first, last))
+
+
+def trial_points(cfg, t):
+    """Trial t's points, origin first."""
+    return block_points(cfg, t, t + 1)[0]
+
+
 # n = 4, d = 2, lam = R = 1, seed 101: the trials of more than 64 points,
 # where a 64-bit visited mask would repeat vertices. Trial 332 has 68 points.
 MC_101 = ChainCountConfig(lam=1.0, R=1.0, d=2, n=4, trials=2000, seed=101)
@@ -122,7 +137,7 @@ def test_count_exact_beyond_64_points():
     counts = chains._trial_counts(MC_101)
     large = 0
     for t in range(MC_101.trials):
-        pts = chains._block_points(MC_101, t, t + 1)[0]
+        pts = trial_points(MC_101, t)
         if len(pts) <= 64:
             continue
         large += 1
@@ -133,7 +148,7 @@ def test_count_exact_beyond_64_points():
 
 
 def test_count_pinned_trial_332():
-    pts = chains._block_points(MC_101, 332, 333)[0]
+    pts = trial_points(MC_101, 332)
     assert len(pts) == 68
     assert oracle_count_chains_dfs(pts, 4, 1.0) == 27
     assert count_chains_from_origin(pts, 4, 1.0) == 27
@@ -146,7 +161,7 @@ def test_trial_counts_match_dfs_oracle(d):
         cfg = ChainCountConfig(lam=0.4 if d == 3 else 1.0, R=1.0, d=d, n=n, trials=60, seed=9)
         counts = chains._trial_counts(cfg)
         want = [
-            oracle_count_chains_dfs(chains._block_points(cfg, t, t + 1)[0], n, 1.0)
+            oracle_count_chains_dfs(trial_points(cfg, t), n, 1.0)
             for t in range(60)
         ]
         assert counts.tolist() == want, (d, n)
@@ -160,7 +175,7 @@ def test_trial_counts_stay_inside_their_trial(n):
     cfg = ChainCountConfig(lam=1e32, R=1e-16, d=2, n=n, trials=60, seed=9)
     counts = chains._trial_counts(cfg)
     want = [
-        oracle_count_chains_dfs(chains._block_points(cfg, t, t + 1)[0], n, cfg.R)
+        oracle_count_chains_dfs(trial_points(cfg, t), n, cfg.R)
         for t in range(60)
     ]
     assert counts.tolist() == want
@@ -179,7 +194,7 @@ def test_pair_query_stays_inside_each_trial(monkeypatch):
 
     monkeypatch.setattr(chains, "cKDTree", RecordingTree)
     cfg = ChainCountConfig(lam=1e34, R=1e-17, d=2, n=2, trials=20, seed=3)
-    coords, owner, _ = chains._block_points(cfg, 0, cfg.trials)
+    coords, owner, _ = block_points(cfg, 0, cfg.trials)
     chains._neighbour_lists(coords, owner, cfg.R)
     (pairs,) = found
     assert len(pairs) > 0
@@ -192,11 +207,23 @@ def test_block_points_match_the_per_trial_draw(d):
         cfg = ChainCountConfig(lam=lam, R=1.0, d=d, n=3, trials=20, seed=11)
         samples = [oracle_trial_points(cfg, t) for t in range(cfg.trials)]
         for first, last in ((5, 6), (3, 10), (0, cfg.trials)):
-            coords, owner, origins = chains._block_points(cfg, first, last)
+            coords, owner, origins = block_points(cfg, first, last)
             assert coords.tobytes() == np.concatenate(samples[first:last]).tobytes()
             sizes = [len(pts) for pts in samples[first:last]]
             assert owner.tolist() == np.repeat(np.arange(last - first), sizes).tolist()
             assert origins.tolist() == (np.cumsum(sizes) - sizes).tolist()
+
+
+@pytest.mark.parametrize("seed", PINNED_SEEDS)
+def test_trial_states_are_numpys(seed):
+    cfg = ChainCountConfig(lam=1.0, R=1.0, d=2, n=3, trials=1, seed=seed)
+
+    def numpy_state(t):
+        return np.random.default_rng(oracle_child_seed(seed, t)).bit_generator.state
+
+    for t in PINNED_INDICES:
+        assert chains._trial_states(cfg, t, t + 1) == [numpy_state(t)], t
+    assert chains._trial_states(cfg, 35, 45) == [numpy_state(t) for t in range(35, 45)]
 
 
 def test_trial_counts_do_not_depend_on_block_size(monkeypatch):
@@ -206,6 +233,9 @@ def test_trial_counts_do_not_depend_on_block_size(monkeypatch):
     assert chains._trial_counts(cfg).tolist() == whole.tolist()
     monkeypatch.setattr(chains, "_BLOCK_POINTS", 1)
     assert chains._trial_counts(cfg).tolist() == whole.tolist()
+    for state_trials in (1, 10, 50):  # passes of whole blocks, or one block
+        monkeypatch.setattr(chains, "_STATE_TRIALS", state_trials)
+        assert chains._trial_counts(cfg).tolist() == whole.tolist()
 
 
 def test_count_tied_distances():
@@ -216,7 +246,7 @@ def test_count_tied_distances():
         assert count_chains_from_origin(pts, n, 1.5) == oracle_count_chains_dfs(pts, n, 1.5)
 
 
-def _no_trials(cfg, first, last):
+def _no_trials(*args):
     raise AssertionError("a trial was drawn before the budget check")
 
 
@@ -320,6 +350,47 @@ def test_mc_agrees_with_theory_quick():
     mean, stderr = mc_chain_count(cfg)
     assert stderr > 0
     assert abs(mean - math.pi) <= 3 * stderr
+
+
+# p_n = P(v_i < max(v_{i-1}, v_{i-2}) for 2 <= i <= n - 1) with v_i iid
+# uniform, the exact value of E[X_{R,n}] / (lam w_d R^d)^n in every dimension.
+EXACT_P = {5: Fraction(13, 60), 6: Fraction(19, 180), 7: Fraction(29, 630),
+           8: Fraction(191, 10080)}
+
+
+@pytest.mark.parametrize("n", sorted(EXACT_P))
+def test_mc_agrees_with_the_exact_expectation(n):
+    # d = 2, lam = R = 1, so the target is pi^n p_n. Seed, trial count and
+    # the 3-sigma bound were fixed before the first run.
+    cfg = ChainCountConfig(lam=1.0, R=1.0, d=2, n=n, trials=5000, seed=2600 + n)
+    mean, stderr = mc_chain_count(cfg)
+    target = math.pi**n * float(EXACT_P[n])
+    assert abs(mean - target) <= 3 * stderr, (mean, stderr, target)
+
+
+def test_cox_thinning_never_adds_chains():
+    # A Cox sample of intensity at most lam is a thinning of a Poisson(lam)
+    # sample. Whether a chain is admissible depends on its own vertices only,
+    # so the thinned sample's chains are some of the full sample's, and its
+    # count is at most the Poisson count, sample by sample.
+    strict = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        side = 5.0  # every vertex of a chain of length <= 5 is within 5 of the origin
+        pts = rng.uniform(-side, side, size=(rng.poisson((2 * side) ** 2), 2))
+        pts = np.vstack([np.zeros((1, 2)), pts])
+        centers = rng.uniform(-3.0, 3.0, size=(5, 2))
+        radii = rng.uniform(1.0, 2.5, size=5)
+        inside = _in_union_of_balls(pts, centers, radii)
+        inside[0] = True  # the origin stays, as row 0
+        thinned = pts[inside]
+        assert 1 < len(thinned) < len(pts)
+        for n in range(2, 6):
+            full = count_chains_from_origin(pts, n, 1.0)
+            cox = count_chains_from_origin(thinned, n, 1.0)
+            assert cox <= full, (seed, n)
+            strict += cox < full
+    assert strict > 0
 
 
 def test_mc_deterministic():

@@ -269,7 +269,7 @@ def test_chains_mc_csv(tmp_path):
 def test_chains_mc_budget_is_one_error_line(monkeypatch, capsys):
     import chn2.chains
 
-    def no_trials(cfg, first, last):
+    def no_trials(*args):
         raise AssertionError("a trial was drawn before the budget check")
 
     monkeypatch.setattr(chn2.chains, "_block_points", no_trials)
