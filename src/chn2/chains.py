@@ -188,7 +188,7 @@ def count_chains_from_origin(points, n: int, R: float) -> int:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if n == 0:
         return 1
-    if pts.shape[0] == 0:
+    if pts.size == 0:
         return 0
     owner = np.zeros(len(pts), dtype=np.intp)
     return int(_count_block(pts, owner, [0], n, R)[0])

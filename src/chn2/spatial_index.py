@@ -21,11 +21,13 @@ from scipy.spatial import cKDTree
 
 from .geometry import GeometryError, Metric, TORUS, Window, axis_gaps, sq_dist_many
 
-# Fewest rows at which a tree query gets more than one worker thread. Timed
-# alone on a 2-core x86-64 VM, `successor_map` gains nothing from a second
-# thread below about 131k rows (0.94-1.05x), yet whole 1M-point builds are
-# fastest at this value: medians of 3.82 s, against 4.00 s at 32,768 and
-# 4.06 s at 131,072, over 8 alternating runs.
+# Fewest rows at which a tree query gets more than one worker thread. On a
+# 2-core x86-64 VM, `successor_map` alone gains nothing from a second thread
+# below about 131k rows (0.94-1.05x), yet 1M-point builds are fastest here:
+# medians of 3.82 s, against 4.00 s at 32,768 and 4.06 s at 131,072, over 8
+# alternating runs. With no threshold, 200k- and 1M-point builds stayed at
+# 0.53-0.56 s and 3.89-3.91 s, but quantised-torus run_s rose 2.0% (0.1557
+# to 0.1588 s, faster in only 4 of 14 alternating pairs).
 _PARALLEL_ROWS = 8192
 
 

@@ -18,13 +18,15 @@ level ALPHA, and only then where, by the tau rule. The test statistic of a
 sample is its largest studentised deviation over levels,
 max_k |x_k - mean_k| / sd_k, where x is the log mean-distance series and
 mean_k, sd_k are taken over the other samples at level k, on the levels
-that every sample reaches. The target and the m baseline seeds are treated
-alike, so under the null all m + 1 statistics are exchangeable and
-p = (1 + #{seeds at least as extreme}) / (m + 1) is a valid p-value: a
-matched Poisson target is detected with probability at most ALPHA. With
-fewer than MIN_SEEDS seed series (a plain levels CSV reads as one) the
-test cannot reach ALPHA, so the tau rule decides alone, and the result
-says so.
+that every sample reaches. Those others are sorted at each level before
+they are summed, so a statistic depends only on the multiset of the other
+samples and equal samples tie exactly. The target and the m baseline
+seeds are treated alike, so under the null all m + 1 statistics are
+exchangeable and p = (1 + #{seeds at least as extreme}) / (m + 1) is a
+valid p-value: a matched Poisson target is detected with probability at
+most ALPHA. With fewer than MIN_SEEDS seed series (a plain levels CSV
+reads as one) the test cannot reach ALPHA, so the tau rule decides alone,
+and the result says so.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
 
@@ -176,7 +177,9 @@ def _block_series(samples, metric: Metric) -> list:
     - ids and pairs keep their order within a sample, so ties break alike;
     - a sample down to one pair (or point) only exits into another sample's
       heads and never changes them, and owns at most one pair from then on.
-    A one-sample block is built as the plain sample.
+    A one-sample block is built as the plain sample: lifted, a lone seed
+    gives the same series bit for bit but builds 5-15% slower (medians of 12
+    alternating builds of 5k-50k points, both metrics and 3-D).
     """
     if len(samples) == 1:
         return [tuple(mean_distance_series(build_hierarchy(samples[0], metric)))]
@@ -264,8 +267,8 @@ def detect_against_baseline(
     if isinstance(target, Hierarchy):
         target = mean_distance_series(target)
     t, b = align_series(target, baseline.values)
-    if any(not v > 0 for v in t + b):
-        raise SeriesError("target and baseline distances must be positive")
+    if any(not 0 < v < math.inf for v in t + b):
+        raise SeriesError("target and baseline distances must be positive and finite")
     ratios = [x / y for x, y in zip(t, b)]
     rel = [math.nan]
     rel += [(ratios[k] - ratios[k - 1]) / ratios[k - 1] for k in range(1, len(ratios))]
@@ -285,22 +288,16 @@ def _monte_carlo_p_value(target, seed_series) -> float:
     depth = min(map(len, samples))
     if depth == 0:
         raise SeriesError("the target and the baseline seeds share no level to compare")
-    logs = [[math.log(v) for v in s[:depth]] for s in samples]
-    stat = [_max_deviation(logs, i) for i in range(len(logs))]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log([s[:depth] for s in samples])
+        if not np.isfinite(logs).all():
+            raise SeriesError("baseline seed distances must be positive and finite")
+        stat = []
+        for i, x in enumerate(logs):
+            others = np.sort(np.delete(logs, i, axis=0), axis=0)
+            dev = np.abs(x - others.mean(axis=0))
+            stat.append(float(np.where(dev > 0, dev / others.std(axis=0, ddof=1), 0.0).max()))
     return (1 + sum(s >= stat[0] for s in stat[1:])) / len(stat)
-
-
-def _max_deviation(logs, i) -> float:
-    """max_k |x_k - mean_k| / sd_k for sample i, with mean_k and sd_k over
-    the other samples."""
-    worst = 0.0
-    for k, x in enumerate(logs[i]):
-        others = [s[k] for j, s in enumerate(logs) if j != i]
-        dev = abs(x - statistics.fmean(others))
-        if dev > 0:
-            sd = statistics.stdev(others)
-            worst = max(worst, dev / sd if sd > 0 else math.inf)
-    return worst
 
 
 def _write_csv(path, header, rows) -> None:

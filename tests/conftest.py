@@ -7,6 +7,8 @@ check replaced, and the Poisson baseline built seed by seed."""
 import dataclasses
 import hashlib
 import itertools
+import math
+import statistics
 
 import numpy as np
 import pytest
@@ -213,6 +215,28 @@ def oracle_baseline_series(window, expected_count, seeds, metric: Metric) -> tup
     return tuple(tuple(mean_distance_series(build_hierarchy(s, metric))) for s in samples)
 
 
+def oracle_monte_carlo_p_value(target, seed_series) -> float:
+    """The detector's Monte Carlo p-value computed level by level over
+    Python lists: each sample's largest |x_k - mean_k| / sd_k, with mean_k
+    by `statistics.fmean` and sd_k by the exactly summed `statistics.stdev`
+    over the other samples (0 where the deviation is 0, inf where only sd_k
+    is), then the target's rank among the m + 1 statistics."""
+    samples = [target, *seed_series]
+    depth = min(map(len, samples))
+    logs = [[math.log(v) for v in s[:depth]] for s in samples]
+    stat = []
+    for i, own in enumerate(logs):
+        worst = 0.0
+        for k, x in enumerate(own):
+            others = [s[k] for j, s in enumerate(logs) if j != i]
+            dev = abs(x - statistics.fmean(others))
+            if dev > 0:
+                sd = statistics.stdev(others)
+                worst = max(worst, dev / sd if sd > 0 else math.inf)
+        stat.append(worst)
+    return (1 + sum(s >= stat[0] for s in stat[1:])) / len(stat)
+
+
 def _merge_json(h) -> dict:
     """The pairs, genealogy and termination fields of hierarchy JSON v2, as
     the version-2 writer wrote them."""
@@ -402,8 +426,6 @@ def oracle_trial_points(cfg, t):
     directions and uniform radii, normalised and scaled, origin first.
     The generator is seeded through numpy's own SeedSequence, not the
     package's seed derivation."""
-    import math
-
     rng = np.random.default_rng(oracle_child_seed(cfg.seed, t))
     radius = cfg.n * cfg.R
     w_d = math.pi ** (cfg.d / 2) / math.gamma(cfg.d / 2 + 1)
@@ -421,8 +443,6 @@ def oracle_expected_chains_weighted(n, d, trials, seed):
     ball and weight by the product of admissible volumes. Independent of
     both the chain counter and the point-process sampler.
     """
-    import math
-
     rng = np.random.default_rng(seed)
     w_d = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
     weights = np.empty(trials)

@@ -82,7 +82,9 @@ def test_chain_record():
 def test_count_empty_chain():
     pts = np.array([[0.0, 0.0], [0.5, 0.0]])
     assert count_chains_from_origin(pts, 0, 1.0) == 1
-    assert count_chains_from_origin(np.empty((0, 2)), 2, 1.0) == 0
+    for empty in (np.empty((0, 2)), []):
+        assert count_chains_from_origin(empty, 2, 1.0) == 0
+        assert count_chains_from_origin(empty, 0, 1.0) == 1
     assert mc_chain_count(ChainCountConfig(lam=1.0, R=1.0, d=2, n=0, trials=5, seed=0)) == (
         1.0, 0.0
     )

@@ -26,7 +26,7 @@ from chn2.stats import (
     write_levels_csv,
     _block_series,
 )
-from conftest import oracle_baseline_series
+from conftest import oracle_baseline_series, oracle_monte_carlo_p_value
 
 WIDE = Window([-1000.0], [1000.0])
 
@@ -114,6 +114,14 @@ def test_detect_errors():
         tau_rule([1.0, 2.0], [1.0, 0.0])
     with pytest.raises(SeriesError):
         DetectorConfig(tau=0.0)
+    # Every distance compared must be positive and finite: the target's, and,
+    # with enough seeds for the Monte Carlo test, each seed's.
+    base = noisy_baseline(20)
+    bad_seeds = [((v,) + base.seed_series[0][1:],) + base.seed_series[1:] for v in (0.0, -1.0)]
+    cases = [([1.0, np.inf], base)] + [(base.values, BaselineSeries(s)) for s in bad_seeds]
+    for target, baseline in cases:
+        with pytest.raises(SeriesError, match="positive and finite"):
+            detect_against_baseline(target, baseline)
 
 
 def test_align_series():
@@ -342,6 +350,33 @@ def test_detect_monte_carlo_p_values_are_ranks():
         base = BaselineSeries(series[:i] + series[i + 1:])
         ps.append(detect_against_baseline(list(target), base).p_value)
     assert sorted(ps) == pytest.approx([k / 21 for k in range(1, 22)])
+
+
+def random_monte_carlo_case(rng, case):
+    """The target and the seed series of one random Monte Carlo test: 19-40
+    seeds over 1-11 common levels, some seeds a level or two longer. Every
+    third case copies samples over others, so that statistics tie; every
+    third after that puts a far target over seeds spread by at most 1e-6 of
+    their value, or not at all."""
+    m, depth = int(rng.integers(19, 41)), int(rng.integers(1, 12))
+    logs = rng.normal(np.log(2.0) * np.arange(depth), rng.uniform(0.01, 0.5), (m + 1, depth))
+    if case % 3 == 1:
+        logs = logs[rng.integers(0, int(rng.integers(2, m + 1)), m + 1)]
+    elif case % 3 == 2:
+        spread = (0.0, 1e-12, 1e-6)[case % 9 // 3]
+        logs[1:] = logs[1] + spread * rng.standard_normal((m, depth))
+        logs[0] += rng.choice([-1.0, 1.0], depth) * rng.uniform(0.5, 3.0, depth)
+    series = np.exp(logs).tolist()
+    seeds = tuple(tuple(s + [2.0 ** depth] * int(rng.integers(0, 3))) for s in series[1:])
+    return series[0], seeds
+
+
+def test_detect_monte_carlo_p_values_match_the_list_oracle():
+    rng = np.random.default_rng(1977)
+    for case in range(1000):
+        target, seeds = random_monte_carlo_case(rng, case)
+        expect = oracle_monte_carlo_p_value(target, seeds)
+        assert chn2.stats._monte_carlo_p_value(target, seeds) == expect, case
 
 
 def test_detect_monte_carlo_too_few_seeds_uses_tau():
