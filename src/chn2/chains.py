@@ -42,14 +42,18 @@ generator states of a run of trials are derived at once, in one array pass
 that follows numpy's SeedSequence and PCG64 seeding (the tests pin it to
 numpy's own); a block then sets one generator to each trial's state in turn
 for that trial's three draws. Normalising, scaling and placing the origins
-is one array pass over the block. Counting is exact and breadth first over
-the whole block: one k-d tree pair query gives every sample's within-R
-neighbour lists, and each step extends every partial chain of the block by
-its admissible next vertices. A chain keeps its vertices as columns, and
-distinctness is a compare against them, so a sample may hold any number of
-points. The work is the number of partial chains; `mc_chain_count`
-refuses, before drawing any trial, a configuration whose expected points or
-partial chains per trial exceed MAX_POINTS_PER_TRIAL or MAX_PARTIAL_CHAINS.
+is one array pass over the block. The states are derived on the calling
+thread; the blocks are drawn and counted on the `CHN2_THREADS` pool
+(`spatial_index.ordered_pool`), whose results come back in block order, so
+no count, estimate or CSV depends on the thread count. Counting is exact
+and breadth first over the whole block: one k-d tree pair query gives every
+sample's within-R neighbour lists, and each step extends every partial
+chain of the block by its admissible next vertices. A chain keeps its
+vertices as columns, and distinctness is a compare against them, so a
+sample may hold any number of points. The work is the number of partial
+chains; `mc_chain_count` refuses, before drawing any trial, a configuration
+whose expected points or partial chains per trial exceed
+MAX_POINTS_PER_TRIAL or MAX_PARTIAL_CHAINS.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .pointprocess import derive_seed, pcg64_states
-from .spatial_index import tree_cut
+from .spatial_index import ordered_pool, tree_cut
 
 # Limits of the Monte Carlo estimator, checked before any trial is drawn:
 # the expected points per trial, lam * w_d * (n R)^d, and the largest
@@ -71,8 +75,17 @@ from .spatial_index import tree_cut
 MAX_POINTS_PER_TRIAL = 5_000
 MAX_PARTIAL_CHAINS = 1_000
 # Trials are drawn and counted in blocks of about this many expected points,
-# so peak memory depends on the configuration and not on the number of trials.
-_BLOCK_POINTS = 1 << 11
+# so peak memory depends on the configuration and not on the number of
+# trials, and `ordered_pool` counts a pass's blocks side by side. On a 2-core
+# x86-64 VM, chains-mc (`bench/run.py`, 8 s runs, medians of 6 alternating
+# rounds) read run_s 0.125, 0.107 and 0.107 s at 2^11, 2^12 and 2^13 on one
+# thread, and 0.127, 0.109 and 0.102 s on two while the second core was
+# mostly unavailable, against 0.121 s with no pool at 2^11; peak RSS was
+# 94.8, 95.5 and 96.8 MB on one thread, 95.7, 96.9 and 99.8 MB on two,
+# against 93.7 MB. With both cores free, two threads read 0.073-0.081,
+# 0.063-0.077 and 0.059-0.070 s at 2^12, 2^13 and 2^14, against
+# 0.119-0.122 s with no pool; 2^14 and 2^15 took 105.6 and 116.7 MB.
+_BLOCK_POINTS = 1 << 13
 # Trial generator states are derived this many trials at a time (rounded
 # down to whole blocks, at least one block): an array pass costs about
 # 0.3 ms however few trials it serves, as much as drawing 40 trials, and
@@ -318,15 +331,23 @@ def _block_points(cfg: ChainCountConfig, states):
 
 
 def _trial_counts(cfg: ChainCountConfig) -> np.ndarray:
-    """Exact chain count of every trial, drawn and counted block by block;
-    the generator states are derived about _STATE_TRIALS trials at a time."""
+    """Exact chain count of every trial, drawn and counted block by block.
+
+    The generator states are derived on the calling thread, about
+    _STATE_TRIALS trials at a time; each pass's blocks then go through
+    `ordered_pool`, so the counts join up in trial order."""
     per_block = max(1, int(_BLOCK_POINTS / max(1.0, _expected_points(cfg))))
     per_pass = per_block * max(1, _STATE_TRIALS // per_block)
+
+    def count(block_states):
+        return _count_block(*_block_points(cfg, block_states), cfg.n, cfg.R)
+
     counts = []
-    for start in range(0, cfg.trials, per_pass):
-        states = _trial_states(cfg, start, min(start + per_pass, cfg.trials))
-        for i in range(0, len(states), per_block):
-            counts.append(_count_block(*_block_points(cfg, states[i:i + per_block]), cfg.n, cfg.R))
+    with ordered_pool() as pool_map:
+        for start in range(0, cfg.trials, per_pass):
+            states = _trial_states(cfg, start, min(start + per_pass, cfg.trials))
+            blocks = (states[i:i + per_block] for i in range(0, len(states), per_block))
+            counts += pool_map(count, blocks)
     return np.concatenate(counts).astype(float)
 
 

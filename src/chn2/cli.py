@@ -3,9 +3,10 @@
 Subcommands: generate (poisson | binomial | cox), cluster, stats, baseline,
 detect, chains. Structured artifacts are JSON, tabular outputs are CSV.
 Every command is deterministic given its full flag set; CHN2_THREADS caps
-the fan-out over blocks of baseline seeds, each built on one query thread,
-and the query threads of any other build (both also capped by the usable
-CPUs); no output depends on it.
+the thread pool that fans out blocks of baseline seeds (each built on one
+query thread) and blocks of chain Monte Carlo trials, and the query
+threads of any other build (both also capped by the usable CPUs); the pool
+returns results in block order, so no output depends on it.
 """
 
 from __future__ import annotations

@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -32,8 +34,8 @@ _PARALLEL_ROWS = 8192
 
 
 def query_workers() -> int:
-    """Threads for a tree query on the main thread or for the baseline's
-    pool: CHN2_THREADS, or min(8, CPU count) when it is unset, capped by the
+    """Threads for a tree query on the main thread or for `ordered_pool`:
+    CHN2_THREADS, or min(8, CPU count) when it is unset, capped by the
     CPUs this process may run on, since each worker is one OS thread."""
     env = os.environ.get("CHN2_THREADS")
     try:
@@ -47,6 +49,15 @@ def query_workers() -> int:
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     return min(count, cpus)
+
+
+@contextmanager
+def ordered_pool():
+    """The package's one thread pool, sized by `query_workers()` and open for
+    the `with` block, as its `map`: results come back in the order of the
+    items, so no caller's output depends on the thread count."""
+    with ThreadPoolExecutor(max_workers=query_workers()) as pool:
+        yield pool.map
 
 
 def tree_cut(dist, scale: float):

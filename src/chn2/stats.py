@@ -34,7 +34,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -42,7 +41,7 @@ import numpy as np
 from .geometry import Metric, Window
 from .hierarchy import Hierarchy, build_hierarchy
 from .pointprocess import Sample, derive_seed, gen_poisson
-from .spatial_index import query_workers
+from .spatial_index import ordered_pool
 
 
 class SeriesError(ValueError):
@@ -158,8 +157,8 @@ def poisson_baseline(
         samples = [gen_poisson(lam, window, window.dim, s) for s in block_seeds]
         return _block_series(samples, metric)
 
-    with ThreadPoolExecutor(max_workers=query_workers()) as pool:
-        series = pool.map(block, range(0, n_seeds, per_block))
+    with ordered_pool() as pool_map:
+        series = pool_map(block, range(0, n_seeds, per_block))
         return BaselineSeries(tuple(itertools.chain.from_iterable(series)))
 
 

@@ -479,3 +479,27 @@ def tree_calls(monkeypatch):
 
     monkeypatch.setattr(spatial_index, "cKDTree", SpyTree)
     return calls
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """A list of the thread counts that `ordered_pool` asks for while the
+    test runs. A recorder stands in for the pool and maps on the calling
+    thread, so no thread is started."""
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(spatial_index, "ThreadPoolExecutor", Recorder)
+    return asked

@@ -240,6 +240,27 @@ def test_trial_counts_do_not_depend_on_block_size(monkeypatch):
         assert chains._trial_counts(cfg).tolist() == whole.tolist()
 
 
+def test_trial_counts_do_not_depend_on_thread_count(monkeypatch):
+    # Blocks of 3 trials and passes of 9: 11 passes, 33 blocks.
+    cfg = ChainCountConfig(lam=1.0, R=1.0, d=2, n=3, trials=97, seed=4)
+    whole = chains._trial_counts(cfg).tolist()
+    monkeypatch.setattr(chains, "_BLOCK_POINTS", 100)
+    monkeypatch.setattr(chains, "_STATE_TRIALS", 10)
+    got = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CHN2_THREADS", threads)
+        got.append((chains._trial_counts(cfg).tolist(), mc_chain_count(cfg)))
+    assert got[0] == got[1] and got[0][0] == whole
+
+
+def test_chain_pool_capped_by_usable_cpus(monkeypatch, pool_sizes):
+    # One pool for the whole call, however many state passes it makes.
+    monkeypatch.setattr(chains, "_STATE_TRIALS", 1)
+    monkeypatch.setenv("CHN2_THREADS", "100000")
+    mc_chain_count(ChainCountConfig(lam=1.0, R=1.0, d=2, n=3, trials=5, seed=0))
+    assert len(pool_sizes) == 1 and 1 <= pool_sizes[0] <= len(os.sched_getaffinity(0))
+
+
 def test_count_tied_distances():
     # A unit lattice: many equal steps, where only strict descent counts.
     g = np.arange(-2.0, 3.0)

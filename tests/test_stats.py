@@ -527,27 +527,23 @@ def test_thread_count_reads_env(monkeypatch):
     assert 1 <= query_workers() <= 8
 
 
-def test_baseline_pool_capped_by_usable_cpus(monkeypatch):
-    # A recorder stands in for the pool, so no thread is started.
-    asked = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(chn2.stats, "ThreadPoolExecutor", Recorder)
+def test_baseline_pool_capped_by_usable_cpus(monkeypatch, pool_sizes):
     monkeypatch.setenv("CHN2_THREADS", "100000")
     poisson_baseline(Window([0.0, 0.0], [1.0, 1.0]), 8.0, n_seeds=3)
-    assert asked and 1 <= asked[0] <= len(os.sched_getaffinity(0))
+    assert pool_sizes and 1 <= pool_sizes[0] <= len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("torus", [False, True], ids=["euclidean", "torus"])
+def test_baseline_does_not_depend_on_thread_count(torus, monkeypatch):
+    # Blocks of 6 seeds: five blocks for the pool's threads to share.
+    monkeypatch.setattr(chn2.stats, "_BLOCK_POINTS", 64)
+    window = baseline_windows(2)[0]
+    metric = Metric.torus(window) if torus else Metric.euclidean()
+    got = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CHN2_THREADS", threads)
+        got.append(poisson_baseline(window, 10, 25, metric, master_seed=13).seed_series)
+    assert len(got[0]) == 25 and got[0] == got[1]
 
 
 def test_baseline_builds_query_on_one_thread(monkeypatch, tree_calls):
