@@ -36,21 +36,21 @@ in every dimension, against the recursion's (1/2) (lam w_d R^d)^4
 upper bounds still vanish as n grows, which is all the finiteness argument
 needs; the Monte-Carlo estimator is the ground truth for point values.
 
-Trials are drawn and counted a block at a time. Trial t's stream is
-`np.random.default_rng(derive_seed(seed, t))`, bit for bit, but the
-generator states of a run of trials are derived at once, in one array pass
+Trials are drawn and counted a block at a time, each block a contiguous run
+of trial indices that `spatial_index.map_blocks` sizes by the expected
+points per trial and maps on the `CHN2_THREADS` pool, results in block
+order, so no count, estimate or CSV depends on the thread count. Trial t's
+stream is `np.random.default_rng(derive_seed(seed, t))`, bit for bit, but a
+block derives the generator states of its trials at once, in one array pass
 that follows numpy's SeedSequence and PCG64 seeding (the tests pin it to
-numpy's own); a block then sets one generator to each trial's state in turn
-for that trial's three draws. Normalising, scaling and placing the origins
-is one array pass over the block. The states are derived on the calling
-thread; the blocks are drawn and counted on the `CHN2_THREADS` pool
-(`spatial_index.ordered_pool`), whose results come back in block order, so
-no count, estimate or CSV depends on the thread count. Counting is exact
-and breadth first over the whole block: one k-d tree pair query gives every
-sample's within-R neighbour lists, and each step extends every partial
-chain of the block by its admissible next vertices. A chain keeps its
-vertices as columns, and distinctness is a compare against them, so a
-sample may hold any number of points. The work is the number of partial
+numpy's own), then sets one generator to each trial's state in turn for
+that trial's three draws. Normalising, scaling and placing the origins is
+one array pass over the block. Counting is exact and breadth first over
+the whole block: one k-d tree pair query gives every sample's within-R
+neighbour lists, and each step extends every partial chain of the block by
+its admissible next vertices. A chain keeps its vertices as columns, and
+distinctness is a compare against them, so a sample may hold any number of
+points. The work is the number of partial
 chains; `mc_chain_count` refuses, before drawing any trial, a configuration
 whose expected points or partial chains per trial exceed
 MAX_POINTS_PER_TRIAL or MAX_PARTIAL_CHAINS.
@@ -65,7 +65,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .pointprocess import derive_seed, pcg64_states
-from .spatial_index import ordered_pool, tree_cut
+from .spatial_index import map_blocks, tree_cut
 
 # Limits of the Monte Carlo estimator, checked before any trial is drawn:
 # the expected points per trial, lam * w_d * (n R)^d, and the largest
@@ -74,23 +74,6 @@ from .spatial_index import ordered_pool, tree_cut
 # one row per partial chain, so the second limit bounds its memory.
 MAX_POINTS_PER_TRIAL = 5_000
 MAX_PARTIAL_CHAINS = 1_000
-# Trials are drawn and counted in blocks of about this many expected points,
-# so peak memory depends on the configuration and not on the number of
-# trials, and `ordered_pool` counts a pass's blocks side by side. On a 2-core
-# x86-64 VM, chains-mc (`bench/run.py`, 8 s runs, medians of 6 alternating
-# rounds) read run_s 0.125, 0.107 and 0.107 s at 2^11, 2^12 and 2^13 on one
-# thread, and 0.127, 0.109 and 0.102 s on two while the second core was
-# mostly unavailable, against 0.121 s with no pool at 2^11; peak RSS was
-# 94.8, 95.5 and 96.8 MB on one thread, 95.7, 96.9 and 99.8 MB on two,
-# against 93.7 MB. With both cores free, two threads read 0.073-0.081,
-# 0.063-0.077 and 0.059-0.070 s at 2^12, 2^13 and 2^14, against
-# 0.119-0.122 s with no pool; 2^14 and 2^15 took 105.6 and 116.7 MB.
-_BLOCK_POINTS = 1 << 13
-# Trial generator states are derived this many trials at a time (rounded
-# down to whole blocks, at least one block): an array pass costs about
-# 0.3 ms however few trials it serves, as much as drawing 40 trials, and
-# each state held is about 0.5 kB.
-_STATE_TRIALS = 1 << 12
 
 
 def ball_volume(d: int) -> float:
@@ -291,27 +274,22 @@ def _check_budget(cfg: ChainCountConfig) -> None:
             break
 
 
-def _trial_states(cfg: ChainCountConfig, first: int, last: int) -> list:
-    """Generator states of trials first..last-1, trial t's being
-    `np.random.default_rng(derive_seed(cfg.seed, t)).bit_generator.state`,
-    all derived in one array pass (`pcg64_states`)."""
-    return pcg64_states(derive_seed(cfg.seed, np.arange(first, last)))
+def _block_points(cfg: ChainCountConfig, trials):
+    """The trials of indices `trials` as one block (see `_neighbour_lists`):
+    each trial's Poisson sample on the ball of radius n*R, uniform
+    directions times radius * u^(1/d), its origin first.
 
-
-def _block_points(cfg: ChainCountConfig, states):
-    """The trials of generator states `states` as one block (see
-    `_neighbour_lists`): each trial's Poisson sample on the ball of radius
-    n*R, uniform directions times radius * u^(1/d), its origin first.
-
-    Only setting the generator's state and the trial's three draws are per
-    trial; the normalising, scaling and origin rows are one pass over the
-    block. Returns (coords, owner, origins).
+    Trial t's stream is `np.random.default_rng(derive_seed(cfg.seed, t))`;
+    the block's generator states are derived in one array pass
+    (`pcg64_states`). Only setting the generator's state and the trial's
+    three draws are per trial; the normalising, scaling and origin rows are
+    one pass over the block. Returns (coords, owner, origins).
     """
     mean = _expected_points(cfg)
     normals, uniforms = [], []
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    for state in states:
+    for state in pcg64_states(derive_seed(cfg.seed, trials)):
         bit_generator.state = state
         k = rng.poisson(mean)
         normals.append(rng.standard_normal((k, cfg.d)))
@@ -331,23 +309,13 @@ def _block_points(cfg: ChainCountConfig, states):
 
 
 def _trial_counts(cfg: ChainCountConfig) -> np.ndarray:
-    """Exact chain count of every trial, drawn and counted block by block.
+    """Exact chain count of every trial, drawn and counted block by block
+    through `map_blocks`, so the counts join up in trial order."""
 
-    The generator states are derived on the calling thread, about
-    _STATE_TRIALS trials at a time; each pass's blocks then go through
-    `ordered_pool`, so the counts join up in trial order."""
-    per_block = max(1, int(_BLOCK_POINTS / max(1.0, _expected_points(cfg))))
-    per_pass = per_block * max(1, _STATE_TRIALS // per_block)
+    def count(trials):
+        return _count_block(*_block_points(cfg, trials), cfg.n, cfg.R)
 
-    def count(block_states):
-        return _count_block(*_block_points(cfg, block_states), cfg.n, cfg.R)
-
-    counts = []
-    with ordered_pool() as pool_map:
-        for start in range(0, cfg.trials, per_pass):
-            states = _trial_states(cfg, start, min(start + per_pass, cfg.trials))
-            blocks = (states[i:i + per_block] for i in range(0, len(states), per_block))
-            counts += pool_map(count, blocks)
+    counts = map_blocks(count, np.arange(cfg.trials), _expected_points(cfg))
     return np.concatenate(counts).astype(float)
 
 

@@ -326,8 +326,8 @@ class CoxBallSpec:
             radii = np.asarray(self.radii, float)
             if centers.shape[0] != radii.size:
                 raise SampleError("need one radius per center")
-            if not np.all(radii > 0):
-                raise SampleError("radii must be positive")
+            if not (np.all(np.isfinite(centers)) and np.all((radii > 0) & (radii < np.inf))):
+                raise SampleError("centers must be finite and radii positive and finite")
             object.__setattr__(self, "centers", centers)
             object.__setattr__(self, "radii", radii)
         else:

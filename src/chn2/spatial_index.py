@@ -16,7 +16,6 @@ import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -34,7 +33,7 @@ _PARALLEL_ROWS = 8192
 
 
 def query_workers() -> int:
-    """Threads for a tree query on the main thread or for `ordered_pool`:
+    """Threads for a tree query on the main thread or for `map_blocks`:
     CHN2_THREADS, or min(8, CPU count) when it is unset, capped by the
     CPUs this process may run on, since each worker is one OS thread."""
     env = os.environ.get("CHN2_THREADS")
@@ -51,13 +50,35 @@ def query_workers() -> int:
     return min(count, cpus)
 
 
-@contextmanager
-def ordered_pool():
-    """The package's one thread pool, sized by `query_workers()` and open for
-    the `with` block, as its `map`: results come back in the order of the
-    items, so no caller's output depends on the thread count."""
+# Points per block of `map_blocks`: a block holds at least one item, so items
+# of more than half of it go one by one. Peak memory then depends on the item
+# size and not on the item count. Measured on a 2-core x86-64 VM:
+# - Poisson baseline (2 threads, median of 9 runs): 100 seeds of 2,000 points
+#   took 659, 559 and 505 ms at 2^11, 2^12 and 2^13, and 19 seeds of 1,000
+#   points 70, 67 and 55 ms; at 2^14, 424 and 69 ms, the 19 seeds then
+#   splitting 16 + 3 between the two threads.
+# - Chain Monte Carlo (chains-mc, `bench/run.py`, 8 s runs, medians of 6
+#   alternating rounds): run_s 0.125, 0.107 and 0.107 s at 2^11, 2^12 and
+#   2^13 on one thread, and 0.127, 0.109 and 0.102 s on two while the second
+#   core was mostly unavailable, against 0.121 s with no pool at 2^11; peak
+#   RSS 94.8, 95.5 and 96.8 MB on one thread, 95.7, 96.9 and 99.8 MB on two,
+#   against 93.7 MB. With both cores free, two threads read 0.073-0.081,
+#   0.063-0.077 and 0.059-0.070 s at 2^12, 2^13 and 2^14, against
+#   0.119-0.122 s with no pool; 2^14 and 2^15 took 105.6 and 116.7 MB.
+_BLOCK_POINTS = 1 << 13
+
+
+def map_blocks(fn, items, points_per_item) -> list:
+    """`fn` of each block of `items`, in block order.
+
+    A block is a contiguous slice of about _BLOCK_POINTS points, at least one
+    item, given `points_per_item` points per item. The blocks are mapped on
+    one pool of `query_workers()` threads, and the results come back in block
+    order, so no caller's output depends on the thread count."""
+    size = max(1, int(_BLOCK_POINTS / max(1.0, points_per_item)))
+    blocks = (items[i:i + size] for i in range(0, len(items), size))
     with ThreadPoolExecutor(max_workers=query_workers()) as pool:
-        yield pool.map
+        return list(pool.map(fn, blocks))
 
 
 def tree_cut(dist, scale: float):

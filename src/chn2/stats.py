@@ -41,7 +41,7 @@ import numpy as np
 from .geometry import Metric, Window
 from .hierarchy import Hierarchy, build_hierarchy
 from .pointprocess import Sample, derive_seed, gen_poisson
-from .spatial_index import ordered_pool
+from .spatial_index import map_blocks
 
 
 class SeriesError(ValueError):
@@ -117,15 +117,6 @@ class BaselineSeries:
         return [len(at_k) for at_k in self._at_levels()]
 
 
-# Points per baseline build: the pool takes seeds in blocks of about this
-# many points, one hierarchy per block, so seeds of more than half of it are
-# built one by one. On a 2-core x86-64 VM (2 threads, median of 9 runs), 100
-# seeds of 2,000 points took 659, 559 and 505 ms at 2^11, 2^12 and 2^13, and
-# 19 seeds of 1,000 points 70, 67 and 55 ms; at 2^14, 424 and 69 ms, the 19
-# seeds then splitting 16 + 3 between the two threads.
-_BLOCK_POINTS = 1 << 13
-
-
 def poisson_baseline(
     window: Window,
     expected_count: float,
@@ -138,9 +129,9 @@ def poisson_baseline(
 
     The intensity is expected_count/volume so the baseline is comparable to
     the target sample. Seeds are derived from master_seed unless given
-    explicitly. The pool takes contiguous blocks of seeds, of about
-    _BLOCK_POINTS points, and builds one hierarchy per block
-    (`_block_series`).
+    explicitly. `map_blocks` cuts the seeds into contiguous blocks and
+    builds one hierarchy per block (`_block_series`), so a seed of more
+    than half a block is built on its own.
     """
     if seeds is None:
         seeds = derive_seed(master_seed, np.arange(n_seeds)).tolist()
@@ -150,16 +141,13 @@ def poisson_baseline(
     if n_seeds < 1:
         raise SeriesError("n_seeds must be >= 1")
     lam = expected_count / window.volume
-    per_block = max(1, int(_BLOCK_POINTS / max(1.0, expected_count)))
 
-    def block(first):
-        block_seeds = seeds[first:first + per_block]
+    def block(block_seeds):
         samples = [gen_poisson(lam, window, window.dim, s) for s in block_seeds]
         return _block_series(samples, metric)
 
-    with ordered_pool() as pool_map:
-        series = pool_map(block, range(0, n_seeds, per_block))
-        return BaselineSeries(tuple(itertools.chain.from_iterable(series)))
+    series = map_blocks(block, seeds, expected_count)
+    return BaselineSeries(tuple(itertools.chain.from_iterable(series)))
 
 
 def _block_series(samples, metric: Metric) -> list:
@@ -351,14 +339,18 @@ def write_baseline_csv(baseline: BaselineSeries, seeds, path) -> None:
 def read_baseline_csv(path) -> BaselineSeries:
     """Baseline from the `seed_<s>` columns of a CSV, or, in a CSV without
     them such as one sample's levels CSV, from `mean_merge_distance` as its
-    single series. Every distance must be positive and finite, and
-    `mean_merge_distance` must be the mean of the seed columns."""
+    single series. No column may be repeated, every distance must be
+    positive and finite, and `mean_merge_distance` must be the mean of the
+    seed columns."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
         fields = reader.fieldnames or []
     if SERIES_COLUMN not in fields:
         raise SeriesError(f"{path}: no {SERIES_COLUMN} column")
+    repeated = [c for c in fields if fields.count(c) > 1]
+    if repeated:
+        raise SeriesError(f"{path}: column {repeated[0]} is repeated")
     columns = [c for c in fields if c.startswith(SEED_COLUMN_PREFIX)] or [SERIES_COLUMN]
     baseline = BaselineSeries(tuple(tuple(_column_series(rows, c, path)) for c in columns))
     if any(not (0 < v < math.inf) for s in baseline.seed_series for v in s):

@@ -483,9 +483,9 @@ def tree_calls(monkeypatch):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """A list of the thread counts that `ordered_pool` asks for while the
-    test runs. A recorder stands in for the pool and maps on the calling
-    thread, so no thread is started."""
+    """A list of the thread counts that `map_blocks` asks for while the
+    test runs, one per call. A recorder stands in for the pool and maps on
+    the calling thread, so no thread is started."""
     asked = []
 
     class Recorder:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from chn2 import chains
+from chn2 import chains, spatial_index
 from chn2.chains import (
     ChainCountConfig,
     ball_volume,
@@ -19,7 +19,7 @@ from chn2.chains import (
     expected_chain_count_recursive,
     mc_chain_count,
 )
-from chn2.pointprocess import _in_union_of_balls
+from chn2.pointprocess import _in_union_of_balls, derive_seed, pcg64_states
 from conftest import (
     PINNED_INDICES,
     PINNED_SEEDS,
@@ -122,7 +122,7 @@ def test_count_matches_unpruned_enumeration(rng):
 
 def block_points(cfg, first, last):
     """Trials first..last-1 of a config, drawn as one block."""
-    return chains._block_points(cfg, chains._trial_states(cfg, first, last))
+    return chains._block_points(cfg, np.arange(first, last))
 
 
 def trial_points(cfg, t):
@@ -218,34 +218,31 @@ def test_block_points_match_the_per_trial_draw(d):
 
 @pytest.mark.parametrize("seed", PINNED_SEEDS)
 def test_trial_states_are_numpys(seed):
-    cfg = ChainCountConfig(lam=1.0, R=1.0, d=2, n=3, trials=1, seed=seed)
-
     def numpy_state(t):
         return np.random.default_rng(oracle_child_seed(seed, t)).bit_generator.state
 
+    def trial_states(first, last):
+        return pcg64_states(derive_seed(seed, np.arange(first, last)))
+
     for t in PINNED_INDICES:
-        assert chains._trial_states(cfg, t, t + 1) == [numpy_state(t)], t
-    assert chains._trial_states(cfg, 35, 45) == [numpy_state(t) for t in range(35, 45)]
+        assert trial_states(t, t + 1) == [numpy_state(t)], t
+    assert trial_states(35, 45) == [numpy_state(t) for t in range(35, 45)]
 
 
 def test_trial_counts_do_not_depend_on_block_size(monkeypatch):
     cfg = ChainCountConfig(lam=1.0, R=1.0, d=2, n=3, trials=97, seed=4)
     whole = chains._trial_counts(cfg)
-    monkeypatch.setattr(chains, "_BLOCK_POINTS", 100)
+    monkeypatch.setattr(spatial_index, "_BLOCK_POINTS", 100)
     assert chains._trial_counts(cfg).tolist() == whole.tolist()
-    monkeypatch.setattr(chains, "_BLOCK_POINTS", 1)
+    monkeypatch.setattr(spatial_index, "_BLOCK_POINTS", 1)
     assert chains._trial_counts(cfg).tolist() == whole.tolist()
-    for state_trials in (1, 10, 50):  # passes of whole blocks, or one block
-        monkeypatch.setattr(chains, "_STATE_TRIALS", state_trials)
-        assert chains._trial_counts(cfg).tolist() == whole.tolist()
 
 
 def test_trial_counts_do_not_depend_on_thread_count(monkeypatch):
-    # Blocks of 3 trials and passes of 9: 11 passes, 33 blocks.
+    # Blocks of 3 trials: 33 blocks.
     cfg = ChainCountConfig(lam=1.0, R=1.0, d=2, n=3, trials=97, seed=4)
     whole = chains._trial_counts(cfg).tolist()
-    monkeypatch.setattr(chains, "_BLOCK_POINTS", 100)
-    monkeypatch.setattr(chains, "_STATE_TRIALS", 10)
+    monkeypatch.setattr(spatial_index, "_BLOCK_POINTS", 100)
     got = []
     for threads in ("1", "2"):
         monkeypatch.setenv("CHN2_THREADS", threads)
@@ -254,8 +251,8 @@ def test_trial_counts_do_not_depend_on_thread_count(monkeypatch):
 
 
 def test_chain_pool_capped_by_usable_cpus(monkeypatch, pool_sizes):
-    # One pool for the whole call, however many state passes it makes.
-    monkeypatch.setattr(chains, "_STATE_TRIALS", 1)
+    # One pool for the whole call, however many blocks it maps.
+    monkeypatch.setattr(spatial_index, "_BLOCK_POINTS", 1)
     monkeypatch.setenv("CHN2_THREADS", "100000")
     mc_chain_count(ChainCountConfig(lam=1.0, R=1.0, d=2, n=3, trials=5, seed=0))
     assert len(pool_sizes) == 1 and 1 <= pool_sizes[0] <= len(os.sched_getaffinity(0))

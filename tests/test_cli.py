@@ -333,6 +333,10 @@ NUMPY_WORDING = ("lam value too large", "lam < 0 or lam is NaN", "expected non-n
       "--radius-range", "1,2", "--window", "0,0,10,10"], 1),
     (["generate", "cox", "--center-intensity", "5", "--radius-range", "1,inf",
       "--window", "0,0,10,10"], 1),
+    # fixed balls that are not finite, which would thin to nothing or to all
+    (["generate", "cox", "--centers", "nan,nan", "--radii", "5", "--window", "0,0,10,10"], 1),
+    (["generate", "cox", "--centers", "inf,inf", "--radii", "5", "--window", "0,0,10,10"], 1),
+    (["generate", "cox", "--centers", "5,5", "--radii", "inf", "--window", "0,0,10,10"], 1),
     # the expected count passes float range on the way (chains._ball_mass)
     (["chains", "formula", "--n", "2", "--R", "1e200", "--lambda", "1e-300"], 0),
     # a product that has left float range, and trials whose chains all end

@@ -132,8 +132,12 @@ COX_SPEC_REFUSALS = [
     ({"centers": [[0.0, 0.0]]}, "fixed mode needs radii"),
     ({"centers": np.array([[0.0, 0.0]]), "radii": np.array([1.0, 2.0])}, "one radius per center"),
     ({}, "random mode needs center_intensity and radius_range"),
-    ({"centers": [[0.0, 0.0], [1.0, 1.0]], "radii": [1.0, 0.0]}, "radii must be positive"),
-    ({"centers": [[0.0, 0.0]], "radii": [-1.0]}, "radii must be positive"),
+    ({"centers": [[0.0, 0.0], [1.0, 1.0]], "radii": [1.0, 0.0]}, "radii positive and finite"),
+    ({"centers": [[0.0, 0.0]], "radii": [-1.0]}, "radii positive and finite"),
+    ({"centers": [[0.0, 0.0]], "radii": [math.inf]}, "radii positive and finite"),
+    ({"centers": [[0.0, 0.0]], "radii": [math.nan]}, "radii positive and finite"),
+    ({"centers": [[math.nan, math.nan]], "radii": [5.0]}, "centers must be finite"),
+    ({"centers": [[0.0, 0.0], [math.inf, 1.0]], "radii": [1.0, 1.0]}, "centers must be finite"),
     ({"center_intensity": 0.1, "radius_range": (2.0, 1.0)}, "0 < r_min <= r_max < inf"),
     ({"center_intensity": 0.1, "radius_range": (0.0, 1.0)}, "0 < r_min <= r_max < inf"),
     ({"center_intensity": 0.1, "radius_range": (1.0, math.inf)}, "0 < r_min <= r_max < inf"),

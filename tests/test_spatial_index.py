@@ -1,10 +1,11 @@
+import math
 import os
 
 import numpy as np
 import pytest
 
 from chn2.geometry import GeometryError, Metric, Window
-from chn2.spatial_index import NnIndex, query_workers
+from chn2.spatial_index import _BLOCK_POINTS, NnIndex, map_blocks, query_workers
 from conftest import nearest_foreign, oracle_nearest_foreign, oracle_successor_map
 
 
@@ -269,3 +270,18 @@ def test_query_workers_capped_by_usable_cpus(monkeypatch):
     assert 1 <= query_workers() <= len(os.sched_getaffinity(0))
     monkeypatch.setenv("CHN2_THREADS", "1")
     assert query_workers() == 1
+
+
+@pytest.mark.parametrize("points_per_item, size", [
+    (0.5, _BLOCK_POINTS),  # an item counts as at least one point
+    (100, _BLOCK_POINTS // 100),
+    (10**6, 1),
+    (math.inf, 1),
+])
+def test_map_blocks_cuts_contiguous_blocks(points_per_item, size, pool_sizes):
+    items = list(range(2 * _BLOCK_POINTS + 5))
+    blocks = map_blocks(list, items, points_per_item)
+    # joined in order, the blocks are the items, so each is a contiguous slice
+    assert [x for b in blocks for x in b] == items
+    assert all(len(b) == size for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= size
+    assert len(pool_sizes) == 1 and 1 <= pool_sizes[0] <= len(os.sched_getaffinity(0))

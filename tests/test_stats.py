@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chn2.stats
+from chn2 import spatial_index
 from chn2.geometry import Metric, Window
 from chn2.hierarchy import build_hierarchy
 from chn2.pointprocess import Sample, derive_seed
@@ -191,7 +192,7 @@ def test_baseline_builds_large_seeds_one_by_one(torus, monkeypatch):
 
 @pytest.mark.parametrize("torus", [False, True], ids=["euclidean", "torus"])
 def test_baseline_spans_several_blocks(torus, monkeypatch):
-    monkeypatch.setattr(chn2.stats, "_BLOCK_POINTS", 64)
+    monkeypatch.setattr(spatial_index, "_BLOCK_POINTS", 64)
     dims = build_dims(monkeypatch)
     for window in baseline_windows(2):
         metric = Metric.torus(window) if torus else Metric.euclidean()
@@ -513,6 +514,16 @@ def test_baseline_csv_seed_gap_fails(tmp_path):
         read_baseline_csv(path)
 
 
+def test_baseline_csv_repeated_column_fails(tmp_path):
+    # csv.DictReader keeps only the last of two equal names, so the first
+    # seed_1 column would be dropped and the second read twice.
+    path = tmp_path / "base.csv"
+    path.write_text(LEVELS_HEADER + ",seed_1,seed_1\n0,,,1,,,1.5,1.0,1.5\n")
+    with pytest.raises(SeriesError, match="column seed_1 is repeated") as err:
+        read_baseline_csv(path)
+    assert "\n" not in str(err.value)
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "abc", "1.5"])
 def test_thread_count_rejects_bad_env(value, monkeypatch):
     monkeypatch.setenv("CHN2_THREADS", value)
@@ -536,7 +547,7 @@ def test_baseline_pool_capped_by_usable_cpus(monkeypatch, pool_sizes):
 @pytest.mark.parametrize("torus", [False, True], ids=["euclidean", "torus"])
 def test_baseline_does_not_depend_on_thread_count(torus, monkeypatch):
     # Blocks of 6 seeds: five blocks for the pool's threads to share.
-    monkeypatch.setattr(chn2.stats, "_BLOCK_POINTS", 64)
+    monkeypatch.setattr(spatial_index, "_BLOCK_POINTS", 64)
     window = baseline_windows(2)[0]
     metric = Metric.torus(window) if torus else Metric.euclidean()
     got = []
