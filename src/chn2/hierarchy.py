@@ -13,7 +13,8 @@ as an (m, 2) array, and every level k >= 1 also holds the step that made
 it, as per-pair columns over level k - 1. Level 0 and the exit columns are
 the whole hierarchy: `advance_level` derives the rest from them, and checks
 them, for the build and for the loader alike. The hierarchy file (version
-3) stores just those, and the loader reads no other version.
+4) stores just those next to the sample, whose points are one flat list
+(see `Sample.from_json`); the loader reads no other version.
 """
 
 from __future__ import annotations
@@ -298,12 +299,12 @@ def build_hierarchy(sample: Sample, metric: Metric = Metric()) -> Hierarchy:
     return Hierarchy(sample, metric, levels)
 
 
-def _v3_layout(h: Hierarchy, sample) -> dict:
-    """Hierarchy JSON version 3, with `sample` in the sample's slot: level
+def _v4_layout(h: Hierarchy, sample) -> dict:
+    """Hierarchy JSON version 4, with `sample` in the sample's slot: level
     0's successors and, per level above 0, the [exit, exit_target]
     columns that give it (see `advance_level`)."""
     return {
-        "version": 3,
+        "version": 4,
         "sample": sample,
         "metric": h.metric.to_json(),
         "level0": h.levels[0].successor.tolist() if h.levels else [],
@@ -312,8 +313,8 @@ def _v3_layout(h: Hierarchy, sample) -> dict:
 
 
 def hierarchy_to_json(h: Hierarchy) -> dict:
-    """The hierarchy as a version-3 JSON object."""
-    return _v3_layout(h, h.sample.to_json())
+    """The hierarchy as a version-4 JSON object."""
+    return _v4_layout(h, h.sample.to_json())
 
 
 def _point_ids(values, what: str) -> np.ndarray:
@@ -326,7 +327,7 @@ def _point_ids(values, what: str) -> np.ndarray:
 
 
 def hierarchy_from_json(obj: dict) -> Hierarchy:
-    """Rebuild a hierarchy from a version-3 object: relink level 0 by each
+    """Rebuild a hierarchy from a version-4 object: relink level 0 by each
     level's [exit, exit_target] columns through `advance_level`, as the build
     does, down to a single pair.
 
@@ -337,9 +338,9 @@ def hierarchy_from_json(obj: dict) -> Hierarchy:
     head is not checked: only a rebuild could check it."""
     try:
         version = obj.get("version", 1)
-        if type(version) is not int or version != 3:
+        if type(version) is not int or version != 4:
             raise HierarchyError(
-                f"hierarchy version {version!r} is not read (only version 3); "
+                f"hierarchy version {version!r} is not read (only version 4); "
                 "rebuild it with `chn2 cluster`"
             )
         sample = Sample.from_json(obj["sample"])
@@ -379,7 +380,7 @@ def save_hierarchy(h: Hierarchy, path) -> None:
     """Write `hierarchy_to_json(h)` as one line of JSON, with the sample's
     own text (`Sample.json_text`) in its slot. For a sample file written by
     `save_sample` the bytes are those of `json.dumps`."""
-    fields = {key: json.dumps(value) for key, value in _v3_layout(h, None).items()}
+    fields = {key: json.dumps(value) for key, value in _v4_layout(h, None).items()}
     fields["sample"] = h.sample.json_text()
     text = ", ".join(f"{json.dumps(key)}: {value}" for key, value in fields.items())
     with open(path, "w", encoding="utf-8") as fh:

@@ -7,7 +7,6 @@ Cross-language or cross-numpy-version bit equality is not a goal.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -196,33 +195,38 @@ class Sample:
             "window": self.window.to_json(),
             "seed": self.seed,
             "generator": self.generator,
-            "points": self.points.tolist(),
+            "points": self.points.ravel().tolist(),
         }
 
     def json_text(self) -> str:
         """The sample as JSON text: the text of the file it was read from,
-        if any, else a fresh encoding of `to_json`."""
+        if any, else a fresh encoding of `to_json`, whose `points` is one
+        flat row-major list [x0, y0, x1, y1, ...]."""
         if self.file_text is not None:
             return self.file_text
         return json.dumps(self.to_json())
 
     @classmethod
     def from_json(cls, obj: dict) -> "Sample":
+        """The sample of a decoded sample object, whose `points` is one flat
+        row-major list of `dim` numbers per point; SampleError, in one line,
+        refuses anything else, the nested [[x, y], ...] layout included."""
         try:
             points, dim, seed = obj["points"], obj["dim"], obj["seed"]
             if type(dim) is not int or type(seed) is not int:
                 raise TypeError("dim and seed must be integers")
+            if dim < 1:
+                raise SampleError(f"dim must be at least 1, got {dim}")
             if type(obj["generator"]) is not dict:
                 raise TypeError("generator must be an object")
-            if type(points) is not list or not set(map(type, points)) <= {list}:
-                raise TypeError("points must be lists of numbers")
-            coords = list(itertools.chain.from_iterable(points))
-            if not is_json_numbers(coords):
-                raise TypeError("points must be lists of numbers")
-            if not set(map(len, points)) <= {dim}:
-                raise SampleError(f"points must be an (n, {dim}) array")
+            if type(points) is not list or not is_json_numbers(points):
+                raise TypeError("points must be one flat list of numbers [x0, y0, x1, y1, ...]")
+            if len(points) % dim:
+                raise SampleError(
+                    f"points has length {len(points)}, not a multiple of dim {dim}"
+                )
             return cls(
-                points=np.array(coords, float).reshape(len(points), dim),
+                points=np.array(points, float).reshape(-1, dim),
                 window=Window.from_json(obj["window"]),
                 dim=dim,
                 generator=dict(obj["generator"]),
@@ -397,11 +401,12 @@ _JSON_KEYS = {"dim", "window", "seed", "generator", "points"}
 
 
 def load_sample(path) -> Sample:
-    """Read a sample file. The sample keeps the file's text when the text
-    holds just the keys `to_json` writes (in the window too), for it then
-    says nothing the sample does not. Its point and window arrays are made
-    read-only, so the text cannot go stale (its generator dict, like every
-    field of a frozen sample, is not to be changed either)."""
+    """Read a sample file, in the layout `Sample.from_json` reads. The
+    sample keeps the file's text when the text holds just the keys
+    `to_json` writes (in the window too), for it then says nothing the
+    sample does not. Its point and window arrays are made read-only, so the
+    text cannot go stale (its generator dict, like every field of a frozen
+    sample, is not to be changed either)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:

@@ -6,8 +6,10 @@ plain tree otherwise. The final comparison always recomputes squared
 distances from the original coordinates, so results are bit-identical to a
 brute-force linear scan under the package's total order (squared distance,
 then entry id). `successor_map` answers all rows at once with one k-nearest
-query, k two wider than the largest group, and array passes, tied rows included;
-`nearest_foreign_ties` is that linear scan for one query.
+query, k two wider than the largest group, and array passes, tied rows included.
+That query visits the rows in the tree's leaf order, so consecutive rows walk
+the same nodes, and scatters the answers back to entry order; no row's answer
+changes. `nearest_foreign_ties` is the linear scan for one query.
 """
 
 from __future__ import annotations
@@ -175,7 +177,10 @@ class NnIndex:
         out_sq = np.full(self.n, np.inf)
         rows = np.arange(self.n)
         largest = np.bincount(self.groups).max()
-        dists, cand = self._query(self._tree.data, largest + 2)
+        leaf = self._tree.indices  # entry ids in the order the tree's leaves hold them
+        leaf_dists, leaf_cand = self._query(self._tree.data[leaf], largest + 2)
+        dists, cand = np.empty_like(leaf_dists), np.empty_like(leaf_cand)
+        dists[leaf], cand[leaf] = leaf_dists, leaf_cand
         if cand.max() == self.n:  # the tree's mark for a neighbour at inf
             raise GeometryError("squared distances between these points overflow")
         foreign = self.groups[cand] != self.groups[:, None]

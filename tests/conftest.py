@@ -132,7 +132,7 @@ def oracle_hierarchy_json(sample, metric: Metric) -> dict:
     ]
     out = {
         "version": 2,
-        "sample": sample.to_json(),
+        "sample": sample_json_v2(sample),
         "metric": metric.to_json(),
         "level0": succ,
         "pairs": [],
@@ -261,13 +261,19 @@ def _merge_json(h) -> dict:
     return {"pairs": pairs, "genealogy": genealogy, "termination": h.termination}
 
 
+def sample_json_v2(sample) -> dict:
+    """The sample object as version-2 hierarchy files hold it: `points` is
+    a list of [x, y, ...] rows, not today's flat list."""
+    return {**sample.to_json(), "points": sample.points.tolist()}
+
+
 def hierarchy_json_v2(h) -> dict:
     """The version-2 view of a built hierarchy: level 0 and every pair's
     record, the genealogy and the termination, as `oracle_hierarchy_json`
     writes them."""
     return {
         "version": 2,
-        "sample": h.sample.to_json(),
+        "sample": sample_json_v2(h.sample),
         "metric": h.metric.to_json(),
         "level0": h.levels[0].successor.tolist() if h.levels else [],
         **_merge_json(h),

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import chn2
 from chn2.cli import main, parse_centers, parse_seed_range, parse_window
 from chn2.hierarchy import load_hierarchy
 from chn2.pointprocess import load_sample
@@ -16,6 +18,14 @@ from chn2.pointprocess import load_sample
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def test_package_version_is_the_projects():
+    # Artifacts record chn2.__version__ as their provenance; it must be the
+    # version the project declares. A regex, since tomllib needs Python 3.11.
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    declared = re.findall(r'(?m)^version\s*=\s*"([^"]+)"', text)
+    assert declared == [chn2.__version__]
 
 
 def test_parse_window():
@@ -126,7 +136,7 @@ def test_cluster_and_stats_pipeline(tmp_path):
                 "window": {"lo": [-100.0], "hi": [100.0]},
                 "seed": 0,
                 "generator": {"kind": "manual"},
-                "points": [[0.0], [1.0], [5.0], [6.0], [20.0]],
+                "points": [0.0, 1.0, 5.0, 6.0, 20.0],
             },
             fh,
         )
@@ -170,7 +180,7 @@ def test_cluster_two_points(tmp_path):
                 "window": {"lo": [0.0], "hi": [10.0]},
                 "seed": 0,
                 "generator": {"kind": "manual"},
-                "points": [[1.0], [2.0]],
+                "points": [1.0, 2.0],
             },
             fh,
         )
@@ -426,7 +436,7 @@ def test_malformed_hierarchy_one_line_error(tmp_path, capsys):
     sample, hier = tmp_path / "s.json", tmp_path / "h.json"
     sample.write_text(json.dumps({
         "dim": 1, "window": {"lo": [-100.0], "hi": [100.0]}, "seed": 0,
-        "generator": {"kind": "manual"}, "points": [[0.0], [1.0], [5.0], [6.0], [20.0]],
+        "generator": {"kind": "manual"}, "points": [0.0, 1.0, 5.0, 6.0, 20.0],
     }))
     assert run("cluster", "--input", sample, "--out", hier) == 0
     text = hier.read_text()
@@ -443,7 +453,7 @@ def test_malformed_hierarchy_one_line_error(tmp_path, capsys):
     bad_columns["exits"][0][1] = [2]  # exit and exit_target differ in length
     extra_level = json.loads(text)
     extra_level["exits"].append([[1], [2]])  # the single pair has no exit
-    v4 = dict(json.loads(text), version=4)
+    v5 = dict(json.loads(text), version=5)
     unmerged = dict(json.loads(text), exits=[])  # stops at two level-0 pairs
     small_torus = json.loads(text)  # a torus window that does not hold the sample
     small_torus["metric"] = {"kind": "torus", "window": {"lo": [0.0], "hi": [1.0]}}
@@ -456,9 +466,9 @@ def test_malformed_hierarchy_one_line_error(tmp_path, capsys):
     for i, body in enumerate([
         json.dumps(no_level0), json.dumps(no_levels), json.dumps(bad_exit),
         json.dumps(bad_id), json.dumps(bad_columns), json.dumps(extra_level),
-        json.dumps(v4), json.dumps(bad_parent), text[: len(text) // 2],
+        json.dumps(v5), json.dumps(bad_parent), text[: len(text) // 2],
         json.dumps(v1_true), json.dumps(v1_float), json.dumps(unmerged),
-        json.dumps(small_torus),
+        json.dumps(small_torus), (data / "hierarchy_v3_line5.json").read_text(),
     ]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(body)
@@ -470,32 +480,49 @@ def test_malformed_hierarchy_one_line_error(tmp_path, capsys):
 def test_malformed_sample_one_line_error(tmp_path, capsys):
     good = {
         "dim": 2, "window": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}, "seed": 0,
-        "generator": {"kind": "manual"}, "points": [[0.1, 0.2], [0.5, 0.5]],
+        "generator": {"kind": "manual"}, "points": [0.1, 0.2, 0.5, 0.5],
     }
     for i, body in enumerate([
         dict(good, dim="2"), dict(good, generator=None), [good],
         # JSON strings and booleans are not numbers, and are not coerced
-        dict(good, points=[["0.5", True], [False, "0.25"]]),
+        dict(good, points=["0.5", True, False, "0.25"]),
         dict(good, window={"lo": ["0", 0], "hi": [1.0, 1.0]}),
         dict(good, seed="7"),
         dict(good, generator=[["a", 1]]),
-        dict(good, points=[[0.1, 0.2], "0.5"]),  # a string row
-        dict(good, points=[[0.1, 0.2], {"x": 0.5, "y": 0.5}]),  # a dict row
+        dict(good, points=[0.1, 0.2, "0.5"]),  # a string coordinate
+        dict(good, points=[0.1, 0.2, {"x": 0.5, "y": 0.5}]),  # a dict coordinate
     ]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps(body))
         assert run("cluster", "--input", bad, "--out", tmp_path / "h.json") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: malformed sample object") and err.count("\n") == 1, err
-    # One empty row is not an empty sample; nor do ragged rows, or a row of
-    # dim + 1 numbers, make up one of dim-number rows.
+    # The nested layout of earlier files is refused in one line that names
+    # the flat one, whether or not its rows hold dim numbers each.
     for i, points in enumerate([
-        [[]], [[0.1, 0.2, 0.3], [0.5]], [[0.1], [0.2, 0.3, 0.4]], [[0.1, 0.2], [0.3, 0.4, 0.5]],
+        [[0.1, 0.2], [0.5, 0.5]], [[]], [[0.1, 0.2, 0.3], [0.5]], [[0.1, 0.2], "0.5"],
     ]):
         bad = tmp_path / f"rows{i}.json"
         bad.write_text(json.dumps(dict(good, points=points)))
         assert run("cluster", "--input", bad, "--out", tmp_path / "h.json") == 1
-        assert capsys.readouterr().err == "error: points must be an (n, 2) array\n"
+        assert capsys.readouterr().err == (
+            "error: malformed sample object: TypeError: "
+            "points must be one flat list of numbers [x0, y0, x1, y1, ...]\n"
+        )
+    # A length that is not a multiple of dim is not a sample, and neither is
+    # a dim of 0 or less: one error line each, never a division by zero.
+    for i, (body, want) in enumerate([
+        (dict(good, points=[0.1]), "points has length 1, not a multiple of dim 2"),
+        (dict(good, points=[0.1, 0.2, 0.3]), "points has length 3, not a multiple of dim 2"),
+        (dict(good, dim=3), "points has length 4, not a multiple of dim 3"),
+        (dict(good, dim=0), "dim must be at least 1, got 0"),
+        (dict(good, dim=0, points=[]), "dim must be at least 1, got 0"),
+        (dict(good, dim=-1), "dim must be at least 1, got -1"),
+    ]):
+        bad = tmp_path / f"length{i}.json"
+        bad.write_text(json.dumps(body))
+        assert run("cluster", "--input", bad, "--out", tmp_path / "h.json") == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
 
 
 def test_invalid_sample_json_names_the_file(tmp_path, capsys):

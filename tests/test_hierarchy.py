@@ -596,8 +596,9 @@ def test_save_writes_sample_file_text_as_json_dumps(kind, n, tmp_path):
 
 def _spelled_sample_text(points) -> str:
     """A hand-written sample file: indented, integer window bounds and
-    every coordinate in exponent notation with 17 significant digits."""
-    rows = ",\n    ".join("[" + ", ".join(f"{x:.16e}" for x in row) + "]" for row in points)
+    every coordinate in exponent notation with 17 significant digits, one
+    point's coordinates per line of the flat list."""
+    rows = ",\n    ".join(", ".join(f"{x:.16e}" for x in row) for row in points)
     return (
         '{\n  "points": [\n    ' + rows + '\n  ],\n  "dim": 2,\n'
         '  "window": {"lo": [0, 0], "hi": [1, 1]},\n'
@@ -686,12 +687,17 @@ def test_build_on_a_worker_thread_queries_on_one_thread(monkeypatch, tree_calls)
 def _recorded_build(name):
     """A fixture written by an earlier writer, and the hierarchy built today
     from its own sample and metric. The loader refuses the file itself,
-    naming its version."""
+    naming its version. Earlier writers stored the points as rows, which
+    are flattened into today's layout first."""
     stored = json.loads((DATA / name).read_text())
-    with pytest.raises(HierarchyError, match=f"version {stored.get('version', 1)} "):
+    version = stored.get("version", 1)
+    with pytest.raises(
+        HierarchyError, match=f"version {version} is not read .*rebuild it with `chn2 cluster`"
+    ):
         load_hierarchy(DATA / name)
-    h = build_hierarchy(Sample.from_json(stored["sample"]), Metric.from_json(stored["metric"]))
-    return stored, h
+    flat = [x for row in stored["sample"]["points"] for x in row]
+    sample = Sample.from_json({**stored["sample"], "points": flat})
+    return stored, build_hierarchy(sample, Metric.from_json(stored["metric"]))
 
 
 @pytest.mark.parametrize(
@@ -717,6 +723,16 @@ def test_v2_file_loads_as_built(name):
     assert hierarchy_json_v2(h) == v2
 
 
+@pytest.mark.parametrize(
+    "name", ["hierarchy_v3_line5.json", "hierarchy_v3_torus60.json"]
+)
+def test_v3_file_loads_as_built(name):
+    # Written by the version-3 writer: the columns of today's file, next to
+    # a sample whose points are rows. Only the version and that layout moved.
+    v3, h = _recorded_build(name)
+    assert hierarchy_to_json(h) == dict(v3, version=4, sample=h.sample.to_json())
+
+
 def _set(path, value):
     def edit(obj):
         *outer, last = path
@@ -736,7 +752,7 @@ def _both(first, second):
 @pytest.mark.parametrize(
     "edit",
     [
-        _set(["version"], 4),
+        _set(["version"], 5),
         _set(["exits", 0, 0, 0], "one"),
         _set(["exits", 0, 0, 0], "1"),  # read as point 1, but not an id
         _set(["exits", 0, 0, 0], 1.5),  # likewise
@@ -752,7 +768,7 @@ def _both(first, second):
         _set(["level0"], [1, 0, 3, 2]),
         _set(["level0", 0], 1.5),  # read as point 1, but not an id
         # exit columns for a one-point sample, which has no level 0
-        _both(_set(["level0"], []), _set(["sample", "points"], [[0.0]])),
+        _both(_set(["level0"], []), _set(["sample", "points"], [0.0])),
         lambda obj: obj.pop("exits"),
         # JSON true and false equal 1 and 0 in Python, but are not point ids
         _set(["level0", 1], False),
@@ -803,6 +819,34 @@ def test_full_hierarchy_matches_bruteforce(kind, rng):
         s = Sample(pts, w, d, {"kind": "manual"}, 0)
         h = build_hierarchy(s, metric)
         assert hierarchy_json_v2(h) == oracle_hierarchy_json(s, metric), (kind, d, n)
+
+
+@pytest.mark.parametrize("side, d, n", [
+    (16, 2, 256),  # the whole lattice: every point ties with 4 neighbours
+    (8, 3, 512),  # and with 6
+    (4096, 1, 1500),
+    (128, 2, 10_000),  # enough rows for the query threads
+])
+def test_torus_shift_with_wrap_gives_the_same_hierarchy(side, d, n, monkeypatch, tree_calls):
+    # On the torus the hierarchy is a factor of the points: shifting them all
+    # by one vector, wrapped across the faces, changes no distance and so no
+    # level. Integer points on a side of 2^k keep the wrapped coordinates and
+    # every squared distance exact, so no tie can move either.
+    rng = np.random.default_rng(side + d)
+    cells = np.stack(np.meshgrid(*[np.arange(side)] * d), axis=-1).reshape(-1, d).astype(float)
+    pts = cells[rng.choice(len(cells), size=n, replace=False)]  # ids in random order
+    window = Window(np.zeros(d), np.full(d, float(side)))
+    monkeypatch.setenv("CHN2_THREADS", "2")
+    digests = []
+    for shift in (np.zeros(d), rng.integers(1, side, size=d)):
+        s = Sample((pts + shift) % side, window, d, {"kind": "manual"}, 0)
+        h = build_hierarchy(s, Metric.torus(window))
+        assert len(h.levels) > 1
+        digests.append(hierarchy_array_digest(h))
+    assert digests[0] == digests[1]
+    if len(pts) >= spatial_index._PARALLEL_ROWS:
+        wide = {(name, w) for name, rows, w in tree_calls if rows >= spatial_index._PARALLEL_ROWS}
+        assert ("query", spatial_index.query_workers()) in wide
 
 
 @st.composite

@@ -202,14 +202,21 @@ def test_cox_intensity_zero_is_empty_negative_and_nan_refused(mode):
             CoxBallSpec(lam=lam, **mode)
 
 
-def test_sample_json_roundtrip():
-    s = gen_poisson(20.0, UNIT_SQ, 2, seed=11)
-    obj = json.loads(json.dumps(s.to_json()))
-    assert set(obj) >= {"dim", "window", "seed", "generator", "points"}
-    back = Sample.from_json(obj)
-    assert np.array_equal(back.points, s.points)
-    assert back.seed == s.seed
-    assert json.dumps(back.to_json()) == json.dumps(s.to_json())
+def test_sample_json_roundtrip(tmp_path):
+    # Points go to JSON as one flat row-major list, and come back as rows,
+    # through the object and through a file alike.
+    for d in (1, 2, 3):
+        window = Window(np.zeros(d), np.ones(d))
+        for n in (0, 1, 2000):
+            s = gen_binomial(n, window, d, seed=11 + n)
+            obj = json.loads(json.dumps(s.to_json()))
+            assert set(obj) >= {"dim", "window", "seed", "generator", "points"}
+            assert obj["points"] == s.points.ravel().tolist() and len(obj["points"]) == n * d
+            save_sample(s, tmp_path / "s.json")
+            for back in (Sample.from_json(obj), load_sample(tmp_path / "s.json")):
+                assert back.points.shape == (n, d) and np.array_equal(back.points, s.points)
+                assert back.seed == s.seed
+                assert json.dumps(back.to_json()) == json.dumps(s.to_json())
 
 
 def test_loaded_sample_arrays_are_read_only(tmp_path):
@@ -244,11 +251,11 @@ def test_sample_dimensions_must_match():
 def test_sample_reader_validates():
     s = gen_poisson(20.0, UNIT_SQ, 2, seed=11)
     obj = s.to_json()
-    obj["points"][0] = [5.0, 5.0]  # outside the unit square
+    obj["points"][0:2] = [5.0, 5.0]  # outside the unit square
     with pytest.raises(SampleError):
         Sample.from_json(obj)
     obj2 = s.to_json()
-    obj2["points"][1] = list(obj2["points"][0])
+    obj2["points"][2:4] = obj2["points"][0:2]
     with pytest.raises(SampleError):
         Sample.from_json(obj2)
 
@@ -256,11 +263,11 @@ def test_sample_reader_validates():
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda obj: obj.update(points=[["0.5", True], [False, "0.25"]]),
-        lambda obj: obj.update(points=[[0.5, True], [0.0, 0.25]]),
-        lambda obj: obj.update(points=[[0.5, None], [0.0, 0.25]]),
-        lambda obj: obj.update(points=[[0.5, 0.75, 0.0, 0.25]]),  # four coordinates in 2-D
-        lambda obj: obj.update(points=[[10**400, 0.75]]),  # no float holds it
+        lambda obj: obj.update(points=["0.5", True, False, "0.25"]),
+        lambda obj: obj.update(points=[0.5, True, 0.0, 0.25]),
+        lambda obj: obj.update(points=[0.5, None, 0.0, 0.25]),
+        lambda obj: obj.update(points=[0.5, 0.75, 0.0]),  # three coordinates in 2-D
+        lambda obj: obj.update(points=[10**400, 0.75]),  # no float holds it
         lambda obj: obj.update(points="0.5"),
         lambda obj: obj["window"].update(lo=["0", 0]),
         lambda obj: obj["window"].update(hi=[1, True]),
@@ -268,12 +275,21 @@ def test_sample_reader_validates():
         lambda obj: obj.update(seed=7.0),
         lambda obj: obj.update(dim=True),
         lambda obj: obj.update(generator=[["a", 1]]),
+        # the nested layout of earlier files, also with rows of dim numbers
+        lambda obj: obj.update(points=[[0.5, 0.75], [0, 0.25]]),
+        lambda obj: obj.update(points=[[0.5, 0.75, 0, 0.25]]),
+        lambda obj: obj.update(points=[[]]),
+        # a length that is not a multiple of dim, and no dim at all
+        lambda obj: obj.update(dim=3),
+        lambda obj: obj.update(dim=0),
+        lambda obj: obj.update(dim=-2),
+        lambda obj: obj.update(dim=0, points=[]),
     ],
 )
 def test_sample_reader_takes_only_json_numbers(edit):
     obj = {
         "dim": 2, "window": {"lo": [0, 0], "hi": [1.0, 1]}, "seed": 7,
-        "generator": {"kind": "manual"}, "points": [[0.5, 0.75], [0, 0.25]],
+        "generator": {"kind": "manual"}, "points": [0.5, 0.75, 0, 0.25],
     }
     assert Sample.from_json(copy.deepcopy(obj)).points.tolist() == [[0.5, 0.75], [0.0, 0.25]]
     edit(obj)
