@@ -12,7 +12,7 @@ from .stats import (
     poisson_baseline,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "Metric",

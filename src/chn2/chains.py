@@ -36,23 +36,24 @@ in every dimension, against the recursion's (1/2) (lam w_d R^d)^4
 upper bounds still vanish as n grows, which is all the finiteness argument
 needs; the Monte-Carlo estimator is the ground truth for point values.
 
-Trials are drawn and counted a block at a time, each block a contiguous run
-of trial indices that `spatial_index.map_blocks` sizes by the expected
-points per trial and maps on the `CHN2_THREADS` pool, results in block
-order, so no count, estimate or CSV depends on the thread count. Trial t's
-stream is `np.random.default_rng(derive_seed(seed, t))`, bit for bit, but a
-block derives the generator states of its trials at once, in one array pass
-that follows numpy's SeedSequence and PCG64 seeding (the tests pin it to
-numpy's own), then sets one generator to each trial's state in turn for
-that trial's three draws. Normalising, scaling and placing the origins is
-one array pass over the block. Counting is exact and breadth first over
-the whole block: one k-d tree pair query gives every sample's within-R
-neighbour lists, and each step extends every partial chain of the block by
-its admissible next vertices. A chain keeps its vertices as columns, and
-distinctness is a compare against them, so a sample may hold any number of
-points. The work is the number of partial
-chains; `mc_chain_count` refuses, before drawing any trial, a configuration
-whose expected points or partial chains per trial exceed
+Trials are drawn in fixed groups of G = _GROUP_POINTS / (expected points
+per trial) trials, at least one. Group g, trials g G to (g + 1) G - 1, draws
+from `np.random.default_rng(derive_seed(seed, g))`: its Poisson counts in
+one call, then all of its normal directions and all of its uniform radii in
+one call each. G is fixed by the configuration alone, so the same seed gives
+the same trials whatever the block size or thread count. Whole groups are
+drawn and counted a block at a time, each block a contiguous run of groups
+that `spatial_index.map_blocks` sizes by their expected points and maps on
+the `CHN2_THREADS` pool, results in block order, so no count, estimate or
+CSV depends on the thread count. Normalising, scaling and placing the
+origins is one array pass over the block. Counting is exact and breadth
+first over the whole block: one k-d tree pair query gives every sample's
+within-R neighbour lists, and each step extends every partial chain of the
+block by its admissible next vertices. A chain keeps its vertices as
+columns, and distinctness is a compare against them, so a sample may hold
+any number of points. The work is the number of partial chains;
+`mc_chain_count` refuses, before drawing any trial, a configuration whose
+expected points or partial chains per trial exceed
 MAX_POINTS_PER_TRIAL or MAX_PARTIAL_CHAINS.
 """
 
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .pointprocess import derive_seed, pcg64_states
+from .pointprocess import derive_seed
 from .spatial_index import map_blocks, tree_cut
 
 # Limits of the Monte Carlo estimator, checked before any trial is drawn:
@@ -74,6 +75,10 @@ from .spatial_index import map_blocks, tree_cut
 # one row per partial chain, so the second limit bounds its memory.
 MAX_POINTS_PER_TRIAL = 5_000
 MAX_PARTIAL_CHAINS = 1_000
+
+# The expected points of one group of trials drawn from one generator; it
+# defines the trials' streams, so changing it changes every estimate.
+_GROUP_POINTS = 1 << 12
 
 
 def ball_volume(d: int) -> float:
@@ -274,27 +279,31 @@ def _check_budget(cfg: ChainCountConfig) -> None:
             break
 
 
-def _block_points(cfg: ChainCountConfig, trials):
-    """The trials of indices `trials` as one block (see `_neighbour_lists`):
+def _group_size(cfg: ChainCountConfig) -> int:
+    """Trials per group: about _GROUP_POINTS expected points, at least one trial."""
+    return max(1, int(_GROUP_POINTS / max(1.0, _expected_points(cfg))))
+
+
+def _block_points(cfg: ChainCountConfig, groups):
+    """The trials of the groups `groups` as one block (see `_neighbour_lists`):
     each trial's Poisson sample on the ball of radius n*R, uniform
     directions times radius * u^(1/d), its origin first.
 
-    Trial t's stream is `np.random.default_rng(derive_seed(cfg.seed, t))`;
-    the block's generator states are derived in one array pass
-    (`pcg64_states`). Only setting the generator's state and the trial's
-    three draws are per trial; the normalising, scaling and origin rows are
-    one pass over the block. Returns (coords, owner, origins).
+    Group g's generator is `np.random.default_rng(derive_seed(cfg.seed, g))`,
+    and it draws the group's Poisson counts, then one (points, d) array of
+    normals and one (points, 1) array of uniforms, trial after trial. The
+    normalising, scaling and origin rows are one pass over the block.
+    Returns (coords, owner, origins).
     """
-    mean = _expected_points(cfg)
-    normals, uniforms = [], []
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for state in pcg64_states(derive_seed(cfg.seed, trials)):
-        bit_generator.state = state
-        k = rng.poisson(mean)
-        normals.append(rng.standard_normal((k, cfg.d)))
-        uniforms.append(rng.random((k, 1)))
-    sizes = np.array([len(u) for u in uniforms]) + 1
+    mean, size = _expected_points(cfg), _group_size(cfg)
+    counts, normals, uniforms = [], [], []
+    for g in groups:
+        rng = np.random.default_rng(derive_seed(cfg.seed, g))
+        counts.append(rng.poisson(mean, min(size, cfg.trials - g * size)))
+        total = int(counts[-1].sum())
+        normals.append(rng.standard_normal((total, cfg.d)))
+        uniforms.append(rng.random((total, 1)))
+    sizes = np.concatenate(counts) + 1
     owner = np.repeat(np.arange(len(sizes)), sizes)
     origins = np.cumsum(sizes) - sizes
     x = np.concatenate(normals)
@@ -309,13 +318,15 @@ def _block_points(cfg: ChainCountConfig, trials):
 
 
 def _trial_counts(cfg: ChainCountConfig) -> np.ndarray:
-    """Exact chain count of every trial, drawn and counted block by block
-    through `map_blocks`, so the counts join up in trial order."""
+    """Exact chain count of every trial, drawn and counted block by block of
+    whole groups through `map_blocks`, so the counts join up in trial order."""
 
-    def count(trials):
-        return _count_block(*_block_points(cfg, trials), cfg.n, cfg.R)
+    def count(groups):
+        return _count_block(*_block_points(cfg, groups), cfg.n, cfg.R)
 
-    counts = map_blocks(count, np.arange(cfg.trials), _expected_points(cfg))
+    size = _group_size(cfg)
+    groups = range(-(-cfg.trials // size))
+    counts = map_blocks(count, groups, size * _expected_points(cfg))
     return np.concatenate(counts).astype(float)
 
 

@@ -263,7 +263,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a MemoryError, for one, usually has no message of its own
+        what = "out of memory" if isinstance(exc, MemoryError) else "failed"
+        message = str(exc) or f"{what} ({type(exc).__name__})"
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -2,7 +2,9 @@
 
 Every generator is a pure function of (parameters, seed): the same inputs
 reproduce the same sample bit for bit within one build of this package.
-Cross-language or cross-numpy-version bit equality is not a goal.
+Cross-language or cross-numpy-version bit equality is not a goal. Fan-out
+over many runs of one master seed (baseline seeds, chain trial groups) takes
+child seeds from `derive_seed`, numpy's own SeedSequence spawn.
 """
 
 from __future__ import annotations
@@ -26,120 +28,16 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): a pool of
-# 4 uint32 words, two multiplicative hash streams and the mixing multipliers.
-_POOL = 4
-_MASK32 = 0xFFFF_FFFF
-_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
-_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
-_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
-# PCG64's 128-bit LCG multiplier.
-_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
-_MASK128 = (1 << 128) - 1
-
-
-def _constants(init, mult, n):
-    """A hash stream's first n + 1 constants, as a column of uint32."""
-    stream = [init]
-    for _ in range(n):
-        stream.append(stream[-1] * mult & _MASK32)
-    return np.array(stream, dtype=np.uint32)[:, None]
-
-
-def _seed_words(entropy, tail=(), n_out=2):
-    """numpy's `SeedSequence` run over rows of entropy words at once: the
-    `mix_entropy` hash of the words into the 4-word pool, then
-    `generate_state(n_out, np.uint32)`.
-
-    `entropy` is a (w, rows) or (w, 1) uint32 array of the first w >= 4
-    words, zero-padded to the pool size. `tail` holds the later words as
-    (word, present) pairs, present being the rows that have that word (the
-    rows of a longer spawn key) or None for all. The hash constants do not
-    depend on the words, so every row takes the same steps, and the steps
-    that do not depend on each other are one array operation. Returns an
-    (n_out, rows) uint32 array.
-    """
-    tail = [(w, None) for w in entropy[_POOL:]] + list(tail)
-    a = _constants(_INIT_A, _MULT_A, _POOL * (_POOL + len(tail)))
-    used = 0
-
-    def hashmix(value, m):
-        # numpy's hashmix of value with each of the next m constants
-        nonlocal used
-        value = (value ^ a[used:used + m]) * a[used + 1:used + m + 1]
-        used += m
-        return value ^ value >> np.uint32(16)
-
-    def mix(x, y):
-        value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return value ^ value >> np.uint32(16)
-
-    pool = hashmix(entropy[:_POOL], _POOL)
-    for src in range(_POOL):
-        dst = [i for i in range(_POOL) if i != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[src], len(dst)))
-    for word, present in tail:
-        mixed = mix(pool, hashmix(word, _POOL))
-        pool = mixed if present is None else np.where(present, mixed, pool)
-    b = _constants(_INIT_B, _MULT_B, n_out)
-    out = (pool[np.arange(n_out) % _POOL] ^ b[:-1]) * b[1:]
-    return out ^ out >> np.uint32(16)
-
-
-def _halves(x):
-    """The low and high uint32 words of a uint64 array."""
-    return x.astype(np.uint32), (x >> np.uint64(32)).astype(np.uint32)
-
-
-def _uint64(lo, hi):
-    return lo.astype(np.uint64) | hi.astype(np.uint64) << np.uint64(32)
-
-
-def derive_seed(master_seed: int, index):
-    """Child seed `index` of `master_seed`, for fan-out over trials or
-    baseline runs: numpy's
+def derive_seed(master_seed: int, index: int) -> int:
+    """Child seed `index` of `master_seed`, for fan-out over chain trial
+    groups or baseline runs: numpy's
     `SeedSequence(master_seed, spawn_key=(index,)).generate_state(1, np.uint64)[0]`.
-
-    An integer index gives an int; an array of indices gives the uint64
-    array of their seeds, derived in one array pass that follows numpy's
-    SeedSequence step by step (the tests pin it to numpy's own). Indices
-    must lie in [0, 2**64). A chain trial t's stream is still
-    `np.random.default_rng(derive_seed(seed, t))` bit for bit; the chain
-    blocks get those generators' states for many trials at once from
-    `pcg64_states`, which follows numpy's PCG64 seeding.
-    """
-    idx = np.asarray(index)
-    if idx.dtype.kind not in "iu" or (idx.size and idx.min() < 0):
+    The index is one integer in [0, 2**64)."""
+    if (isinstance(index, bool) or not isinstance(index, (int, np.integer))
+            or not 0 <= index < 2**64):
         raise SampleError("seed indices must be integers in [0, 2**64)")
-    master, words = _check_seed(master_seed), []
-    while master or not words:
-        words.append(master & _MASK32)
-        master >>= 32
-    words = np.array(words + [0] * (_POOL - len(words)), dtype=np.uint32)[:, None]
-    lo, hi = _halves(idx.astype(np.uint64).reshape(-1))
-    seeds = _uint64(*_seed_words(words, [(lo, None), (hi, hi > 0)]))
-    return int(seeds[0]) if idx.ndim == 0 else seeds
-
-
-def pcg64_states(seeds) -> list:
-    """`np.random.default_rng(s).bit_generator.state` for each uint64 seed s.
-
-    One array pass gives every seed's `SeedSequence(s).generate_state(4,
-    np.uint64)` (a seed is at most two words, so the pool's zero padding
-    covers a one-word seed too); PCG64's set-seed step, two LCG steps from
-    the first pair of words as the state and the second as the stream, is
-    then Python-int arithmetic per seed.
-    """
-    lo, hi = _halves(np.asarray(seeds, dtype=np.uint64))
-    zero = np.zeros_like(lo)
-    words = _seed_words(np.stack([lo, hi, zero, zero]), n_out=8)
-    states = []
-    for s0, s1, i0, i1 in zip(*[_uint64(words[i], words[i + 1]).tolist() for i in (0, 2, 4, 6)]):
-        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+    seq = np.random.SeedSequence(_check_seed(master_seed), spawn_key=(int(index),))
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 # The largest mean numpy's Poisson sampler accepts (its counts are int64).

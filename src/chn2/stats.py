@@ -134,7 +134,7 @@ def poisson_baseline(
     than half a block is built on its own.
     """
     if seeds is None:
-        seeds = derive_seed(master_seed, np.arange(n_seeds)).tolist()
+        seeds = [derive_seed(master_seed, i) for i in range(n_seeds)]
     else:
         seeds = list(seeds)
         n_seeds = len(seeds)

@@ -413,7 +413,7 @@ def oracle_count_chains_dfs(points, n, R, origin=0):
 
 # Master seeds and spawn indices at which the package's seed derivation is
 # pinned to numpy's: one-word and many-word seeds, word boundaries, and the
-# indices around one chain block's end. SECOND_WORD_INDICES need a second
+# indices around a chain block's end. SECOND_WORD_INDICES need a second
 # spawn-key word.
 PINNED_SEEDS = [0, 1, 101, 2**32 - 1, 2**32, 2**64 - 1, 2**140 + 7]
 PINNED_INDICES = [0, 1, 39, 40, 2**16, 2**32 - 1]
@@ -426,21 +426,51 @@ def oracle_child_seed(seed, index) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def oracle_trial_points(cfg, t):
-    """Trial t of a chain Monte Carlo config, drawn on its own: a Poisson
-    count on the ball of radius n*R from trial t's generator, then normal
-    directions and uniform radii, normalised and scaled, origin first.
-    The generator is seeded through numpy's own SeedSequence, not the
-    package's seed derivation."""
-    rng = np.random.default_rng(oracle_child_seed(cfg.seed, t))
-    radius = cfg.n * cfg.R
+# Expected points per group of chain Monte Carlo trials, which fixes the
+# trials' streams.
+CHAIN_GROUP_POINTS = 1 << 12
+
+
+def _oracle_trial_mean(cfg) -> float:
+    """Mean point count of a chain trial, lam w_d (n R)^d."""
     w_d = math.pi ** (cfg.d / 2) / math.gamma(cfg.d / 2 + 1)
-    k = rng.poisson(cfg.lam * (w_d * radius**cfg.d))
-    x = rng.standard_normal((k, cfg.d))
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    r = radius * rng.random((k, 1)) ** (1.0 / cfg.d)
-    return np.vstack([np.zeros((1, cfg.d)), x / norms * r])
+    return cfg.lam * (w_d * (cfg.n * cfg.R) ** cfg.d)
+
+
+def oracle_chain_group_size(cfg) -> int:
+    """Trials per group of a chain Monte Carlo config: 4096 expected points'
+    worth of trials, at least one."""
+    return max(1, int(CHAIN_GROUP_POINTS / max(1.0, _oracle_trial_mean(cfg))))
+
+
+def oracle_group_points(cfg, g):
+    """The trials of group g of a chain Monte Carlo config, origin first.
+    The group's generator draws its Poisson counts on the ball of radius
+    n*R, then normal directions and uniform radii for all of its points;
+    each trial's are then normalised and scaled on their own. The generator
+    is seeded through numpy's own SeedSequence, not the package's seed
+    derivation."""
+    rng = np.random.default_rng(oracle_child_seed(cfg.seed, g))
+    size = oracle_chain_group_size(cfg)
+    counts = rng.poisson(_oracle_trial_mean(cfg), min(size, cfg.trials - g * size))
+    x = rng.standard_normal((int(counts.sum()), cfg.d))
+    u = rng.random((int(counts.sum()), 1))
+    trials, end = [], 0
+    for k in counts.tolist():
+        xt, ut = x[end:end + k], u[end:end + k]
+        end += k
+        norms = np.linalg.norm(xt, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        r = cfg.n * cfg.R * ut ** (1.0 / cfg.d)
+        trials.append(np.vstack([np.zeros((1, cfg.d)), xt / norms * r]))
+    return trials
+
+
+def oracle_trial_points(cfg, t):
+    """Trial t of a chain Monte Carlo config: its group drawn alone, trial t
+    sliced out."""
+    size = oracle_chain_group_size(cfg)
+    return oracle_group_points(cfg, t // size)[t % size]
 
 
 def oracle_expected_chains_weighted(n, d, trials, seed):

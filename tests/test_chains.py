@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -19,14 +20,15 @@ from chn2.chains import (
     expected_chain_count_recursive,
     mc_chain_count,
 )
-from chn2.pointprocess import _in_union_of_balls, derive_seed, pcg64_states
+from chn2.pointprocess import _in_union_of_balls
 from conftest import (
     PINNED_INDICES,
     PINNED_SEEDS,
+    oracle_chain_group_size,
     oracle_chain_lengths,
     oracle_count_chains,
     oracle_count_chains_dfs,
-    oracle_child_seed,
+    oracle_group_points,
     oracle_second_order_descending,
     oracle_trial_points,
 )
@@ -121,40 +123,45 @@ def test_count_matches_unpruned_enumeration(rng):
 
 
 def block_points(cfg, first, last):
-    """Trials first..last-1 of a config, drawn as one block."""
-    return chains._block_points(cfg, np.arange(first, last))
+    """Groups first..last-1 of a config, drawn as one block."""
+    return chains._block_points(cfg, range(first, last))
 
 
-def trial_points(cfg, t):
-    """Trial t's points, origin first."""
-    return block_points(cfg, t, t + 1)[0]
+def n_groups(cfg):
+    return -(-cfg.trials // oracle_chain_group_size(cfg))
 
 
-# n = 4, d = 2, lam = R = 1, seed 101: the trials of more than 64 points,
-# where a 64-bit visited mask would repeat vertices. Trial 332 has 68 points.
+def all_trial_points(cfg):
+    """Every trial's points, origin first, each group drawn once."""
+    coords, _, origins = block_points(cfg, 0, n_groups(cfg))
+    return np.split(coords, origins[1:])
+
+
+# n = 4, d = 2, lam = R = 1, seed 101 (groups of 81 trials): the trials of
+# more than 64 points, where a 64-bit visited mask would repeat vertices.
+# Trial 1643, the largest, has 76 points.
 MC_101 = ChainCountConfig(lam=1.0, R=1.0, d=2, n=4, trials=2000, seed=101)
 
 
 def test_count_exact_beyond_64_points():
     counts = chains._trial_counts(MC_101)
     large = 0
-    for t in range(MC_101.trials):
-        pts = trial_points(MC_101, t)
+    for t, pts in enumerate(all_trial_points(MC_101)):
         if len(pts) <= 64:
             continue
         large += 1
         want = oracle_count_chains_dfs(pts, 4, 1.0)
         assert count_chains_from_origin(pts, 4, 1.0) == want, t
         assert counts[t] == want, t
-    assert large == 72
+    assert large == 63
 
 
-def test_count_pinned_trial_332():
-    pts = trial_points(MC_101, 332)
-    assert len(pts) == 68
-    assert oracle_count_chains_dfs(pts, 4, 1.0) == 27
-    assert count_chains_from_origin(pts, 4, 1.0) == 27
-    assert chains._trial_counts(MC_101)[332] == 27
+def test_count_pinned_trial_1643():
+    pts = oracle_trial_points(MC_101, 1643)
+    assert len(pts) == 76
+    assert oracle_count_chains_dfs(pts, 4, 1.0) == 289
+    assert count_chains_from_origin(pts, 4, 1.0) == 289
+    assert chains._trial_counts(MC_101)[1643] == 289
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -162,10 +169,7 @@ def test_trial_counts_match_dfs_oracle(d):
     for n in (1, 2, 3, 4):
         cfg = ChainCountConfig(lam=0.4 if d == 3 else 1.0, R=1.0, d=d, n=n, trials=60, seed=9)
         counts = chains._trial_counts(cfg)
-        want = [
-            oracle_count_chains_dfs(trial_points(cfg, t), n, 1.0)
-            for t in range(60)
-        ]
+        want = [oracle_count_chains_dfs(pts, n, 1.0) for pts in all_trial_points(cfg)]
         assert counts.tolist() == want, (d, n)
 
 
@@ -176,10 +180,7 @@ def test_trial_counts_stay_inside_their_trial(n):
     # and no chain may cross from one to the next.
     cfg = ChainCountConfig(lam=1e32, R=1e-16, d=2, n=n, trials=60, seed=9)
     counts = chains._trial_counts(cfg)
-    want = [
-        oracle_count_chains_dfs(trial_points(cfg, t), n, cfg.R)
-        for t in range(60)
-    ]
+    want = [oracle_count_chains_dfs(pts, n, cfg.R) for pts in all_trial_points(cfg)]
     assert counts.tolist() == want
 
 
@@ -196,7 +197,7 @@ def test_pair_query_stays_inside_each_trial(monkeypatch):
 
     monkeypatch.setattr(chains, "cKDTree", RecordingTree)
     cfg = ChainCountConfig(lam=1e34, R=1e-17, d=2, n=2, trials=20, seed=3)
-    coords, owner, _ = block_points(cfg, 0, cfg.trials)
+    coords, owner, _ = block_points(cfg, 0, n_groups(cfg))
     chains._neighbour_lists(coords, owner, cfg.R)
     (pairs,) = found
     assert len(pairs) > 0
@@ -206,48 +207,62 @@ def test_pair_query_stays_inside_each_trial(monkeypatch):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_block_points_match_the_per_trial_draw(d):
     for lam in (1.0, 0.02):  # the second leaves most trials empty
-        cfg = ChainCountConfig(lam=lam, R=1.0, d=d, n=3, trials=20, seed=11)
-        samples = [oracle_trial_points(cfg, t) for t in range(cfg.trials)]
-        for first, last in ((5, 6), (3, 10), (0, cfg.trials)):
+        cfg = ChainCountConfig(lam=lam, R=1.0, d=d, n=3, trials=1, seed=11)
+        # two whole groups and a last one of 5 trials
+        cfg = dataclasses.replace(cfg, trials=2 * oracle_chain_group_size(cfg) + 5)
+        groups = [oracle_group_points(cfg, g) for g in range(3)]
+        assert len(groups[2]) == 5
+        for first, last in ((1, 2), (2, 3), (0, 3)):
+            samples = [pts for group in groups[first:last] for pts in group]
             coords, owner, origins = block_points(cfg, first, last)
-            assert coords.tobytes() == np.concatenate(samples[first:last]).tobytes()
-            sizes = [len(pts) for pts in samples[first:last]]
-            assert owner.tolist() == np.repeat(np.arange(last - first), sizes).tolist()
+            assert coords.tobytes() == np.concatenate(samples).tobytes()
+            sizes = [len(pts) for pts in samples]
+            assert owner.tolist() == np.repeat(np.arange(len(sizes)), sizes).tolist()
             assert origins.tolist() == (np.cumsum(sizes) - sizes).tolist()
 
 
 @pytest.mark.parametrize("seed", PINNED_SEEDS)
 def test_trial_states_are_numpys(seed):
-    def numpy_state(t):
-        return np.random.default_rng(oracle_child_seed(seed, t)).bit_generator.state
+    # Group g's trials come from numpy's own SeedSequence child g and
+    # default_rng, at group indices up to 2**32 - 1 and across a block's
+    # group boundary.
+    cfg = ChainCountConfig(lam=1.0, R=1.0, d=2, n=2, trials=2**42, seed=seed)
 
-    def trial_states(first, last):
-        return pcg64_states(derive_seed(seed, np.arange(first, last)))
+    def numpy_draw(first, last):
+        return np.concatenate([np.concatenate(oracle_group_points(cfg, g))
+                               for g in range(first, last)])
 
-    for t in PINNED_INDICES:
-        assert trial_states(t, t + 1) == [numpy_state(t)], t
-    assert trial_states(35, 45) == [numpy_state(t) for t in range(35, 45)]
+    for g in PINNED_INDICES:
+        assert block_points(cfg, g, g + 1)[0].tobytes() == numpy_draw(g, g + 1).tobytes(), g
+    assert block_points(cfg, 38, 42)[0].tobytes() == numpy_draw(38, 42).tobytes()
+
+
+# 97 trials fit one group of 144 trials; 3 * 144 + 5 span four groups, the
+# last one partial, which a block cut that ignored groups would split.
+SPLIT = ChainCountConfig(lam=1.0, R=1.0, d=2, n=3, trials=97, seed=4)
+SPLIT_CONFIGS = [SPLIT, dataclasses.replace(SPLIT, trials=3 * 144 + 5)]
 
 
 def test_trial_counts_do_not_depend_on_block_size(monkeypatch):
-    cfg = ChainCountConfig(lam=1.0, R=1.0, d=2, n=3, trials=97, seed=4)
-    whole = chains._trial_counts(cfg)
-    monkeypatch.setattr(spatial_index, "_BLOCK_POINTS", 100)
-    assert chains._trial_counts(cfg).tolist() == whole.tolist()
-    monkeypatch.setattr(spatial_index, "_BLOCK_POINTS", 1)
-    assert chains._trial_counts(cfg).tolist() == whole.tolist()
+    for cfg in SPLIT_CONFIGS:
+        assert oracle_chain_group_size(cfg) == 144
+        monkeypatch.setattr(spatial_index, "_BLOCK_POINTS", 1 << 13)  # two groups a block
+        whole = chains._trial_counts(cfg)
+        for block_points in (100, 1):  # one group a block
+            monkeypatch.setattr(spatial_index, "_BLOCK_POINTS", block_points)
+            assert chains._trial_counts(cfg).tolist() == whole.tolist(), cfg.trials
 
 
 def test_trial_counts_do_not_depend_on_thread_count(monkeypatch):
-    # Blocks of 3 trials: 33 blocks.
-    cfg = ChainCountConfig(lam=1.0, R=1.0, d=2, n=3, trials=97, seed=4)
-    whole = chains._trial_counts(cfg).tolist()
-    monkeypatch.setattr(spatial_index, "_BLOCK_POINTS", 100)
-    got = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("CHN2_THREADS", threads)
-        got.append((chains._trial_counts(cfg).tolist(), mc_chain_count(cfg)))
-    assert got[0] == got[1] and got[0][0] == whole
+    for cfg in SPLIT_CONFIGS:
+        whole = chains._trial_counts(cfg).tolist()
+        monkeypatch.setattr(spatial_index, "_BLOCK_POINTS", 100)  # one group a block
+        got = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CHN2_THREADS", threads)
+            got.append((chains._trial_counts(cfg).tolist(), mc_chain_count(cfg)))
+        assert got[0] == got[1] and got[0][0] == whole, cfg.trials
+        monkeypatch.undo()
 
 
 def test_chain_pool_capped_by_usable_cpus(monkeypatch, pool_sizes):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import chn2
+import chn2.cli
 from chn2.cli import main, parse_centers, parse_seed_range, parse_window
 from chn2.hierarchy import load_hierarchy
 from chn2.pointprocess import load_sample
@@ -381,6 +382,23 @@ def test_cli_extreme_inputs_give_a_row_or_one_error_line(argv, code, tmp_path):
         assert rows and all(float(r["mean_merge_distance"]) > 0 for r in rows), rows
     else:
         assert load_sample(out).n >= 1
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "error: out of memory (MemoryError)\n"),
+    (ValueError(), "error: failed (ValueError)\n"),
+    (MemoryError("no room"), "error: no room\n"),
+])
+def test_error_without_a_message_names_itself(exc, line, monkeypatch, tmp_path, capsys):
+    # A seed range too long for memory raises a MemoryError with no message.
+    # Raised here in place of a real allocation, which could take gigabytes.
+    def parse_seed_range(text):
+        raise exc
+
+    monkeypatch.setattr(chn2.cli, "parse_seed_range", parse_seed_range)
+    assert run("baseline", "--window", "0,0,10,10", "--count", 50,
+               "--seeds", "1..99999999999999", "--out", tmp_path / "b.csv") == 1
+    assert capsys.readouterr().err == line
 
 
 @pytest.mark.parametrize("window, generator, failing", [
