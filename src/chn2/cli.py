@@ -76,7 +76,18 @@ def metric_for(name: str, window: Window) -> Metric:
     return Metric.torus(window) if name == "torus" else Metric.euclidean()
 
 
+# The generate flags that one process alone reads (--lambda has a default).
+_READ_ONLY_BY = {
+    "count": "binomial", "centers": "cox", "radii": "cox",
+    "center_intensity": "cox", "radius_range": "cox",
+}
+
+
 def cmd_generate(args) -> int:
+    for dest, process in _READ_ONLY_BY.items():
+        if getattr(args, dest) is not None and args.process != process:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{args.process} does not read {flag} (only {process} does)")
     window = parse_window(args.window)
     if args.process == "poisson":
         sample = gen_poisson(args.lam, window, window.dim, args.seed)

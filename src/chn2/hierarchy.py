@@ -47,17 +47,13 @@ def functional_structure(succ):
     """
     succ = np.asarray(succ, dtype=np.int64)
     n = succ.size
-    indeg = np.bincount(succ, minlength=n)
-    alive = np.ones(n, dtype=bool)
-    stack = list(np.flatnonzero(indeg == 0))
-    while stack:
-        v = stack.pop()
-        alive[v] = False
-        w = succ[v]
-        indeg[w] -= 1
-        if indeg[w] == 0 and alive[w]:
-            stack.append(w)
-    cyclic = alive
+    # succ applied 2^b >= n times lands every path on its cycle, and the
+    # cycles are permuted onto themselves: its image is the cycle vertices.
+    image = succ
+    for _ in range(n.bit_length()):
+        image = image[image]
+    cyclic = np.zeros(n, dtype=bool)
+    cyclic[image] = True
 
     cycles = []
     seen = np.zeros(n, dtype=bool)
@@ -73,12 +69,7 @@ def functional_structure(succ):
         cycles.append(tuple(cyc))
     cycles.sort(key=min)
 
-    head_of = np.arange(n, dtype=np.int64)
-    pending = ~cyclic[head_of]
-    while pending.any():
-        head_of[pending] = succ[head_of[pending]]
-        pending = ~cyclic[head_of]
-
+    head_of = _reach(succ, cyclic)
     cycle_rank = np.empty(n, dtype=np.int64)
     for rank, cyc in enumerate(cycles):
         cycle_rank[list(cyc)] = rank
@@ -86,23 +77,29 @@ def functional_structure(succ):
     return component_id, cycles, head_of
 
 
-def _reach_two_cycles(succ):
-    """(mutual, reach): mutual[x] says x lies on a 2-cycle, and reach[x] is
-    the first such vertex on x's path, if the path meets one at all.
+def _reach(succ, stop):
+    """reach[x] is the first vertex on x's path where `stop` holds, if the
+    path meets one at all.
 
-    Pointer doubling with the 2-cycle vertices as fixed points covers any
-    path of at most n steps. It stops once reach[reach] equals reach, as no
-    later round could change it.
+    Pointer doubling with the stop vertices as fixed points covers any path
+    of at most n steps. It stops once reach[reach] equals reach, as no later
+    round could change it.
     """
     ids = np.arange(succ.size)
-    mutual = succ[succ] == ids
-    reach = np.where(mutual, ids, succ)
+    reach = np.where(stop, ids, succ)
     for _ in range((succ.size - 1).bit_length()):
         doubled = reach[reach]
         if np.array_equal(doubled, reach):
             break
         reach = doubled
-    return mutual, reach
+    return reach
+
+
+def _reach_two_cycles(succ):
+    """(mutual, reach): mutual[x] says x lies on a 2-cycle, and reach[x] is
+    the first such vertex on x's path (see `_reach`)."""
+    mutual = succ[succ] == np.arange(succ.size)
+    return mutual, _reach(succ, mutual)
 
 
 @dataclass(frozen=True)

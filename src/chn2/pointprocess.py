@@ -222,6 +222,8 @@ class CoxBallSpec:
                 "(center_intensity, radius_range), not both"
             )
         if self.fixed:
+            if self.centers is None:
+                raise SampleError("fixed mode needs centers")
             if self.radii is None:
                 raise SampleError("fixed mode needs radii")
             centers = np.atleast_2d(np.asarray(self.centers, float))
@@ -245,7 +247,7 @@ class CoxBallSpec:
 
     @property
     def fixed(self) -> bool:
-        return self.centers is not None
+        return self.centers is not None or self.radii is not None
 
 
 def _in_union_of_balls(pts, centers, radii) -> np.ndarray:

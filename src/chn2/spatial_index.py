@@ -7,9 +7,9 @@ distances from the original coordinates, so results are bit-identical to a
 brute-force linear scan under the package's total order (squared distance,
 then entry id). `successor_map` answers all rows at once with one k-nearest
 query, k two wider than the largest group, and array passes, tied rows included.
-That query visits the rows in the tree's leaf order, so consecutive rows walk
-the same nodes, and scatters the answers back to entry order; no row's answer
-changes. `nearest_foreign_ties` is the linear scan for one query.
+Both of its tree queries visit the rows in the tree's leaf order, so consecutive
+rows walk the same nodes; its two answers go back to entry order in one scatter
+at the end. `nearest_foreign_ties` is the linear scan for one query.
 """
 
 from __future__ import annotations
@@ -167,26 +167,26 @@ class NnIndex:
         slack. The remaining (ambiguous) rows take one batched exact pass: a
         ball query per row at the leader's cut gathers every candidate, whose
         exact squared distances are ranked by (squared distance, entry id).
-        Returns (ids, sq_distances).
+        Rows stay in the tree's leaf order throughout, and the answers are
+        scattered to entry order once. Returns (ids, sq_distances).
 
         GeometryError refuses squared distances that overflow, or that
         underflow to 0 between distinct points; LookupError, a row with no
         foreign entry.
         """
-        out = np.full(self.n, -1, dtype=np.int64)
-        out_sq = np.full(self.n, np.inf)
         rows = np.arange(self.n)
         largest = np.bincount(self.groups).max()
         leaf = self._tree.indices  # entry ids in the order the tree's leaves hold them
-        leaf_dists, leaf_cand = self._query(self._tree.data[leaf], largest + 2)
-        dists, cand = np.empty_like(leaf_dists), np.empty_like(leaf_cand)
-        dists[leaf], cand[leaf] = leaf_dists, leaf_cand
+        dists, cand = self._query(self._tree.data[leaf], largest + 2)
         if cand.max() == self.n:  # the tree's mark for a neighbour at inf
             raise GeometryError("squared distances between these points overflow")
-        foreign = self.groups[cand] != self.groups[:, None]
+        foreign = self.groups[cand] != self.groups[leaf, None]
         first = np.argmax(foreign, axis=1)
         if not foreign[rows, first].all():
             raise LookupError("no entry outside the excluded group")
+        best = cand[rows, first]
+        take = self.coords.take
+        best_sq = sq_dist_many(take(best, axis=0), take(leaf, axis=0), self.metric)
         cut = tree_cut(dists[rows, first], self._scale)
         foreign[rows, first] = False
         second = np.argmax(foreign, axis=1)
@@ -195,27 +195,25 @@ class NnIndex:
         ambiguous = foreign[rows, second] & (dists[rows, second] <= cut)
         if cand.shape[1] < self.n:
             ambiguous |= dists[:, -1] <= cut
-        sure = np.flatnonzero(~ambiguous)
-        out[sure] = cand[sure, first[sure]]
-        take = self.coords.take
-        out_sq[sure] = sq_dist_many(take(out[sure], axis=0), take(sure, axis=0), self.metric)
         amb = np.flatnonzero(ambiguous)
         if amb.size:
             # Every foreign entry within each ambiguous row's cut, ranked by
             # (row, exact squared distance, entry id); each row's first wins.
             hits = self._tree.query_ball_point(
-                self._tree.data[amb], r=cut[amb], workers=self._workers(amb.size)
+                self._tree.data[leaf[amb]], r=cut[amb], workers=self._workers(amb.size)
             )
             row = np.repeat(amb, np.fromiter(map(len, hits), dtype=np.int64, count=amb.size))
             ids = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64, count=row.size)
-            keep = self.groups[ids] != self.groups[row]
+            keep = self.groups[ids] != self.groups[leaf[row]]
             row, ids = row[keep], ids[keep]
-            sq = sq_dist_many(take(ids, axis=0), take(row, axis=0), self.metric)
+            sq = sq_dist_many(take(ids, axis=0), take(leaf[row], axis=0), self.metric)
             order = np.lexsort((ids, sq, row))
             row, ids, sq = row[order], ids[order], sq[order]
             win = np.flatnonzero(np.diff(row, prepend=-1))
-            out[row[win]] = ids[win]
-            out_sq[row[win]] = sq[win]
+            best[row[win]] = ids[win]
+            best_sq[row[win]] = sq[win]
+        out, out_sq = np.empty_like(best), np.empty_like(best_sq)
+        out[leaf], out_sq[leaf] = best, best_sq
         tied = np.flatnonzero(out_sq == 0)
         if axis_gaps(take(tied, axis=0), take(out[tied], axis=0), self.metric).any():
             raise GeometryError("squared distances between these points underflow to 0")

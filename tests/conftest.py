@@ -84,18 +84,19 @@ def oracle_sq_matrix(coords, metric: Metric, rows=None) -> np.ndarray:
     return total
 
 
-def oracle_successor_map(coords, groups, metric: Metric, block=256):
-    """Every row's nearest foreign entry under (squared distance, entry id),
-    as (ids, sq_distances), from oracle_sq_matrix in blocks of rows."""
+def oracle_successor_map(coords, groups, metric: Metric, rows=None, block=256):
+    """The nearest foreign entry of each of `rows` (every row by default)
+    under (squared distance, entry id), as (ids, sq_distances), from
+    oracle_sq_matrix in blocks of rows."""
     groups = np.asarray(groups)
-    n = len(groups)
-    ids, sq = np.empty(n, dtype=np.int64), np.empty(n)
-    for start in range(0, n, block):
-        rows = np.arange(start, min(start + block, n))
-        d = oracle_sq_matrix(coords, metric, rows)
-        d[groups[rows, None] == groups[None, :]] = np.inf
-        ids[rows] = np.argmin(d, axis=1)  # the first minimum: the smallest id
-        sq[rows] = d[np.arange(rows.size), ids[rows]]
+    rows = np.arange(len(groups)) if rows is None else np.asarray(rows)
+    ids, sq = np.empty(rows.size, dtype=np.int64), np.empty(rows.size)
+    for start in range(0, rows.size, block):
+        part = slice(start, start + block)
+        d = oracle_sq_matrix(coords, metric, rows[part])
+        d[groups[rows[part], None] == groups[None, :]] = np.inf
+        ids[part] = np.argmin(d, axis=1)  # the first minimum: the smallest id
+        sq[part] = d[np.arange(len(d)), ids[part]]
     return ids, sq
 
 

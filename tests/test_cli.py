@@ -110,6 +110,37 @@ def test_generate_cox_radius_range_needs_two_numbers(tmp_path, capsys, text):
     assert err == f"error: --radius-range needs two numbers r_min,r_max, got {text!r}\n"
 
 
+def test_generate_cox_radii_without_centers_is_fixed_mode(tmp_path, capsys):
+    assert run("generate", "cox", "--radii", 5, "--window", "0,0,10,10", "--seed", 1,
+               "--out", tmp_path / "s.json") == 1
+    assert capsys.readouterr().err == "error: fixed mode needs centers\n"
+
+
+# Each process's own flags, so that only the flag under test is out of place.
+OWN_FLAGS = {"poisson": [], "binomial": ["--count", 50], "cox": ["--centers", "5,5", "--radii", 2]}
+
+
+@pytest.mark.parametrize("process, flag, value, reader", [
+    ("poisson", "--count", 5, "binomial"),
+    ("cox", "--count", 5, "binomial"),
+    *[(process, flag, value, "cox") for process in ("poisson", "binomial") for flag, value in (
+        ("--centers", "5,5"), ("--radii", 2), ("--center-intensity", 0.1),
+        ("--radius-range", "1,2"),
+    )],
+])
+def test_generate_refuses_flags_the_process_does_not_read(
+    tmp_path, capsys, process, flag, value, reader
+):
+    out = tmp_path / "s.json"
+    assert run("generate", process, *OWN_FLAGS[process], flag, value,
+               "--window", "0,0,10,10", "--seed", 1, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {process} does not read {flag} (only {reader} does)\n"
+    assert not out.exists()
+    assert run("generate", process, *OWN_FLAGS[process],
+               "--window", "0,0,10,10", "--seed", 1, "--out", out) == 0
+
+
 def test_generate_cox_documented_example(tmp_path):
     out = tmp_path / "cox.json"
     assert run("generate", "cox", "--centers", "60,60;140,80;100,150",

@@ -285,6 +285,65 @@ def random_functional_map(rng, n, cycle_lengths):
     return succ
 
 
+def walk_structure_oracle(succ):
+    """functional_structure's (component_id, cycles, head_of) by walking
+    each vertex's path until a vertex repeats: the first repeated vertex is
+    the path's first cycle vertex, and the walk since its first visit is
+    the cycle, listed here from its smallest vertex."""
+    heads, cycles = [], set()
+    for v in range(len(succ)):
+        path, seen = [], {}
+        w = v
+        while w not in seen:
+            seen[w] = len(path)
+            path.append(w)
+            w = int(succ[w])
+        cyc = path[seen[w]:]
+        start = cyc.index(min(cyc))
+        heads.append(w)
+        cycles.add(tuple(cyc[start:] + cyc[:start]))
+    cycles = sorted(cycles)
+    rank = {v: c for c, cyc in enumerate(cycles) for v in cyc}
+    return [rank[h] for h in heads], cycles, heads
+
+
+# Sizes for the maps whose walks take O(n^2) steps: every n up to 33, and
+# n next to each power of two up to 256, where one doubling round too few
+# falls short of the longest tail.
+WALK_SIZES = sorted(set(range(1, 34)) | {2**k + j for k in range(5, 9) for j in (-1, 0, 1, 2)})
+
+
+def test_functional_structure_matches_walk_oracle(rng):
+    # Self-loops, one cycle through all n vertices, and the longest tails
+    # into a 1-cycle (n - 1 steps) and into a 2-cycle (n - 2 steps), each
+    # also relabelled; then random maps of 1 to 300 vertices with cycles of
+    # 1 to 5 vertices.
+    maps = []
+    for n in WALK_SIZES:
+        ring = rng.permutation(n)
+        cycle = np.empty(n, dtype=np.int64)
+        cycle[ring] = np.roll(ring, -1)
+        maps += [np.arange(n), cycle]
+        tails = [np.maximum(np.arange(n) - 1, 0)]
+        if n >= 2:
+            tails.append(np.concatenate([[1, 0], np.arange(1, n - 1)]))
+        for tail in tails:
+            relabel = rng.permutation(n)
+            relabelled = np.empty(n, dtype=np.int64)
+            relabelled[relabel] = relabel[tail]
+            maps += [tail, relabelled]
+    for n in range(1, 301):
+        lengths = [int(rng.integers(1, min(5, n) + 1))]
+        while rng.random() < 0.7 and sum(lengths) + 5 <= n:
+            lengths.append(int(rng.integers(1, 6)))
+        maps.append(random_functional_map(rng, n, lengths))
+    for succ in maps:
+        comp, cycles, head_of = functional_structure(succ)
+        want_comp, want_cycles, want_heads = walk_structure_oracle(succ)
+        assert cycles == want_cycles
+        assert comp.tolist() == want_comp and head_of.tolist() == want_heads
+
+
 def structure_oracle(level, succ):
     """from_successors' cycles or error message, from functional_structure."""
     _, cycles, _ = functional_structure(succ)

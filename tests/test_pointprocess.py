@@ -129,6 +129,7 @@ def test_cox_random_mode_runs():
 
 COX_SPEC_REFUSALS = [
     ({"centers": [[0.0, 0.0]]}, "fixed mode needs radii"),
+    ({"radii": [2.0]}, "fixed mode needs centers"),
     ({"centers": np.array([[0.0, 0.0]]), "radii": np.array([1.0, 2.0])}, "one radius per center"),
     ({}, "random mode needs center_intensity and radius_range"),
     ({"centers": [[0.0, 0.0], [1.0, 1.0]], "radii": [1.0, 0.0]}, "radii positive and finite"),

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from chn2.geometry import GeometryError, Metric, Window
-from chn2.spatial_index import _BLOCK_POINTS, NnIndex, map_blocks, query_workers
+from chn2.pointprocess import gen_binomial
+from chn2.spatial_index import (
+    _BLOCK_POINTS,
+    _PARALLEL_ROWS,
+    NnIndex,
+    map_blocks,
+    query_workers,
+)
 from conftest import nearest_foreign, oracle_nearest_foreign, oracle_successor_map
 
 
@@ -125,6 +132,31 @@ def test_successor_map_matches_oracle(rng):
     want, want_sq = oracle_successor_map(coords, groups, metric)
     assert np.array_equal(succ, want)
     assert np.array_equal(sqd, want_sq)
+
+
+def test_threaded_tie_heavy_successor_map_matches_brute_force(monkeypatch, tree_calls):
+    # The benchmark's quantised-torus construction: 20,000 binomial points
+    # on [0, 220]^2 floored to the integer grid, duplicates dropped, ids
+    # shuffled. At seed 7 that leaves 16,262 points, and the level-0 ball
+    # query over the exact-tie rows alone is wide enough for two threads.
+    window = Window([0.0, 0.0], [220.0, 220.0])
+    grid = np.unique(np.floor(gen_binomial(20_000, window, 2, 7).points), axis=0)
+    coords = grid[np.random.default_rng(7).permutation(len(grid))]
+    groups, metric = np.arange(len(coords)), Metric.torus(window)
+    answers = {}
+    for threads in ("2", "1"):
+        monkeypatch.setenv("CHN2_THREADS", threads)
+        tree_calls.clear()
+        answers[threads] = NnIndex(coords, groups, metric).successor_map()
+        balls = [(rows, w) for kind, rows, w in tree_calls if kind == "ball"]
+        assert len(balls) == 1 and balls[0][0] >= _PARALLEL_ROWS
+        assert balls[0][1] == query_workers()
+    (ids, sq), (ids1, sq1) = answers["2"], answers["1"]
+    assert np.array_equal(ids, ids1) and np.array_equal(sq, sq1)
+    rows = np.linspace(0, len(coords) - 1, 2000).astype(np.int64)
+    want, want_sq = oracle_successor_map(coords, groups, metric, rows)
+    assert np.array_equal(ids[rows], want)
+    assert np.array_equal(sq[rows], want_sq)
 
 
 def test_torus_successors_wrap(rng):
