@@ -43,8 +43,8 @@ one call, then all of its normal directions and all of its uniform radii in
 one call each. G is fixed by the configuration alone, so the same seed gives
 the same trials whatever the block size or thread count. Whole groups are
 drawn and counted a block at a time, each block a contiguous run of groups
-that `spatial_index.map_blocks` sizes by their expected points and maps on
-the `CHN2_THREADS` pool, results in block order, so no count, estimate or
+that `spatial_index.map_blocks` sizes by their expected points and maps as
+`fan_out` decides, results in block order, so no count, estimate or
 CSV depends on the thread count. Normalising, scaling and placing the
 origins is one array pass over the block. Counting is exact and breadth
 first over the whole block: one k-d tree pair query gives every sample's

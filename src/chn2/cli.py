@@ -2,11 +2,10 @@
 
 Subcommands: generate (poisson | binomial | cox), cluster, stats, baseline,
 detect, chains. Structured artifacts are JSON, tabular outputs are CSV.
-Every command is deterministic given its full flag set; CHN2_THREADS caps
-the thread pool that fans out blocks of baseline seeds (each built on one
-query thread) and blocks of chain Monte Carlo trials, and the query
-threads of any other build (both also capped by the usable CPUs); the pool
-returns results in block order, so no output depends on it.
+Every command is deterministic given its full flag set. CHN2_THREADS sets
+the threads, at most the usable CPUs, of each job over more than 8,192
+points made on the main thread: a tree query, or blocks of baseline seeds
+or chain trials. Other jobs run on one thread; no output depends on it.
 """
 
 from __future__ import annotations
@@ -63,13 +62,14 @@ def parse_radius_range(text: str) -> tuple[float, float]:
 
 def parse_seed_range(text: str):
     """'a..b' inclusive, or a single seed."""
-    if ".." in text:
-        a, b = text.split("..", 1)
-        lo, hi = int(a), int(b)
-        if hi < lo:
-            raise ValueError(f"empty seed range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    a, dots, b = text.partition("..")
+    try:
+        lo, hi = int(a), int(b if dots else a)
+    except ValueError:
+        raise ValueError(f"--seeds takes a..b or one seed, got {text!r}") from None
+    if hi < lo:
+        raise ValueError(f"empty seed range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def metric_for(name: str, window: Window) -> Metric:

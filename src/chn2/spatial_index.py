@@ -10,6 +10,7 @@ query, k two wider than the largest group, and array passes, tied rows included.
 Both of its tree queries visit the rows in the tree's leaf order, so consecutive
 rows walk the same nodes; its two answers go back to entry order in one scatter
 at the end. `nearest_foreign_ties` is the linear scan for one query.
+`fan_out` alone decides the threads of every tree query and `map_blocks` call.
 """
 
 from __future__ import annotations
@@ -24,20 +25,11 @@ from scipy.spatial import cKDTree
 
 from .geometry import GeometryError, Metric, TORUS, Window, axis_gaps, sq_dist_many
 
-# Fewest rows at which a tree query gets more than one worker thread. On a
-# 2-core x86-64 VM, `successor_map` alone gains nothing from a second thread
-# below about 131k rows (0.94-1.05x), yet 1M-point builds are fastest here:
-# medians of 3.82 s, against 4.00 s at 32,768 and 4.06 s at 131,072, over 8
-# alternating runs. With no threshold, 200k- and 1M-point builds stayed at
-# 0.53-0.56 s and 3.89-3.91 s, but quantised-torus run_s rose 2.0% (0.1557
-# to 0.1588 s, faster in only 4 of 14 alternating pairs).
-_PARALLEL_ROWS = 8192
-
 
 def query_workers() -> int:
-    """Threads for a tree query on the main thread or for `map_blocks`:
-    CHN2_THREADS, or min(8, CPU count) when it is unset, capped by the
-    CPUs this process may run on, since each worker is one OS thread."""
+    """Threads of a job that `fan_out` spreads: CHN2_THREADS, or min(8, CPU
+    count) when it is unset, capped by the CPUs this process may run on,
+    since each worker is one OS thread."""
     env = os.environ.get("CHN2_THREADS")
     try:
         count = int(env) if env else min(8, os.cpu_count() or 1)
@@ -45,16 +37,15 @@ def query_workers() -> int:
         count = 0
     if count < 1:
         raise ValueError(f"CHN2_THREADS must be an integer >= 1, got {env!r}")
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(count, cpus)
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
+    return min(count, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
-# Points per block of `map_blocks`: a block holds at least one item, so items
-# of more than half of it go one by one. Peak memory then depends on the item
-# size and not on the item count. Measured on a 2-core x86-64 VM:
+# Points per block of `map_blocks`, and the most a job covers on the calling
+# thread (`fan_out`): 1M-point builds were fastest with that query threshold.
+# A block holds at least one item, so items of more than half of it go one by
+# one, and peak memory depends on the item size, not the item count. Measured
+# on a 2-core x86-64 VM:
 # - Poisson baseline (2 threads, median of 9 runs): 100 seeds of 2,000 points
 #   took 659, 559 and 505 ms at 2^11, 2^12 and 2^13, and 19 seeds of 1,000
 #   points 70, 67 and 55 ms; at 2^14, 424 and 69 ms, the 19 seeds then
@@ -70,16 +61,27 @@ def query_workers() -> int:
 _BLOCK_POINTS = 1 << 13
 
 
+def fan_out(points) -> int:
+    """Threads for a job over `points` points: `query_workers()` on the main
+    thread past _BLOCK_POINTS points, else 1 (a pool's thread is one of many)."""
+    workers = query_workers()  # refuses a bad CHN2_THREADS at any size
+    main = threading.current_thread() is threading.main_thread()
+    return workers if main and points > _BLOCK_POINTS else 1
+
+
 def map_blocks(fn, items, points_per_item) -> list:
     """`fn` of each block of `items`, in block order.
 
     A block is a contiguous slice of about _BLOCK_POINTS points, at least one
-    item, given `points_per_item` points per item. The blocks are mapped on
-    one pool of `query_workers()` threads, and the results come back in block
-    order, so no caller's output depends on the thread count."""
+    item, given `points_per_item` points per item. The blocks go to a pool of
+    `fan_out` threads for all the items' points, or stay on the calling thread
+    when that is one; results come back in block order, whatever the count."""
     size = max(1, int(_BLOCK_POINTS / max(1.0, points_per_item)))
     blocks = (items[i:i + size] for i in range(0, len(items), size))
-    with ThreadPoolExecutor(max_workers=query_workers()) as pool:
+    workers = fan_out(len(items) * max(1.0, points_per_item))
+    if workers == 1:
+        return list(map(fn, blocks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, blocks))
 
 
@@ -105,11 +107,8 @@ def torus_offsets(coords, window: Window) -> np.ndarray:
 class NnIndex:
     """Immutable nearest-neighbor structure over (point, group) entries.
 
-    Queries of at least _PARALLEL_ROWS rows run on `query_workers()` threads
-    when the index is built on the main thread, and on one thread otherwise:
-    a caller on another thread (the baseline's pool) is already one of
-    several, and nested query threads only contend for the same cores. No
-    answer depends on the count. Group ids, one per point and unchecked, are
+    A tree query of r rows runs on `fan_out(r)` threads, decided on the
+    thread that queries. Group ids, one per point and unchecked, are
     nonnegative and best kept below the entry count: `successor_map` sizes
     its groups with one `np.bincount` table over 0..largest id.
     """
@@ -119,8 +118,6 @@ class NnIndex:
         self.groups = np.asarray(groups, dtype=np.int64)
         self.metric = metric
         self.n = coords.shape[0]
-        main = threading.current_thread() is threading.main_thread()
-        self.workers = query_workers() if main else 1
         scale = [1.0, float(np.max(np.abs(coords)))]
         if self.metric.kind == TORUS:
             side = self.metric.window.side_lengths
@@ -136,13 +133,10 @@ class NnIndex:
         self._tree = cKDTree(tree_data, boxsize=boxsize, balanced_tree=False, compact_nodes=False)
         self._scale = max(scale)
 
-    def _workers(self, rows: int) -> int:
-        return self.workers if rows >= _PARALLEL_ROWS else 1
-
     def _query(self, points, k: int):
         """The k nearest tree entries of each point, as (points, k) arrays."""
         k = min(k, self.n)
-        dists, ids = self._tree.query(points, k=k, workers=self._workers(len(points)))
+        dists, ids = self._tree.query(points, k=k, workers=fan_out(len(points)))
         return dists.reshape(-1, k), ids.reshape(-1, k)
 
     def nearest_foreign_ties(self, query, own_group: int):
@@ -200,7 +194,7 @@ class NnIndex:
             # Every foreign entry within each ambiguous row's cut, ranked by
             # (row, exact squared distance, entry id); each row's first wins.
             hits = self._tree.query_ball_point(
-                self._tree.data[leaf[amb]], r=cut[amb], workers=self._workers(amb.size)
+                self._tree.data[leaf[amb]], r=cut[amb], workers=fan_out(amb.size)
             )
             row = np.repeat(amb, np.fromiter(map(len, hits), dtype=np.int64, count=amb.size))
             ids = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64, count=row.size)

@@ -140,6 +140,8 @@ def poisson_baseline(
         n_seeds = len(seeds)
     if n_seeds < 1:
         raise SeriesError("n_seeds must be >= 1")
+    if not 0 <= expected_count < math.inf:
+        raise SeriesError(f"expected count must be finite and >= 0, got {expected_count!r}")
     lam = expected_count / window.volume
 
     def block(block_seeds):
@@ -327,8 +329,11 @@ SEED_COLUMN_PREFIX = "seed_"
 def write_baseline_csv(baseline: BaselineSeries, seeds, path) -> None:
     """`level,support,mean_merge_distance`, then one `seed_<s>` column per
     seed holding that seed's own series for the detector's Monte Carlo
-    test."""
+    test. The seeds must be distinct, one per series."""
     seed_columns = [f"{SEED_COLUMN_PREFIX}{s}" for s in seeds]
+    if {len(seed_columns), len(set(seed_columns))} != {baseline.n_seeds}:
+        raise SeriesError(f"{path}: {baseline.n_seeds} series need as many distinct seeds, "
+                          f"got {len(seed_columns)} ({len(set(seed_columns))} distinct)")
     rows = (
         [k, sup, val, *(s[k] if len(s) > k else None for s in baseline.seed_series)]
         for k, (val, sup) in enumerate(zip(baseline.values, baseline.support))

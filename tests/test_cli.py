@@ -48,6 +48,9 @@ def test_parse_centers_and_seeds():
             parse_centers(text)
     with pytest.raises(ValueError, match="empty seed range '5..3'"):
         parse_seed_range("5..3")
+    for text in ("5..", "..5", "x", "1..y", ""):
+        with pytest.raises(ValueError, match=r"--seeds takes a\.\.b or one seed"):
+            parse_seed_range(text)
 
 
 def test_generate_poisson_roundtrip(tmp_path):
@@ -605,6 +608,27 @@ def test_bad_thread_cap_is_one_error_line(tmp_path, monkeypatch, capsys):
                "--seeds", "0..2", "--out", tmp_path / "base.csv") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: CHN2_THREADS") and err.count("\n") == 1, err
+
+
+def test_bad_thread_cap_is_refused_by_a_small_build(tmp_path, monkeypatch, capsys):
+    # Ten points never pass the fan-out threshold, yet the cap is still read.
+    sample = tmp_path / "s.json"
+    assert run("generate", "binomial", "--count", 10, "--window", "0,0,10,10",
+               "--seed", 1, "--out", sample) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("CHN2_THREADS", "0")
+    assert run("cluster", "--input", sample, "--out", tmp_path / "h.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CHN2_THREADS") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("count", ["-5", "nan", "inf"])
+def test_baseline_count_errors_name_the_count(count, tmp_path, capsys):
+    assert run("baseline", "--window", "0,0,10,10", f"--count={count}",
+               "--seeds", "0..2", "--out", tmp_path / "base.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: expected count") and err.count("\n") == 1, err
+    assert "intensity" not in err
 
 
 def test_detect_rule_follows_baseline_seed_columns(tmp_path, capsys):

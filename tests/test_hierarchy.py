@@ -721,12 +721,12 @@ def test_hierarchy_does_not_depend_on_thread_count(kind, tmp_path, monkeypatch, 
         digests.append(hierarchy_array_digest(h))
         save_hierarchy(h, tmp_path / f"h{threads}.json")
         saved.append((tmp_path / f"h{threads}.json").read_bytes())
-        wide = {(name, w) for name, rows, w in tree_calls if rows >= spatial_index._PARALLEL_ROWS}
+        wide = {(name, w) for name, rows, w in tree_calls if rows > spatial_index._BLOCK_POINTS}
         want = spatial_index.query_workers()
         assert ("query", want) in wide
         if kind == "torus":
             assert ("ball", want) in wide
-        assert all(w == 1 for _, rows, w in tree_calls if rows < spatial_index._PARALLEL_ROWS)
+        assert all(w == 1 for _, rows, w in tree_calls if rows <= spatial_index._BLOCK_POINTS)
     assert digests[0] == digests[1]
     assert saved[0] == saved[1]
 
@@ -738,7 +738,7 @@ def test_build_on_a_worker_thread_queries_on_one_thread(monkeypatch, tree_calls)
     monkeypatch.setenv("CHN2_THREADS", "2")
     with ThreadPoolExecutor(max_workers=1) as pool:
         h = pool.submit(build_hierarchy, s).result()
-    assert any(rows >= spatial_index._PARALLEL_ROWS for _, rows, _ in tree_calls)
+    assert any(rows > spatial_index._BLOCK_POINTS for _, rows, _ in tree_calls)
     assert {w for *_, w in tree_calls} == {1}
     assert hierarchy_array_digest(h) == hierarchy_array_digest(build_hierarchy(s))
 
@@ -903,8 +903,8 @@ def test_torus_shift_with_wrap_gives_the_same_hierarchy(side, d, n, monkeypatch,
         assert len(h.levels) > 1
         digests.append(hierarchy_array_digest(h))
     assert digests[0] == digests[1]
-    if len(pts) >= spatial_index._PARALLEL_ROWS:
-        wide = {(name, w) for name, rows, w in tree_calls if rows >= spatial_index._PARALLEL_ROWS}
+    if len(pts) > spatial_index._BLOCK_POINTS:
+        wide = {(name, w) for name, rows, w in tree_calls if rows > spatial_index._BLOCK_POINTS}
         assert ("query", spatial_index.query_workers()) in wide
 
 

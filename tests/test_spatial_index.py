@@ -1,5 +1,6 @@
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from chn2.geometry import GeometryError, Metric, Window
 from chn2.pointprocess import gen_binomial
 from chn2.spatial_index import (
     _BLOCK_POINTS,
-    _PARALLEL_ROWS,
     NnIndex,
+    fan_out,
     map_blocks,
     query_workers,
 )
@@ -149,7 +150,7 @@ def test_threaded_tie_heavy_successor_map_matches_brute_force(monkeypatch, tree_
         tree_calls.clear()
         answers[threads] = NnIndex(coords, groups, metric).successor_map()
         balls = [(rows, w) for kind, rows, w in tree_calls if kind == "ball"]
-        assert len(balls) == 1 and balls[0][0] >= _PARALLEL_ROWS
+        assert len(balls) == 1 and balls[0][0] > _BLOCK_POINTS
         assert balls[0][1] == query_workers()
     (ids, sq), (ids1, sq1) = answers["2"], answers["1"]
     assert np.array_equal(ids, ids1) and np.array_equal(sq, sq1)
@@ -317,3 +318,23 @@ def test_map_blocks_cuts_contiguous_blocks(points_per_item, size, pool_sizes):
     assert [x for b in blocks for x in b] == items
     assert all(len(b) == size for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= size
     assert len(pool_sizes) == 1 and 1 <= pool_sizes[0] <= len(os.sched_getaffinity(0))
+
+
+def test_fan_out_spreads_only_main_thread_jobs_past_a_block(monkeypatch):
+    monkeypatch.setenv("CHN2_THREADS", "2")
+    sizes = (_BLOCK_POINTS, _BLOCK_POINTS + 1)
+    assert [fan_out(n) for n in sizes] == [1, query_workers()]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(lambda: [fan_out(n) for n in sizes]).result() == [1, 1]
+
+
+def test_map_blocks_maps_one_block_or_a_worker_thread_call_in_place(monkeypatch, pool_sizes):
+    # Same blocks, same order, whether they go to a pool or stay in place.
+    monkeypatch.setenv("CHN2_THREADS", "2")
+    few, many = list(range(10)), list(range(2 * _BLOCK_POINTS + 5))
+    assert map_blocks(list, few, 1) == [few]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        off_main = pool.submit(map_blocks, list, many, 1).result()
+    assert pool_sizes == []
+    assert map_blocks(list, many, 1) == off_main and len(off_main) == 3
+    assert pool_sizes == ([2] if query_workers() == 2 else [])  # [] with one usable CPU

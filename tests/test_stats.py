@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -8,7 +9,7 @@ from chn2 import spatial_index
 from chn2.geometry import Metric, Window
 from chn2.hierarchy import build_hierarchy
 from chn2.pointprocess import Sample, derive_seed
-from chn2.spatial_index import _PARALLEL_ROWS, query_workers
+from chn2.spatial_index import _BLOCK_POINTS, query_workers
 from chn2.stats import (
     BaselineSeries,
     DetectorConfig,
@@ -224,6 +225,16 @@ def test_baseline_needs_a_seed():
             poisson_baseline(Window([0.0, 0.0], [1.0, 1.0]), 8.0, **args)
 
 
+@pytest.mark.parametrize("count", [-5.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_baseline_refuses_a_count_outside_zero_to_inf(count):
+    with pytest.raises(SeriesError, match="expected count must be finite and >= 0"):
+        poisson_baseline(Window([0.0, 0.0], [1.0, 1.0]), count, 3)
+
+
+def test_baseline_of_no_expected_points_is_empty():
+    assert poisson_baseline(Window([0.0, 0.0], [1.0, 1.0]), 0.0, 3).seed_series == ((), (), ())
+
+
 def test_detect_refuses_a_monte_carlo_test_over_no_level():
     # About 8 points a seed: two of the 20 seeds never merge, so no level is
     # shared by the target and every seed and there is nothing to compare.
@@ -433,6 +444,18 @@ def test_read_baseline_csv(tmp_path):
     assert read_baseline_csv(path) == BaselineSeries(((4.0,),))
 
 
+@pytest.mark.parametrize("seeds, given", [([3, 4, 9, 10], "got 4 (4 distinct)"),
+                                          ([3, 4], "got 2 (2 distinct)"),
+                                          ([3, 4, 3], "got 3 (2 distinct)")])
+def test_baseline_csv_needs_one_distinct_seed_per_series(seeds, given, tmp_path):
+    base = BaselineSeries(((1.0, 3.0), (2.0,), (1.5,)))
+    path = tmp_path / "base.csv"
+    with pytest.raises(SeriesError, match="3 series need as many distinct seeds") as err:
+        write_baseline_csv(base, seeds, path)
+    assert given in str(err.value) and "\n" not in str(err.value)
+    assert not path.exists()
+
+
 def test_baseline_csv_round_trip_and_old_schema(tmp_path):
     base = BaselineSeries(((1.0, 3.0, 5.0), (2.0, 4.0), (1.5,)))
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
@@ -539,6 +562,7 @@ def test_thread_count_reads_env(monkeypatch):
 
 
 def test_baseline_pool_capped_by_usable_cpus(monkeypatch, pool_sizes):
+    monkeypatch.setattr(spatial_index, "_BLOCK_POINTS", 8)  # one seed a block
     monkeypatch.setenv("CHN2_THREADS", "100000")
     poisson_baseline(Window([0.0, 0.0], [1.0, 1.0]), 8.0, n_seeds=3)
     assert pool_sizes and 1 <= pool_sizes[0] <= len(os.sched_getaffinity(0))
@@ -559,9 +583,9 @@ def test_baseline_does_not_depend_on_thread_count(torus, monkeypatch):
 
 def test_baseline_builds_query_on_one_thread(monkeypatch, tree_calls):
     # Seeds of 10,000 points make one-seed blocks whose level-0 queries pass
-    # _PARALLEL_ROWS; the pool already fills CHN2_THREADS, so each of its
+    # _BLOCK_POINTS; the pool already fills CHN2_THREADS, so each of its
     # builds queries on one thread.
     monkeypatch.setenv("CHN2_THREADS", "2")
     poisson_baseline(Window([0.0, 0.0], [1.0, 1.0]), 10_000.0, n_seeds=3, master_seed=7)
-    assert any(rows >= _PARALLEL_ROWS for _, rows, _ in tree_calls)
+    assert any(rows > _BLOCK_POINTS for _, rows, _ in tree_calls)
     assert {w for *_, w in tree_calls} == {1}
