@@ -49,9 +49,10 @@ CSV depends on the thread count. Normalising, scaling and placing the
 origins is one array pass over the block. Counting is exact and breadth
 first over the whole block: one k-d tree pair query gives every sample's
 within-R neighbour lists, and each step extends every partial chain of the
-block by its admissible next vertices. A chain keeps its vertices as
-columns, and distinctness is a compare against them, so a sample may hold
-any number of points. The work is the number of partial chains;
+block by its admissible next vertices. The block's partial chains keep
+their vertices as a list of 1-D columns, one per step, and distinctness is
+one `!=` per column, ANDed together, so a sample may hold any number of
+points. The work is the number of partial chains;
 `mc_chain_count` refuses, before drawing any trial, a configuration whose
 expected points or partial chains per trial exceed
 MAX_POINTS_PER_TRIAL or MAX_PARTIAL_CHAINS.
@@ -113,7 +114,8 @@ def _neighbour_lists(coords, owner, R):
     query, at `tree_cut(R)`, finds every within-R pair of every sample and,
     even when R is below the cut's absolute slack, next to none across
     samples. Only pairs with owner[i] == owner[j] are kept, so no neighbour
-    list leaves its sample.
+    list leaves its sample. The tree only gathers candidates, so, as in
+    `NnIndex`, it is built with sliding-midpoint splits, which build fastest.
     Each pair's distance is then recomputed from the unshifted coordinates
     with the dense-matrix formula, so the strict compares below see exactly
     the distances a per-sample matrix would.
@@ -125,9 +127,11 @@ def _neighbour_lists(coords, owner, R):
     shifted = coords.copy()
     shifted[:, 0] += owner * (float(np.ptp(coords[:, 0])) + 2.0 * tree_cut(R, 1.0))
     scale = max(1.0, float(np.max(np.abs(shifted))))
-    pairs = cKDTree(shifted).query_pairs(tree_cut(R, scale), output_type="ndarray")
+    tree = cKDTree(shifted, balanced_tree=False, compact_nodes=False)
+    pairs = tree.query_pairs(tree_cut(R, scale), output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]
-    dist = np.sqrt(np.sum((coords[i] - coords[j]) ** 2, axis=-1))
+    # `take` gathers the same rows as coords[i], several times faster.
+    dist = np.sqrt(np.sum((coords.take(i, axis=0) - coords.take(j, axis=0)) ** 2, axis=-1))
     keep = (dist < R) & (owner[i] == owner[j])
     i, j = i[keep], j[keep]
     levels, rank = np.unique(dist[keep], return_inverse=True)
@@ -145,30 +149,33 @@ def _count_block(coords, owner, origins, n: int, R: float) -> np.ndarray:
     """Number of length-n (n >= 1) chains from row origins[t] within sample
     t, for every sample t of a block (see `_neighbour_lists` for the layout).
 
-    Breadth first: each frontier row is a partial chain (its vertex columns,
-    the sample it belongs to and the ranks of its last two steps). A step
-    extends every row by the prefix of its end vertex's neighbour list that
-    the descent bound admits, then drops extensions onto a vertex already in
-    the row. The rank sentinel `stride - 1` exceeds every rank, so the first
-    two steps are bounded by R alone. A step that leaves no row ends the
-    pass, as every count is then 0.
+    Breadth first: the frontier holds one partial chain a row, as a list of
+    1-D vertex columns, one per step so far, with the sample each row belongs
+    to and the ranks of its last two steps. A step extends every row by the
+    prefix of its end vertex's neighbour list that the descent bound admits,
+    then drops extensions onto a vertex already in the row, by one `!=` per
+    column, ANDed together. The rank sentinel `stride - 1` exceeds every
+    rank, so the first two steps are bounded by R alone. A step that leaves
+    no row ends the pass, as every count is then 0.
     """
     key, dst, start, stride = _neighbour_lists(coords, owner, R)
-    path = np.asarray(origins)[:, None]
+    path = [np.asarray(origins)]
     sample = np.arange(len(origins))
     last = prev = np.full(len(origins), stride - 1)
     for depth in range(n):
-        v = path[:, -1]
+        v = path[-1]
         lo = start[v]
         size = np.searchsorted(key, v * stride + np.maximum(last, prev)) - lo
         row = np.repeat(np.arange(len(v)), size)
         edge = np.arange(row.size) - np.repeat(np.cumsum(size) - size - lo, size)
         w = dst[edge]
-        fresh = np.all(path[row] != w[:, None], axis=1)
+        fresh = np.ones(row.size, dtype=bool)
+        for column in path:
+            fresh &= column[row] != w
         row, edge = row[fresh], edge[fresh]
         if depth == n - 1 or not row.size:
             return np.bincount(sample[row], minlength=len(origins))
-        path = np.column_stack([path[row], w[fresh]])
+        path = [column[row] for column in path] + [w[fresh]]
         sample, prev, last = sample[row], last[row], key[edge] - v[row] * stride
 
 
@@ -250,6 +257,8 @@ class ChainCountConfig:
             raise ValueError("lam, R must be positive; d >= 1; n >= 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seeds must be nonnegative, got {self.seed!r}")
 
 
 def _expected_points(cfg: ChainCountConfig) -> float:
@@ -257,8 +266,9 @@ def _expected_points(cfg: ChainCountConfig) -> float:
     return _ball_mass(cfg.lam, cfg.n * cfg.R, cfg.d)
 
 
-def _check_budget(cfg: ChainCountConfig) -> None:
-    """Refuse a configuration whose trials would not fit the block pass."""
+def check_budget(cfg: ChainCountConfig) -> None:
+    """Refuse, with ValueError, a configuration whose trials would not fit
+    the block pass."""
     points = _expected_points(cfg)
     if points > MAX_POINTS_PER_TRIAL:
         raise ValueError(
@@ -341,7 +351,7 @@ def mc_chain_count(cfg: ChainCountConfig):
     """
     if cfg.n == 0:
         return 1.0, 0.0
-    _check_budget(cfg)
+    check_budget(cfg)
     counts = _trial_counts(cfg)
     mean = float(np.mean(counts))
     stderr = float(np.std(counts, ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0

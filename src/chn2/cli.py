@@ -177,20 +177,25 @@ def cmd_detect(args) -> int:
 
 
 def cmd_chains(args) -> int:
+    # Every configuration is checked, then --out opened, before any trial is drawn.
     rows = []
     for n in args.n:
         closed = chainmod.expected_chain_count_formula(args.lam, args.R, args.dim, n)
         recursive = chainmod.expected_chain_count_recursive(args.lam, args.R, args.dim, n)
+        cfg = None
         if args.mode == "mc":
             cfg = chainmod.ChainCountConfig(
                 lam=args.lam, R=args.R, d=args.dim, n=n, trials=args.trials, seed=args.seed
             )
-            mean, stderr = chainmod.mc_chain_count(cfg)
-            rows.append((n, closed, recursive, mean, stderr, args.trials))
-        else:
-            rows.append((n, closed, recursive, "", "", ""))
+            chainmod.check_budget(cfg)
+        rows.append((n, closed, recursive, cfg))
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
+        rows = [
+            (n, closed, recursive, *chainmod.mc_chain_count(cfg), cfg.trials) if cfg
+            else (n, closed, recursive, "", "", "")
+            for n, closed, recursive, cfg in rows
+        ]
         writer = csv.writer(out)
         writer.writerow(["n", "closed_form", "recursive", "mc_mean", "mc_stderr", "trials"])
         for row in rows:

@@ -74,12 +74,13 @@ def map_blocks(fn, items, points_per_item) -> list:
 
     A block is a contiguous slice of about _BLOCK_POINTS points, at least one
     item, given `points_per_item` points per item. The blocks go to a pool of
-    `fan_out` threads for all the items' points, or stay on the calling thread
-    when that is one; results come back in block order, whatever the count."""
+    `fan_out` threads for all the items' points, at most one a block, or stay
+    on the calling thread when that is one, so a lone block's own tree queries
+    may fan out; results come back in block order, whatever the count."""
     size = max(1, int(_BLOCK_POINTS / max(1.0, points_per_item)))
     blocks = (items[i:i + size] for i in range(0, len(items), size))
-    workers = fan_out(len(items) * max(1.0, points_per_item))
-    if workers == 1:
+    workers = min(fan_out(len(items) * max(1.0, points_per_item)), -(-len(items) // size))
+    if workers <= 1:
         return list(map(fn, blocks))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, blocks))

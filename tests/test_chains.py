@@ -166,7 +166,7 @@ def test_count_pinned_trial_1643():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_trial_counts_match_dfs_oracle(d):
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5, 6):
         cfg = ChainCountConfig(lam=0.4 if d == 3 else 1.0, R=1.0, d=d, n=n, trials=60, seed=9)
         counts = chains._trial_counts(cfg)
         want = [oracle_count_chains_dfs(pts, n, 1.0) for pts in all_trial_points(cfg)]
@@ -266,11 +266,15 @@ def test_trial_counts_do_not_depend_on_thread_count(monkeypatch):
 
 
 def test_chain_pool_capped_by_usable_cpus(monkeypatch, pool_sizes):
-    # One pool for the whole call, however many blocks it maps.
+    # One pool for the whole call, however many blocks it maps: 145 trials
+    # span two groups of 144, each a block of its own.
     monkeypatch.setattr(spatial_index, "_BLOCK_POINTS", 1)
     monkeypatch.setenv("CHN2_THREADS", "100000")
-    mc_chain_count(ChainCountConfig(lam=1.0, R=1.0, d=2, n=3, trials=5, seed=0))
-    assert len(pool_sizes) == 1 and 1 <= pool_sizes[0] <= len(os.sched_getaffinity(0))
+    mc_chain_count(ChainCountConfig(lam=1.0, R=1.0, d=2, n=3, trials=145, seed=0))
+    if spatial_index.query_workers() == 1:  # one usable CPU: mapped in place
+        assert pool_sizes == []
+    else:
+        assert len(pool_sizes) == 1 and 1 <= pool_sizes[0] <= len(os.sched_getaffinity(0))
 
 
 def test_count_tied_distances():
@@ -279,6 +283,30 @@ def test_count_tied_distances():
     pts = np.array([[0.0, 0.0]] + [[x, y] for x in g for y in g if x or y])
     for n in (1, 2, 3, 4):
         assert count_chains_from_origin(pts, n, 1.5) == oracle_count_chains_dfs(pts, n, 1.5)
+
+
+def test_count_block_of_lattice_trials():
+    # Unit-lattice samples as one block, each with its own origin row. Steps
+    # of 1, 1.41 and 2 tie by the dozen, and the first three samples have
+    # chains of all 6 steps, which test distinctness against 5 earlier
+    # columns and strict descent on equal steps.
+    def lattice(half_width):
+        g = np.arange(-half_width, half_width + 1.0)
+        return np.array([[0.0, 0.0]] + [[x, y] for x in g for y in g if x or y])
+
+    samples = [lattice(3), lattice(2), lattice(2)[::-1], lattice(2)[:9], lattice(2)[:1]]
+    sizes = [len(pts) for pts in samples]
+    first = np.cumsum(sizes) - sizes
+    origins = first.copy()
+    origins[2] += sizes[2] - 1  # the reversed lattice's origin is its last row
+    coords = np.concatenate(samples)
+    owner = np.repeat(np.arange(len(samples)), sizes)
+    for n in (1, 2, 3, 4, 5, 6):
+        got = chains._count_block(coords, owner, origins, n, 2.2)
+        want = [oracle_count_chains_dfs(pts, n, 2.2, origin=o)
+                for pts, o in zip(samples, origins - first)]
+        assert got.tolist() == want, n
+        assert want[0] >= want[1] == want[2] > 0, n
 
 
 def _no_trials(*args):
@@ -299,7 +327,7 @@ def test_budget_rejects_before_drawing(monkeypatch):
 
 def test_budget_admits_the_acceptance_settings():
     for d, n in ((2, 4), (3, 4), (1, 12)):
-        chains._check_budget(ChainCountConfig(lam=1.0, R=1.0, d=d, n=n, trials=1, seed=0))
+        chains.check_budget(ChainCountConfig(lam=1.0, R=1.0, d=d, n=n, trials=1, seed=0))
 
 
 def test_even_closed_form_values():

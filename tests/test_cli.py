@@ -324,6 +324,26 @@ def test_chains_mc_budget_is_one_error_line(monkeypatch, capsys):
         assert err.startswith("error:") and bound in err and err.count("\n") == 1, err
 
 
+def test_chains_bad_out_fails_before_drawing(monkeypatch, capsys, tmp_path):
+    import chn2.chains
+
+    def no_trials(*args):
+        raise AssertionError("a trial was drawn before --out was opened")
+
+    monkeypatch.setattr(chn2.chains, "_block_points", no_trials)
+    bad = tmp_path / "missing" / "chains.csv"
+    assert run("chains", "mc", "--n", 2, 4, "--trials", 10**9, "--out", bad) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and err.count("\n") == 1, err
+    # a configuration the budget refuses leaves no file, even after one it admits
+    out = tmp_path / "chains.csv"
+    for argv in (["--lambda", 100, "--n", 2], ["--n", 1, 400], ["--seed", -1, "--n", 2]):
+        assert run("chains", "mc", *argv, "--trials", 10**9, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
 TINY_WINDOW = "1,1.000000000000001"  # about five representable floats wide
 
 # numpy's own refusals of a Poisson mean or a seed

@@ -565,7 +565,10 @@ def test_baseline_pool_capped_by_usable_cpus(monkeypatch, pool_sizes):
     monkeypatch.setattr(spatial_index, "_BLOCK_POINTS", 8)  # one seed a block
     monkeypatch.setenv("CHN2_THREADS", "100000")
     poisson_baseline(Window([0.0, 0.0], [1.0, 1.0]), 8.0, n_seeds=3)
-    assert pool_sizes and 1 <= pool_sizes[0] <= len(os.sched_getaffinity(0))
+    if query_workers() == 1:  # one usable CPU: mapped in place
+        assert pool_sizes == []
+    else:
+        assert len(pool_sizes) == 1 and 1 <= pool_sizes[0] <= len(os.sched_getaffinity(0))
 
 
 @pytest.mark.parametrize("torus", [False, True], ids=["euclidean", "torus"])
@@ -579,6 +582,16 @@ def test_baseline_does_not_depend_on_thread_count(torus, monkeypatch):
         monkeypatch.setenv("CHN2_THREADS", threads)
         got.append(poisson_baseline(window, 10, 25, metric, master_seed=13).seed_series)
     assert len(got[0]) == 25 and got[0] == got[1]
+
+
+def test_lone_baseline_seed_builds_on_the_main_thread(monkeypatch, tree_calls, pool_sizes):
+    # One seed past _BLOCK_POINTS is one block, mapped in place, so its
+    # level-0 query fans out over the calling thread's query_workers().
+    monkeypatch.setenv("CHN2_THREADS", "2")
+    poisson_baseline(Window([0.0, 0.0], [1.0, 1.0]), 10_000.0, n_seeds=1, master_seed=7)
+    assert pool_sizes == []
+    kind, rows, workers = tree_calls[0]
+    assert kind == "query" and rows > _BLOCK_POINTS and workers == query_workers()
 
 
 def test_baseline_builds_query_on_one_thread(monkeypatch, tree_calls):
