@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TORUS, Metric, sq_dist_many
-from .pointprocess import Sample
+from .pointprocess import Sample, load_json
 from .spatial_index import NnIndex, torus_offsets
 
 SINGLE_PAIR = "single_pair"
@@ -385,12 +385,10 @@ def save_hierarchy(h: Hierarchy, path) -> None:
 
 
 def load_hierarchy(path) -> Hierarchy:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise HierarchyError(f"{path}: not valid JSON: {exc}") from exc
-    return hierarchy_from_json(obj)
+    return load_json(
+        path, lambda obj, text: hierarchy_from_json(obj), HierarchyError,
+        sample_of=lambda h: h.sample,
+    )
 
 
 def genealogy_newick(h: Hierarchy) -> str:

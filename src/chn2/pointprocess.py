@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .geometry import Window, is_json_numbers
 
@@ -300,6 +301,50 @@ def gen_cox_balls(spec: CoxBallSpec, window: Window, dim: int, seed: int) -> Sam
 _JSON_KEYS = {"dim", "window", "seed", "generator", "points"}
 
 
+def load_json(path, validate, error, sample_of=lambda result: result):
+    """`validate(obj, text)` of the JSON file `path`, whose UTF-8 `text`
+    decodes to `obj`; `sample_of` finds the result's sample. `error` names
+    the file when the text is not UTF-8 or not JSON.
+
+    orjson decodes. `json.loads` is the reference, and decodes and validates
+    again when orjson refuses the text (NaN, Infinity, 1e400, lone
+    surrogates, malformed JSON), when `validate` refuses orjson's object,
+    or when the sample's generator holds a float of magnitude 2^63 or more,
+    which may be orjson's float for an integer outside [-2^63, 2^64). So a
+    file loads, or fails in the same words, as under `json.loads` alone."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8: {exc}") from exc
+    try:
+        result = validate(orjson.loads(text), text)
+        if not _holds_wide_float(sample_of(result).generator):
+            return result
+    except ValueError:
+        pass
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from exc
+    return validate(obj, text)
+
+
+def _holds_wide_float(value) -> bool:
+    """Whether decoded JSON `value` holds a float of magnitude 2^63 or more
+    (every such float is integral)."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if type(item) is float and abs(item) >= 2.0**63:
+            return True
+        if type(item) is dict:
+            stack.extend(item.values())
+        elif type(item) is list:
+            stack.extend(item)
+    return False
+
+
 def load_sample(path) -> Sample:
     """Read a sample file, in the layout `Sample.from_json` reads. The
     sample keeps the file's text when the text holds just the keys
@@ -307,12 +352,10 @@ def load_sample(path) -> Sample:
     sample does not. Its point and window arrays are made read-only, so the
     text cannot go stale (its generator dict, like every field of a frozen
     sample, is not to be changed either)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SampleError(f"{path}: not valid JSON: {exc}") from exc
+    return load_json(path, _file_sample, SampleError)
+
+
+def _file_sample(obj, text: str) -> Sample:
     sample = Sample.from_json(obj)
     for array in (sample.points, sample.window.lo, sample.window.hi):
         array.flags.writeable = False

@@ -15,6 +15,7 @@ at the end. `nearest_foreign_ties` is the linear scan for one query.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import os
 import threading
@@ -76,14 +77,22 @@ def map_blocks(fn, items, points_per_item) -> list:
     item, given `points_per_item` points per item. The blocks go to a pool of
     `fan_out` threads for all the items' points, at most one a block, or stay
     on the calling thread when that is one, so a lone block's own tree queries
-    may fan out; results come back in block order, whatever the count."""
+    may fan out; results come back in block order, whatever the count. At
+    most 2 blocks a thread are submitted ahead of the result being read, so
+    memory stays flat and a block's error surfaces after a few more blocks."""
     size = max(1, int(_BLOCK_POINTS / max(1.0, points_per_item)))
     blocks = (items[i:i + size] for i in range(0, len(items), size))
     workers = min(fan_out(len(items) * max(1.0, points_per_item)), -(-len(items) // size))
     if workers <= 1:
         return list(map(fn, blocks))
+    results, ahead = [], collections.deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, blocks))
+        for block in blocks:
+            if len(ahead) == 2 * workers:
+                results.append(ahead.popleft().result())
+            ahead.append(pool.submit(fn, block))
+        results.extend(future.result() for future in ahead)
+    return results
 
 
 def tree_cut(dist, scale: float):

@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import math
 import statistics
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -535,8 +536,13 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
     monkeypatch.setattr(spatial_index, "ThreadPoolExecutor", Recorder)
     return asked

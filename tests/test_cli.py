@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -27,6 +28,28 @@ def test_package_version_is_the_projects():
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     declared = re.findall(r'(?m)^version\s*=\s*"([^"]+)"', text)
     assert declared == [chn2.__version__]
+
+
+def test_every_third_party_import_is_declared():
+    # An import of a package that pyproject.toml does not declare would ship
+    # a chn2 that fails to import where only the declared ones are installed.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    root = Path(__file__).parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9._-]+", spec).group().lower().replace("_", "-")
+        for spec in project["dependencies"]
+    }
+    imported = set()
+    for source in (root / "src" / "chn2").glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"chn2"}
+    assert third_party >= {"numpy", "orjson", "scipy"}
+    assert {name.lower().replace("_", "-") for name in third_party} <= declared
 
 
 def test_parse_window():
@@ -598,11 +621,51 @@ def test_malformed_sample_one_line_error(tmp_path, capsys):
 
 
 def test_invalid_sample_json_names_the_file(tmp_path, capsys):
+    # Both loaders word a decode error as json.loads does, in full.
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 2,')
+    want = (f"error: {bad}: not valid JSON: Expecting property name enclosed "
+            "in double quotes: line 1 column 11 (char 10)\n")
     assert run("cluster", "--input", bad, "--out", tmp_path / "h.json") == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: not valid JSON: ") and err.count("\n") == 1, err
+    assert capsys.readouterr().err == want
+    assert run("stats", "--hierarchy", bad, "--out", tmp_path / "s.csv") == 1
+    assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_points_are_refused_in_one_line(literal, tmp_path, capsys):
+    # json.loads reads these literals as floats, which the sample refuses;
+    # orjson refuses the text itself, so its message must not show.
+    sample = tmp_path / "s.json"
+    sample.write_text(
+        '{"dim": 2, "window": {"lo": [0, 0], "hi": [1, 1]}, "seed": 7, '
+        f'"generator": {{}}, "points": [0.5, {literal}, 0.25, 0.75]}}'
+    )
+    assert run("cluster", "--input", sample, "--out", tmp_path / "h.json") == 1
+    assert capsys.readouterr().err == "error: points must be finite\n"
+    assert run("generate", "binomial", "--count", 2, "--window", "0,0,1,1",
+               "--seed", 1, "--out", sample) == 0
+    assert run("cluster", "--input", sample, "--out", tmp_path / "h.json") == 0
+    h = tmp_path / "h.json"
+    text = h.read_text()
+    head, tail = text.split('"points": [', 1)
+    h.write_text(head + f'"points": [{literal}, ' + tail.split(", ", 1)[1])
+    capsys.readouterr()
+    assert run("stats", "--hierarchy", h, "--out", tmp_path / "s.csv") == 1
+    assert capsys.readouterr().err == (
+        "error: malformed hierarchy object: SampleError: points must be finite\n"
+    )
+
+
+@pytest.mark.parametrize("command", [("cluster", "--input"), ("stats", "--hierarchy")])
+def test_files_that_are_not_utf8_are_named(command, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    assert run(*command, bad, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not valid UTF-8: 'utf-8' codec can't decode byte "
+        "0xff in position 0: invalid start byte\n"
+    )
 
 
 def test_unknown_flag_rejected(tmp_path):

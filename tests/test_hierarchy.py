@@ -27,6 +27,7 @@ from chn2.hierarchy import (
 )
 from chn2.pointprocess import Sample, gen_binomial, load_sample, save_sample
 from conftest import (
+    PINNED_SEEDS,
     hierarchy_array_digest,
     hierarchy_json_v2,
     oracle_cluster_subtrees,
@@ -651,6 +652,19 @@ def test_save_writes_sample_file_text_as_json_dumps(kind, n, tmp_path):
     save_hierarchy(h, tmp_path / "h.json")
     assert (tmp_path / "h.json").read_text() == json.dumps(hierarchy_to_json(h)) + "\n"
     assert hierarchy_array_digest(load_hierarchy(tmp_path / "h.json")) == hierarchy_array_digest(h)
+
+
+def test_hierarchy_of_a_seed_past_64_bits_round_trips(tmp_path):
+    # The sample's seed 2^140 + 7 is read back as an int from the hierarchy
+    # file too, with every point bit for bit.
+    seed = PINNED_SEEDS[-1]
+    sample = gen_binomial(300, Window([0.0, 0.0], [1.0, 1.0]), 2, seed=seed)
+    h = build_hierarchy(sample, Metric.euclidean())
+    save_hierarchy(h, tmp_path / "h.json")
+    back = load_hierarchy(tmp_path / "h.json")
+    assert type(back.sample.seed) is int and back.sample.seed == seed
+    assert back.sample.points.tobytes() == sample.points.tobytes()
+    assert hierarchy_array_digest(back) == hierarchy_array_digest(h)
 
 
 def _spelled_sample_text(points) -> str:

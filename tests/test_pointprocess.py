@@ -2,9 +2,12 @@ import copy
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from chn2.geometry import Window
 from chn2.pointprocess import (
@@ -16,6 +19,7 @@ from chn2.pointprocess import (
     gen_binomial,
     gen_cox_balls,
     gen_poisson,
+    load_json,
     load_sample,
     save_sample,
 )
@@ -217,6 +221,98 @@ def test_sample_json_roundtrip(tmp_path):
                 assert back.points.shape == (n, d) and np.array_equal(back.points, s.points)
                 assert back.seed == s.seed
                 assert json.dumps(back.to_json()) == json.dumps(s.to_json())
+
+
+def test_sample_seed_past_64_bits_round_trips(tmp_path):
+    # orjson reads an integer past 2^64 as a float; the loader reads it as
+    # json.loads does, an int, and keeps the file's text.
+    seed = PINNED_SEEDS[-1]
+    assert seed == 2**140 + 7
+    s = gen_poisson(50.0, UNIT_SQ, 2, seed=seed)
+    save_sample(s, tmp_path / "s.json")
+    back = load_sample(tmp_path / "s.json")
+    assert type(back.seed) is int and back.seed == seed
+    assert back.points.tobytes() == s.points.tobytes()
+    assert back.file_text == (tmp_path / "s.json").read_text().strip()
+
+
+def test_generator_integers_past_64_bits_stay_ints(tmp_path):
+    # orjson reads an integer outside [-2^63, 2^64) as a float; the loader
+    # reads it as json.loads does, an int, at any depth of the generator.
+    generator = {"wide": 2**64, "low": -2**63 - 1, "edges": [2**64 - 1, -2**63],
+                 "deep": {"n": [2**140 + 7]}}
+    save_sample(Sample(np.array([[0.25, 0.5]]), UNIT_SQ, 2, generator, 7), tmp_path / "s.json")
+    back = load_sample(tmp_path / "s.json")
+    assert back.generator == generator and back.file_text is not None
+    assert type(back.generator["wide"]) is int and type(back.generator["deep"]["n"][0]) is int
+
+
+def test_lone_surrogate_in_the_generator_loads(tmp_path):
+    # json.loads reads the escape of a lone surrogate, which orjson refuses.
+    (tmp_path / "s.json").write_text(
+        '{"dim": 2, "window": {"lo": [0, 0], "hi": [1, 1]}, "seed": 7, '
+        '"generator": {"note": "\\ud800x"}, "points": [0.25, 0.5]}'
+    )
+    back = load_sample(tmp_path / "s.json")
+    assert back.generator == {"note": "\ud800x"}
+    assert back.file_text == (tmp_path / "s.json").read_text()
+
+
+def _same_json(a, b) -> bool:
+    """Whether two decoded JSON values are equal, with the same types and
+    floats compared bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    if type(a) is dict:
+        return list(a) == list(b) and all(_same_json(a[k], b[k]) for k in a)
+    return a == b
+
+
+_WIDE_INTEGERS = st.one_of(
+    st.integers(),
+    st.integers(min_value=-2**200, max_value=2**200),
+    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1, 2**140 + 7]),
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _WIDE_INTEGERS | st.floats()
+    | st.text(st.characters(blacklist_categories=())),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(st.characters(blacklist_categories=()), max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    generator=st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=4),
+    seed=_WIDE_INTEGERS,
+    points=st.lists(st.floats(0.0, 1.0), unique=True, max_size=6),
+    ensure_ascii=st.booleans(),
+)
+def test_load_json_reads_what_json_loads_reads(generator, seed, points, ensure_ascii, tmp_path):
+    # A sample file of any generator, seed and repr-float points: the object
+    # the loader validates is the one json.loads decodes, floats bit for bit.
+    doc = {"dim": 1, "window": {"lo": [0], "hi": [1]}, "seed": seed,
+           "generator": generator, "points": points}
+    text = json.dumps(doc, ensure_ascii=ensure_ascii)
+    try:
+        (tmp_path / "doc.json").write_text(text, encoding="utf-8")
+    except UnicodeEncodeError:  # a lone surrogate is written only escaped
+        assume(False)
+    seen = []
+    loaded = load_json(
+        tmp_path / "doc.json",
+        lambda obj, text: seen.append(obj) or Sample.from_json(obj),
+        SampleError,
+    )
+    assert _same_json(seen[-1], json.loads(text))
+    assert _same_json(loaded.generator, json.loads(text)["generator"])
+    assert loaded.points.ravel().tobytes() == np.array(points, float).tobytes()
 
 
 def test_loaded_sample_arrays_are_read_only(tmp_path):

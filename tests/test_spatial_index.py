@@ -321,6 +321,35 @@ def test_map_blocks_cuts_contiguous_blocks(points_per_item, size, pool_sizes, mo
     assert pool_sizes == ([2] if query_workers() == 2 else [])  # [] with one usable CPU
 
 
+def test_map_blocks_keeps_few_blocks_in_flight(monkeypatch):
+    # A real pool of 2: results come back in block order, and a failing first
+    # block surfaces after at most 2 blocks a thread were cut and submitted,
+    # where handing the pool every block cut all 1,000 first.
+    monkeypatch.setenv("CHN2_THREADS", "2")
+
+    class Items(list):
+        cuts = 0
+
+        def __getitem__(self, key):
+            Items.cuts += isinstance(key, slice)
+            return super().__getitem__(key)
+
+    items = Items(range(1000))
+    assert map_blocks(lambda block: block[0], items, _BLOCK_POINTS) == list(items)
+    assert Items.cuts == 1000
+    Items.cuts, calls = 0, []
+
+    def fn(block):
+        calls.append(block[0])
+        if block[0] == 0:
+            raise RuntimeError("block 0")
+        return block[0]
+
+    with pytest.raises(RuntimeError, match="block 0"):
+        map_blocks(fn, items, _BLOCK_POINTS)
+    assert 1 <= len(calls) <= Items.cuts <= 2 * query_workers() + 1
+
+
 def test_fan_out_spreads_only_main_thread_jobs_past_a_block(monkeypatch):
     monkeypatch.setenv("CHN2_THREADS", "2")
     sizes = (_BLOCK_POINTS, _BLOCK_POINTS + 1)
