@@ -48,7 +48,8 @@ that `spatial_index.map_blocks` sizes by their expected points and maps as
 CSV depends on the thread count. Normalising, scaling and placing the
 origins is one array pass over the block. Counting is exact and breadth
 first over the whole block: one k-d tree pair query gives every sample's
-within-R neighbour lists, and each step extends every partial chain of the
+within-R neighbour lists, at the distances of `geometry.sq_dist_many` as
+everywhere in the package, and each step extends every partial chain of the
 block by its admissible next vertices. The block's partial chains keep
 their vertices as a list of 1-D columns, one per step, and distinctness is
 one `!=` per column, ANDed together, so a sample may hold any number of
@@ -66,6 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .geometry import Metric, sq_dist_many
 from .pointprocess import derive_seed
 from .spatial_index import map_blocks, tree_cut
 
@@ -117,8 +119,8 @@ def _neighbour_lists(coords, owner, R):
     list leaves its sample. The tree only gathers candidates, so, as in
     `NnIndex`, it is built with sliding-midpoint splits, which build fastest.
     Each pair's distance is then recomputed from the unshifted coordinates
-    with the dense-matrix formula, so the strict compares below see exactly
-    the distances a per-sample matrix would.
+    by `sq_dist_many`, the package's one squared distance; for d < 8 it
+    equals the dense-matrix formula bit for bit.
     Distances are replaced by their dense rank over the block, which keeps
     every `<` and tie. Returns (key, dst, start, stride): the neighbours of v
     are dst[start[v]:start[v + 1]], ordered by key = v * stride + rank, so
@@ -131,7 +133,7 @@ def _neighbour_lists(coords, owner, R):
     pairs = tree.query_pairs(tree_cut(R, scale), output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]
     # `take` gathers the same rows as coords[i], several times faster.
-    dist = np.sqrt(np.sum((coords.take(i, axis=0) - coords.take(j, axis=0)) ** 2, axis=-1))
+    dist = np.sqrt(sq_dist_many(coords.take(i, axis=0), coords.take(j, axis=0), Metric()))
     keep = (dist < R) & (owner[i] == owner[j])
     i, j = i[keep], j[keep]
     levels, rank = np.unique(dist[keep], return_inverse=True)

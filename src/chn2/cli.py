@@ -176,7 +176,16 @@ def cmd_detect(args) -> int:
     return 0
 
 
+# The chains flags that mc mode alone reads, with their defaults there.
+_MC_DEFAULTS = {"trials": 10_000, "seed": 0}
+
+
 def cmd_chains(args) -> int:
+    for dest, default in _MC_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.mode != "mc":
+            raise ValueError(f"{args.mode} does not read --{dest} (only mc does)")
     # Every configuration is checked, then --out opened, before any trial is drawn.
     rows = []
     for n in args.n:
@@ -266,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--R", type=float, default=1.0)
     ch.add_argument("--dim", type=int, default=2)
     ch.add_argument("--n", type=int, nargs="+", required=True)
-    ch.add_argument("--trials", type=int, default=10000)
-    ch.add_argument("--seed", type=int, default=0)
+    ch.add_argument("--trials", type=int, help="mc only (default 10000)")
+    ch.add_argument("--seed", type=int, help="mc only (default 0)")
     ch.add_argument("--out")
     ch.set_defaults(func=cmd_chains)
     return parser
@@ -278,7 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, RecursionError) as exc:
         # a MemoryError, for one, usually has no message of its own
         what = "out of memory" if isinstance(exc, MemoryError) else "failed"
         message = str(exc) or f"{what} ({type(exc).__name__})"

@@ -5,6 +5,11 @@ every construction is deterministic even when floating-point distances tie
 exactly: candidates are compared by (squared distance, source id, target id).
 Squared distances are used for comparisons; reported values are true
 distances.
+
+`sq_dist_many` is the package's one squared distance; k-d trees only
+gather candidates. It adds the axes left to right, as numpy's
+`np.sum(delta ** 2, axis=-1)` does only for d < 8, so from d = 8 on the
+two may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -133,7 +138,7 @@ def axis_gaps(coords_a, coords_b, metric: Metric) -> np.ndarray:
 
 def sq_dist_many(coords_a, coords_b, metric: Metric) -> np.ndarray:
     """Squared distances between rows of coords_a and coords_b (broadcasting),
-    the squared `axis_gaps` added left to right."""
+    the squared `axis_gaps` added left to right (see the module note)."""
     delta = axis_gaps(coords_a, coords_b, metric)
     sq = delta * delta
     total = sq[..., 0]

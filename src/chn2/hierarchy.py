@@ -47,13 +47,10 @@ def functional_structure(succ):
     """
     succ = np.asarray(succ, dtype=np.int64)
     n = succ.size
-    # succ applied 2^b >= n times lands every path on its cycle, and the
-    # cycles are permuted onto themselves: its image is the cycle vertices.
-    image = succ
-    for _ in range(n.bit_length()):
-        image = image[image]
+    # With no stop vertex every path ends on its cycle, which succ permutes
+    # onto itself: the reached vertices are the cycle vertices.
     cyclic = np.zeros(n, dtype=bool)
-    cyclic[image] = True
+    cyclic[_reach(succ, cyclic)] = True
 
     cycles = []
     seen = np.zeros(n, dtype=bool)
@@ -79,7 +76,7 @@ def functional_structure(succ):
 
 def _reach(succ, stop):
     """reach[x] is the first vertex on x's path where `stop` holds, if the
-    path meets one at all.
+    path meets one at all, else a vertex of the cycle the path ends on.
 
     Pointer doubling with the stop vertices as fixed points covers any path
     of at most n steps. It stops once reach[reach] equals reach, as no later

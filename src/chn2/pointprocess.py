@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import orjson
 
-from .geometry import Window, is_json_numbers
+from .geometry import Metric, Window, is_json_numbers, sq_dist_many
 
 
 class SampleError(ValueError):
@@ -254,8 +254,7 @@ class CoxBallSpec:
 def _in_union_of_balls(pts, centers, radii) -> np.ndarray:
     inside = np.zeros(pts.shape[0], dtype=bool)
     for c, r in zip(centers, radii):
-        d2 = np.sum((pts - c) ** 2, axis=1)
-        inside |= d2 <= r * r
+        inside |= sq_dist_many(pts, c, Metric()) <= r * r
     return inside
 
 
@@ -311,7 +310,9 @@ def load_json(path, validate, error, sample_of=lambda result: result):
     surrogates, malformed JSON), when `validate` refuses orjson's object,
     or when the sample's generator holds a float of magnitude 2^63 or more,
     which may be orjson's float for an integer outside [-2^63, 2^64). So a
-    file loads, or fails in the same words, as under `json.loads` alone."""
+    file loads, or fails in the same words, as under `json.loads` alone,
+    except that nesting past `json.loads`' recursion limit is one `error`
+    naming the file, not a RecursionError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -327,6 +328,8 @@ def load_json(path, validate, error, sample_of=lambda result: result):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"{path}: nested too deeply: {exc}") from exc
     return validate(obj, text)
 
 

@@ -461,6 +461,32 @@ def test_mc_deterministic():
     assert mc_chain_count(cfg) == mc_chain_count(cfg)
 
 
+# (d, n, trials): (mean, stderr) at seed 1 and R = 1, recorded while the
+# chain counter still summed squares with np.sum(..., axis=-1). From d = 8
+# on numpy's reduction adds the axes in another order than `sq_dist_many`,
+# so these pin that the order moved no count. lam is the largest power of
+# two <= 1 that the budget admits; d = 10 at n = 3 (lam = 1/32) is left
+# out, as its mean of about 3e-4 per trial would pin (0, 0) at this size.
+PINNED_HIGH_D = {
+    (8, 2, 300): (16.986666666666668, 0.6675129522596629),
+    (8, 3, 100): (0.08, 0.030748244591432293),
+    (10, 2, 100): (6.91, 0.5434820395125558),
+}
+
+
+@pytest.mark.parametrize("d, n, trials", sorted(PINNED_HIGH_D))
+def test_mc_chain_count_pinned_above_d7(d, n, trials):
+    lam = 1.0
+    while True:
+        cfg = ChainCountConfig(lam=lam, R=1.0, d=d, n=n, trials=trials, seed=1)
+        try:
+            chains.check_budget(cfg)
+            break
+        except ValueError:
+            lam /= 2
+    assert mc_chain_count(cfg) == PINNED_HIGH_D[d, n, trials]
+
+
 def test_config_validation():
     for lam, R in ((0.0, 1.0), (math.nan, 1.0), (1.0, math.nan), (1.0, -1.0)):
         with pytest.raises(ValueError):

@@ -304,6 +304,26 @@ def test_chains_formula_output(tmp_path, capsys):
     assert float(row[2]) == pytest.approx(math.pi**2, rel=1e-12)
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--seed"])
+def test_chains_formula_refuses_the_mc_flags(flag, tmp_path, capsys):
+    out = tmp_path / "chains.csv"
+    assert run("chains", "formula", "--n", 2, flag, 5, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: formula does not read {flag} (only mc does)\n"
+    assert not out.exists()
+
+
+def test_chains_mc_defaults_write_the_same_csv(tmp_path):
+    # --trials 10000 and --seed 0 unless given, as when both flags had these
+    # defaults in every mode; the text is the one the earlier defaults wrote.
+    out = tmp_path / "chains.csv"
+    assert run("chains", "mc", "--dim", 1, "--n", 1, 2, "--out", out) == 0
+    assert out.read_text() == (
+        "n,closed_form,recursive,mc_mean,mc_stderr,trials\n"
+        "1,1.9999999999999998,1.9999999999999998,1.979,0.014041211328142462,10000\n"
+        "2,3.999999999999999,3.999999999999999,3.9525,0.05534862890869301,10000\n"
+    )
+
+
 def test_chains_formula_beyond_float_range(capsys):
     assert run("chains", "formula", "--n", 400) == 0
     row = capsys.readouterr().out.splitlines()[1].split(",")
@@ -666,6 +686,37 @@ def test_files_that_are_not_utf8_are_named(command, tmp_path, capsys):
         f"error: {bad}: not valid UTF-8: 'utf-8' codec can't decode byte "
         "0xff in position 0: invalid start byte\n"
     )
+
+
+TWO_POINTS = ('{"dim": 2, "window": {"lo": [0, 0], "hi": [1, 1]}, "seed": 0, '
+              '"generator": {}, "points": [0.25, 0.25, 0.75, 0.5]}')
+
+
+@pytest.mark.parametrize("case", ["points", "level0", "generator"])
+def test_deeply_nested_files_are_one_error_line(case, tmp_path, capsys):
+    # Nesting past the stdlib decoder's and encoder's recursion limits: a
+    # sample whose points the validator refuses, so json.loads decodes it
+    # again; a hierarchy whose level0 the validator refuses; and a sample
+    # that loads, but whose extra key makes the save encode its generator.
+    path = tmp_path / "in.json"
+    if case == "points":
+        path.write_text(TWO_POINTS.replace("[0.25, 0.25, 0.75, 0.5]", "[" * 2000 + "]" * 2000))
+        argv = ("cluster", "--input", path, "--out", tmp_path / "h.json")
+    elif case == "level0":
+        path.write_text(f'{{"version": 4, "sample": {TWO_POINTS}, "metric": {{"kind": '
+                        f'"euclidean"}}, "level0": {"[" * 3000 + "]" * 3000}, "exits": []}}')
+        argv = ("stats", "--hierarchy", path, "--out", tmp_path / "s.csv")
+    else:
+        path.write_text(TWO_POINTS.replace(
+            '"generator": {}', '"extra": 1, "generator": ' + '{"a": ' * 2000 + "1" + "}" * 2000
+        ))
+        argv = ("cluster", "--input", path, "--out", tmp_path / "h.json")
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err, err
+    if case != "generator":
+        assert err.startswith(f"error: {path}: nested too deeply: "), err
+    assert not Path(argv[-1]).exists()
 
 
 def test_unknown_flag_rejected(tmp_path):
