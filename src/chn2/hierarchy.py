@@ -8,19 +8,19 @@ single-linkage pseudo-distance and relinks only the witnessing exit point,
 so the successor map stays total while components coarsen strictly until a
 single pair remains.
 
-Every level is arrays: a `LevelGraph` holds the successor map and its pairs
-as an (m, 2) array, and every level k >= 1 also holds the step that made
-it, as per-pair columns over level k - 1. Level 0 and the exit columns are
-the whole hierarchy: `advance_level` derives the rest from them, and checks
-them, for the build and for the loader alike. The hierarchy file (version
-4) stores just those next to the sample, whose points are one flat list
-(see `Sample.from_json`); the loader reads no other version.
+Every level is arrays: a `LevelGraph` holds its pairs as an (m, 2) array;
+level 0 also holds the successor map, and a level k >= 1 only the step that
+made it, as per-pair columns over level k - 1. Level 0 and the exit columns
+are the whole hierarchy: `advance_level` derives the rest from them, and
+checks them, for the build and for the loader alike. The hierarchy file
+(version 4) stores just those next to the sample, whose points are one flat
+list (see `Sample.from_json`); the loader reads no other version.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,26 +52,17 @@ def functional_structure(succ):
     cyclic = np.zeros(n, dtype=bool)
     cyclic[_reach(succ, cyclic)] = True
 
-    cycles = []
-    seen = np.zeros(n, dtype=bool)
+    # Ascending, each cycle is first met at its smallest vertex; rank -1 is unseen.
+    cycles, rank = [], np.full(n, -1, dtype=np.int64)
     for v in np.flatnonzero(cyclic):
-        if seen[v]:
-            continue
-        cyc = []
-        w = v
-        while not seen[w]:
-            seen[w] = True
-            cyc.append(int(w))
-            w = succ[w]
-        cycles.append(tuple(cyc))
-    cycles.sort(key=min)
-
+        if rank[v] < 0:
+            cyc = [int(v)]
+            while succ[cyc[-1]] != v:
+                cyc.append(int(succ[cyc[-1]]))
+            rank[cyc] = len(cycles)
+            cycles.append(tuple(cyc))
     head_of = _reach(succ, cyclic)
-    cycle_rank = np.empty(n, dtype=np.int64)
-    for rank, cyc in enumerate(cycles):
-        cycle_rank[list(cyc)] = rank
-    component_id = cycle_rank[head_of]
-    return component_id, cycles, head_of
+    return rank[head_of], cycles, head_of
 
 
 def _reach(succ, stop):
@@ -104,21 +95,24 @@ class LevelGraph:
     """One level of the hierarchy: a total successor map and its 2-cycles,
     one (low head, high head) row per pair in ascending order of low head.
 
-    A level k >= 1 also holds the step from level k - 1, one row per pair i
-    there (`None` on level 0): the head `exit[i]` of pair i that achieves
-    the single-linkage distance to its nearest pair, its image
-    `exit_target[i]` in that pair, the squared minimum `merge_sq[i]`, and
-    `parent[i]`, the pair of this level that pair i's component joins.
-    Level k - 1's pair map is `levels[k - 1].pair_of(exit_target)`.
+    A level k >= 1 made by `advance_level` holds level k - 1 as `below` and
+    the step from it, one row per pair i there (`None` on a level built from
+    a whole map, which holds that map as `base`): the head `exit[i]` of pair
+    i that achieves the single-linkage distance to its nearest pair, its
+    image `exit_target[i]` in that pair, the squared minimum `merge_sq[i]`,
+    and `parent[i]`, the pair of this level that pair i's component joins.
+    Level k - 1's pair map is `levels[k - 1].pair_of(exit_target)`, and
+    `successor` replays levels 1, ..., k onto one copy of level 0's map.
     """
 
     level: int
-    successor: np.ndarray
     pairs: np.ndarray
+    base: np.ndarray | None = None
     exit: np.ndarray | None = None
     exit_target: np.ndarray | None = None
     merge_sq: np.ndarray | None = None
     parent: np.ndarray | None = None
+    below: LevelGraph | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_successors(cls, level, successor):
@@ -137,11 +131,20 @@ class LevelGraph:
                 f"level {level}: component cycle {cyc} has length {len(cyc)}, expected 2"
             )
         low = np.flatnonzero(mutual & (ids < successor))
-        return cls(level=level, successor=successor, pairs=np.column_stack([low, successor[low]]))
+        return cls(level, np.column_stack([low, successor[low]]), successor)
+
+    @property
+    def successor(self) -> np.ndarray:
+        if self.below is None:
+            return self.base
+        succ = self.below.successor
+        succ = succ.copy() if succ is self.below.base else succ
+        succ[self.exit] = self.exit_target
+        return succ
 
     @property
     def n(self) -> int:
-        return self.successor.size
+        return self.base.size if self.below is None else self.below.n
 
     @property
     def n_components(self) -> int:
@@ -235,9 +238,7 @@ def advance_level(g: LevelGraph, exit, exit_target, points, metric: Metric):
         (g.pairs[:, 0] == exit) | (g.pairs[:, 1] == exit)
     ):
         raise HierarchyError(f"level {g.level}: an exit is not one of its pair's heads")
-    succ = g.successor.copy()
-    succ[exit] = exit_target
-    target = succ[exit]
+    target = np.array(exit_target, dtype=np.int64)
     ids = np.arange(g.n_components)
     if target.min() >= 0 and target.max() < g.n:
         target_pair = g.pair_of(target)
@@ -254,10 +255,11 @@ def advance_level(g: LevelGraph, exit, exit_target, points, metric: Metric):
                     points.take(exit_target, axis=0), points.take(exit, axis=0), metric
                 )
                 return LevelGraph(
-                    g.level + 1, succ, np.column_stack([low, high])[order], exit, exit_target,
-                    merge_sq, rank[np.minimum(reach, target_pair[reach])],
+                    g.level + 1, np.column_stack([low, high])[order], None, exit, target,
+                    merge_sq, rank[np.minimum(reach, target_pair[reach])], g,
                 )
-    LevelGraph.from_successors(g.level + 1, succ)
+    relinked = LevelGraph(g.level + 1, None, None, exit, exit_target, below=g)
+    LevelGraph.from_successors(g.level + 1, relinked.successor)
     raise HierarchyError(f"level {g.level}: an exit target is not a foreign head")
 
 

@@ -128,18 +128,18 @@ def poisson_baseline(
     """The Poisson mean-distance series of every seed.
 
     The intensity is expected_count/volume so the baseline is comparable to
-    the target sample. Seeds are derived from master_seed unless given
-    explicitly. `map_blocks` cuts the seeds into contiguous blocks and
-    builds one hierarchy per block (`_block_series`), so a seed of more
-    than half a block is built on its own.
+    the target sample. Seeds are derived from master_seed unless `seeds`
+    gives all n_seeds of them (master_seed is then unused). `map_blocks`
+    cuts the seeds into contiguous blocks, one hierarchy per block
+    (`_block_series`); a seed of more than half a block is built alone.
     """
     if seeds is None:
         seeds = [derive_seed(master_seed, i) for i in range(n_seeds)]
-    else:
-        seeds = list(seeds)
-        n_seeds = len(seeds)
-    if n_seeds < 1:
+    seeds = list(seeds)
+    if not seeds:
         raise SeriesError("n_seeds must be >= 1")
+    if n_seeds != len(seeds):
+        raise SeriesError(f"n_seeds is {n_seeds}, but {len(seeds)} seeds are given")
     if not 0 <= expected_count < math.inf:
         raise SeriesError(f"expected count must be finite and >= 0, got {expected_count!r}")
     lam = expected_count / window.volume

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chn2 import hierarchy, spatial_index
+from chn2 import hierarchy, spatial_index, stats
 from chn2.geometry import Metric, Window
 from chn2.hierarchy import (
     DEGENERATE,
@@ -433,7 +433,8 @@ def step_outcome(step, g, exit, exit_target, sample, metric):
         nxt = step(g, exit, exit_target, sample.points, metric)
     except Exception as exc:  # the type and the text are compared
         return type(exc), str(exc)
-    arrays = [getattr(nxt, f) for f in nxt.__dataclass_fields__ if f != "level"]
+    names = ("successor", "pairs", "exit", "exit_target", "merge_sq", "parent")
+    arrays = [getattr(nxt, name) for name in names]
     return nxt.level, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
@@ -636,6 +637,51 @@ def test_each_level_holds_the_step_that_made_it(kind, rng):
                 len(a) == g.n_components
                 for a in (nxt.exit, nxt.exit_target, nxt.merge_sq, nxt.parent)
             )
+
+
+def built_and_loaded(kind, tmp_path, rng):
+    """A hierarchy of 2,000 uniform points, and what a save and a load of it
+    give back."""
+    s = plane_sample(rng.uniform(0, 30, size=(2000, 2)), 0, 30)
+    metric = Metric.torus(s.window) if kind == "torus" else Metric.euclidean()
+    h = build_hierarchy(s, metric)
+    save_hierarchy(h, tmp_path / "h.json")
+    return h, load_hierarchy(tmp_path / "h.json")
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "torus"])
+def test_levels_above_0_hold_no_n_sized_array(kind, tmp_path, rng):
+    # Level 0 holds the one successor map; every array of a level k >= 1 is
+    # sized by its own pairs or by the pairs of the level below.
+    for h in built_and_loaded(kind, tmp_path, rng):
+        assert len(h.levels) >= 3 and h.levels[0].base.shape == (h.sample.n,)
+        for g, nxt in zip(h.levels, h.levels[1:]):
+            assert nxt.below is g and nxt.base is None
+            assert nxt.pairs.shape == (nxt.n_components, 2)
+            for a in (nxt.exit, nxt.exit_target, nxt.merge_sq, nxt.parent):
+                assert a.shape == (g.n_components,)
+            assert nxt.exit_target.dtype == np.int64
+            held = [getattr(nxt, f) for f in nxt.__dataclass_fields__]
+            assert sum(isinstance(a, np.ndarray) for a in held) == 5
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "torus"])
+def test_no_pipeline_step_replays_a_level_above_0(kind, tmp_path, rng, monkeypatch):
+    # Build, save, load, statistics, baseline and detector run on level 0's
+    # map and the step columns alone: none reads a replayed successor map.
+    def stored_only(g):
+        if g.below is not None:
+            raise AssertionError(f"level {g.level}'s successor map was replayed")
+        return g.base
+
+    monkeypatch.setattr(LevelGraph, "successor", property(stored_only))
+    for h in built_and_loaded(kind, tmp_path, rng):
+        series = stats.mean_distance_series(h)
+        assert len(stats.level_stats(h)) == len(h.levels) == len(series) + 1
+        assert genealogy_newick(h).endswith(f"L{len(h.levels) - 1}_0;\n")
+        baseline = stats.poisson_baseline(h.sample.window, h.sample.n, 3, h.metric)
+        assert baseline.n_seeds == 3
+        stats.detect_against_baseline(h, baseline)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2000])

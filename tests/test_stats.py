@@ -175,7 +175,7 @@ def test_baseline_matches_per_seed_builds(d, torus, monkeypatch):
         metric = Metric.torus(window) if torus else Metric.euclidean()
         for count in (0, 1, 2, 3, 25):
             seeds = [derive_seed(count, i) for i in range(20)]
-            got = poisson_baseline(window, count, 0, metric, seeds=seeds)
+            got = poisson_baseline(window, count, len(seeds), metric, seeds=seeds)
             assert got.seed_series == oracle_baseline_series(window, count, seeds, metric)
     assert set(dims) == {d + 1}  # every block held all 20 seeds
 
@@ -186,7 +186,7 @@ def test_baseline_builds_large_seeds_one_by_one(torus, monkeypatch):
     window = baseline_windows(2)[2]
     metric = Metric.torus(window) if torus else Metric.euclidean()
     seeds = [derive_seed(3, i) for i in range(3)]
-    got = poisson_baseline(window, 5000, 0, metric, seeds=seeds)
+    got = poisson_baseline(window, 5000, len(seeds), metric, seeds=seeds)
     assert got.seed_series == oracle_baseline_series(window, 5000, seeds, metric)
     assert dims == [2, 2, 2]
 
@@ -198,7 +198,7 @@ def test_baseline_spans_several_blocks(torus, monkeypatch):
     for window in baseline_windows(2):
         metric = Metric.torus(window) if torus else Metric.euclidean()
         seeds = [derive_seed(11, i) for i in range(25)]
-        got = poisson_baseline(window, 10, 0, metric, seeds=seeds)
+        got = poisson_baseline(window, 10, len(seeds), metric, seeds=seeds)
         assert got.seed_series == oracle_baseline_series(window, 10, seeds, metric)
     # per window: blocks of 6, 6, 6, 6 and a last one-seed block, built as the
     # plain sample (the pool's threads may build them in any order)
@@ -223,6 +223,17 @@ def test_baseline_needs_a_seed():
         args = {"n_seeds": 3, **kwargs}
         with pytest.raises(SeriesError, match="n_seeds must be >= 1"):
             poisson_baseline(Window([0.0, 0.0], [1.0, 1.0]), 8.0, **args)
+
+
+def test_baseline_refuses_a_seed_count_other_than_its_seeds():
+    window, seeds = Window([0.0, 0.0], [10.0, 10.0]), [1, 2]
+    for n_seeds in (0, 1, 5):
+        with pytest.raises(SeriesError) as err:
+            poisson_baseline(window, 50, n_seeds, seeds=seeds)
+        assert str(err.value) == f"n_seeds is {n_seeds}, but 2 seeds are given"
+    metric = Metric.euclidean()
+    got = poisson_baseline(window, 50, 2, metric, master_seed=99, seeds=iter(seeds))
+    assert got.seed_series == oracle_baseline_series(window, 50, seeds, metric)
 
 
 @pytest.mark.parametrize("count", [-5.0, -1e-300, math.nan, math.inf, -math.inf])
