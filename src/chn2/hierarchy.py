@@ -9,10 +9,11 @@ so the successor map stays total while components coarsen strictly until a
 single pair remains.
 
 Every level is arrays: a `LevelGraph` holds its pairs as an (m, 2) array;
-level 0 also holds the successor map, and a level k >= 1 only the step that
-made it, as per-pair columns over level k - 1. Level 0 and the exit columns
-are the whole hierarchy: `advance_level` derives the rest from them, and
-checks them, for the build and for the loader alike. The hierarchy file
+level 0 also holds the successor map and each point's pair, and a level
+k >= 1 only the step that made it, per-pair columns over level k - 1 whose
+`parent` takes each point on to its level-k pair. Level 0 and the exit
+columns are the whole hierarchy: `advance_level` derives and checks the
+rest from them, for the build and the loader alike. The hierarchy file
 (version 4) stores just those next to the sample, whose points are one flat
 list (see `Sample.from_json`); the loader reads no other version.
 """
@@ -101,7 +102,9 @@ class LevelGraph:
     i that achieves the single-linkage distance to its nearest pair, its
     image `exit_target[i]` in that pair, the squared minimum `merge_sq[i]`,
     and `parent[i]`, the pair of this level that pair i's component joins.
-    Level k - 1's pair map is `levels[k - 1].pair_of(exit_target)`, and
+    A level built from a whole map also holds each point's pair as `label`;
+    `pair_of` reads it there and gathers it through `parent` above. Level
+    k - 1's pair map is `levels[k - 1].pair_of(exit_target)`, and
     `successor` replays levels 1, ..., k onto one copy of level 0's map.
     """
 
@@ -113,6 +116,7 @@ class LevelGraph:
     merge_sq: np.ndarray | None = None
     parent: np.ndarray | None = None
     below: LevelGraph | None = field(default=None, repr=False, compare=False)
+    label: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_successors(cls, level, successor):
@@ -131,7 +135,9 @@ class LevelGraph:
                 f"level {level}: component cycle {cyc} has length {len(cyc)}, expected 2"
             )
         low = np.flatnonzero(mutual & (ids < successor))
-        return cls(level, np.column_stack([low, successor[low]]), successor)
+        pair = ids  # ids is read no more: it becomes the heads' pair table
+        pair[low] = pair[successor[low]] = np.arange(low.size)
+        return cls(level, np.column_stack([low, successor[low]]), successor, label=pair[reach])
 
     @property
     def successor(self) -> np.ndarray:
@@ -150,12 +156,9 @@ class LevelGraph:
     def n_components(self) -> int:
         return len(self.pairs)
 
-    def pair_of(self, heads) -> np.ndarray:
-        """The index of the pair of each given head (-1 for other vertices),
-        read from one table over all n vertices: a fill and 2m stores."""
-        index = np.full(self.n, -1, dtype=np.int64)
-        index[self.pairs] = np.arange(self.n_components)[:, None]
-        return index[heads]
+    def pair_of(self, ids) -> np.ndarray:
+        """The index of the pair whose component holds each given point."""
+        return self.label[ids] if self.below is None else self.parent[self.below.pair_of(ids)]
 
 
 def level0(sample: Sample, metric: Metric = Metric()) -> LevelGraph:
@@ -233,16 +236,19 @@ def advance_level(g: LevelGraph, exit, exit_target, points, metric: Metric):
     """
     if np.shape(exit_target) != np.shape(exit):
         raise HierarchyError(f"level {g.level}: exit and exit_target differ in length")
-    exit = np.asarray(exit, dtype=np.int64)
+    exit, target = np.asarray(exit), np.asarray(exit_target)
+    if not all(np.issubdtype(c.dtype, np.integer) for c in (exit, target)):
+        raise HierarchyError(f"level {g.level}: exit columns must hold integer point ids")
+    exit, target = exit.astype(np.int64, copy=False), target.astype(np.int64)
     if exit.shape != (g.n_components,) or not np.all(
         (g.pairs[:, 0] == exit) | (g.pairs[:, 1] == exit)
     ):
         raise HierarchyError(f"level {g.level}: an exit is not one of its pair's heads")
-    target = np.array(exit_target, dtype=np.int64)
     ids = np.arange(g.n_components)
     if target.min() >= 0 and target.max() < g.n:
         target_pair = g.pair_of(target)
-        if np.all((target_pair >= 0) & (target_pair != ids)):
+        on_head = (g.pairs[target_pair, 0] == target) | (g.pairs[target_pair, 1] == target)
+        if np.all(on_head & (target_pair != ids)):
             mutual, reach = _reach_two_cycles(target_pair)
             if mutual[reach].all() and np.array_equal(exit[target_pair[mutual]], target[mutual]):
                 rows = np.flatnonzero(mutual & (ids < target_pair))
@@ -252,13 +258,13 @@ def advance_level(g: LevelGraph, exit, exit_target, points, metric: Metric):
                 rank = np.empty(g.n_components, dtype=np.int64)
                 rank[rows[order]] = np.arange(rows.size)
                 merge_sq = sq_dist_many(
-                    points.take(exit_target, axis=0), points.take(exit, axis=0), metric
+                    points.take(target, axis=0), points.take(exit, axis=0), metric
                 )
                 return LevelGraph(
                     g.level + 1, np.column_stack([low, high])[order], None, exit, target,
                     merge_sq, rank[np.minimum(reach, target_pair[reach])], g,
                 )
-    relinked = LevelGraph(g.level + 1, None, None, exit, exit_target, below=g)
+    relinked = LevelGraph(g.level + 1, None, None, exit, target, below=g)
     LevelGraph.from_successors(g.level + 1, relinked.successor)
     raise HierarchyError(f"level {g.level}: an exit target is not a foreign head")
 

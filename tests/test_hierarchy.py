@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -208,11 +209,119 @@ def test_exit_target_off_the_heads_is_refused():
 
 
 def test_pair_of_maps_both_heads(rng):
-    h = build_hierarchy(plane_sample(rng.uniform(0, 10, size=(200, 2)), 0, 10))
+    # Each head maps to its own pair, and every point to the pair whose
+    # component holds it; pairs and `functional_structure`'s components are
+    # both numbered by smallest cycle vertex. On built and loaded levels, in
+    # both metrics, and on quantised input, whose ties take the exact path.
+    uniform = rng.uniform(0, 10, size=(200, 2))
+    grid = np.unique(np.floor(rng.uniform(0, 10, size=(400, 2))), axis=0)
+    for pts in (uniform, grid[rng.permutation(len(grid))]):
+        s = plane_sample(pts, 0, 10)
+        for metric in (Metric.euclidean(), Metric.torus(s.window)):
+            h = build_hierarchy(s, metric)
+            assert len(h.levels) >= 3
+            for levels in (h.levels, hierarchy_from_json(hierarchy_to_json(h)).levels):
+                for g in levels:
+                    rows = np.arange(g.n_components)
+                    assert np.array_equal(g.pair_of(g.pairs[:, 0]), rows)
+                    assert np.array_equal(g.pair_of(g.pairs[:, 1]), rows)
+                    labels = g.pair_of(np.arange(s.n))
+                    assert np.array_equal(labels, functional_structure(g.successor)[0])
+
+
+def test_advance_level_allocates_no_n_sized_array():
+    # A level of m pairs is checked and built in O(m) memory: at 200,000
+    # points level 3 holds under n / 100 pairs, and advancing it must
+    # allocate less than one int32 per point.
+    s = gen_binomial(200_000, Window([0.0, 0.0], [1.0, 1.0]), 2, seed=3)
+    metric = Metric.euclidean()
+    levels = build_hierarchy(s, metric).levels
+    g = levels[3]
+    assert g.n_components < s.n / 100
+    exits, targets = nn_k_step(g.pairs, s.points, metric)
+    tracemalloc.start()
+    try:
+        nxt = advance_level(g, exits, targets, s.points, metric)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(nxt.pairs, levels[4].pairs)
+    assert peak < s.n * 4, peak
+
+
+@pytest.mark.parametrize("column", ["exit", "exit_target"])
+@pytest.mark.parametrize("bad", [
+    "float list", "float array", "truncated list", "bool array", "object array",
+])
+def test_advance_level_refuses_non_integer_exit_columns(column, bad):
+    s = line_sample([0, 1, 5, 6, 20])
+    g = level0(s)
+    exits, targets = nn_k_step(g.pairs, s.points, Metric.euclidean())
+    good = {"exit": exits, "exit_target": targets}
+    col = good[column]
+    good[column] = {
+        "float list": [float(v) for v in col],
+        "float array": col.astype(float),
+        "truncated list": (col + 0.7).tolist(),
+        "bool array": col.astype(bool),
+        "object array": np.array([2**70] + col.tolist()[1:], dtype=object),
+    }[bad]
+    with pytest.raises(HierarchyError) as err:
+        advance_level(g, good["exit"], good["exit_target"], s.points, Metric.euclidean())
+    assert str(err.value) == "level 0: exit columns must hold integer point ids"
+
+
+def test_advance_level_reads_int_lists_as_int_arrays():
+    s = plane_sample(np.random.default_rng(5).uniform(0, 10, size=(300, 2)), 0, 10)
+    metric = Metric.euclidean()
+    g = level0(s)
+    exits, targets = nn_k_step(g.pairs, s.points, metric)
+    from_arrays = advance_level(g, exits, targets, s.points, metric)
+    from_lists = advance_level(g, exits.tolist(), targets.tolist(), s.points, metric)
+    for name in ("pairs", "exit", "exit_target", "merge_sq", "parent"):
+        a, b = getattr(from_arrays, name), getattr(from_lists, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def point_partitions(h, rows):
+    """Per level, the partition of the points into components, with sample
+    row i read as point rows[i]: each point's component, numbered in the
+    order of its first point."""
+    partitions = []
     for g in h.levels:
-        rows = np.arange(g.n_components)
-        assert np.array_equal(g.pair_of(g.pairs[:, 0]), rows)
-        assert np.array_equal(g.pair_of(g.pairs[:, 1]), rows)
+        labels = np.empty(h.sample.n, dtype=np.int64)
+        labels[rows] = g.pair_of(np.arange(h.sample.n))
+        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        partitions.append(np.argsort(np.argsort(first))[inverse])
+    return partitions
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "torus"])
+def test_hierarchy_is_blind_to_row_order_and_isometries(kind):
+    # Relabelling the rows, swapping the axes and mirroring x -> -x (with
+    # the window mirrored too) keep every distance bit for bit, so on
+    # tie-free points each level partitions the points alike and merges at
+    # the same distances, level for level.
+    rng = np.random.default_rng(38)
+    pts = rng.uniform(0, 1, size=(50_000, 2))
+    perm = rng.permutation(len(pts))
+    same = np.arange(len(pts))
+    unit, mirrored = Window([0.0, 0.0], [1.0, 1.0]), Window([-1.0, 0.0], [0.0, 1.0])
+    results = []
+    for coords, window, rows in [
+        (pts, unit, same),
+        (pts[perm], unit, perm),
+        (pts[:, ::-1].copy(), unit, same),
+        (pts * [-1.0, 1.0], mirrored, same),
+    ]:
+        s = Sample(coords, window, 2, {"kind": "manual"}, 0)
+        h = build_hierarchy(s, Metric.torus(window) if kind == "torus" else Metric.euclidean())
+        merges = [np.sort(g.merge_sq) for g in h.levels[1:]]
+        results.append((len(h.levels), point_partitions(h, rows), merges))
+    for got in results[1:]:
+        assert got[0] == results[0][0]
+        assert all(np.array_equal(a, b) for a, b in zip(got[1], results[0][1]))
+        assert all(np.array_equal(a, b) for a, b in zip(got[2], results[0][2]))
 
 
 def test_genealogy_total_and_consistent(rng):

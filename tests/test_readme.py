@@ -32,6 +32,15 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
         assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
         named = [a for a in argv if a.endswith((".json", ".csv", ".nwk"))]
         assert all(Path(name).is_file() for name in named), argv
+        if argv[1] == "detect":
+            # the outcome the block's comment quotes: the global test rejects,
+            # but no level's relative increase passes tau
+            line = capsys.readouterr().out.splitlines()[-1]
+            assert line == (
+                "no aggregation detected (monte-carlo rule: p = 0.0476 "
+                "against 20 seed series, alpha 0.05)"
+            )
+            assert f"#   {line}\n" in code_block("Command line", "bash")
 
 
 def test_readme_library_block_runs(capsys):
