@@ -76,18 +76,23 @@ def metric_for(name: str, window: Window) -> Metric:
     return Metric.torus(window) if name == "torus" else Metric.euclidean()
 
 
-# The generate flags that one process alone reads (--lambda has a default).
-_READ_ONLY_BY = {
-    "count": "binomial", "centers": "cox", "radii": "cox",
-    "center_intensity": "cox", "radius_range": "cox",
-}
+def _fill_or_refuse(args, mode: str, only: dict) -> None:
+    """`only` maps the dest of each flag that one mode alone reads to (that
+    mode, the flag's value when not given). Fill that value in, or refuse a
+    flag given to a mode that does not read it."""
+    for dest, (reader, default) in only.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif mode != reader:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{mode} does not read {flag} (only {reader} does)")
 
 
 def cmd_generate(args) -> int:
-    for dest, process in _READ_ONLY_BY.items():
-        if getattr(args, dest) is not None and args.process != process:
-            flag = "--" + dest.replace("_", "-")
-            raise ValueError(f"{args.process} does not read {flag} (only {process} does)")
+    _fill_or_refuse(args, args.process, {
+        "count": ("binomial", None), "centers": ("cox", None), "radii": ("cox", None),
+        "center_intensity": ("cox", None), "radius_range": ("cox", None),
+    })
     window = parse_window(args.window)
     if args.process == "poisson":
         sample = gen_poisson(args.lam, window, window.dim, args.seed)
@@ -176,16 +181,8 @@ def cmd_detect(args) -> int:
     return 0
 
 
-# The chains flags that mc mode alone reads, with their defaults there.
-_MC_DEFAULTS = {"trials": 10_000, "seed": 0}
-
-
 def cmd_chains(args) -> int:
-    for dest, default in _MC_DEFAULTS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif args.mode != "mc":
-            raise ValueError(f"{args.mode} does not read --{dest} (only mc does)")
+    _fill_or_refuse(args, args.mode, {"trials": ("mc", 10_000), "seed": ("mc", 0)})
     # Every configuration is checked, then --out opened, before any trial is drawn.
     rows = []
     for n in args.n:

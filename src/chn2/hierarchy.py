@@ -8,10 +8,10 @@ single-linkage pseudo-distance and relinks only the witnessing exit point,
 so the successor map stays total while components coarsen strictly until a
 single pair remains.
 
-Every level is arrays: a `LevelGraph` holds its pairs as an (m, 2) array;
-level 0 also holds the successor map and each point's pair, and a level
-k >= 1 only the step that made it, per-pair columns over level k - 1 whose
-`parent` takes each point on to its level-k pair. Level 0 and the exit
+Every level is arrays: a `LevelGraph` holds its pairs as an (m, 2) array
+and the step from the units below it, the points for level 0 (whose step
+is the successor map) and level k - 1's pairs for a level k >= 1, with
+`parent` taking each unit on to its pair. Level 0's map and the exit
 columns are the whole hierarchy: `advance_level` derives and checks the
 rest from them, for the build and the loader alike. The hierarchy file
 (version 4) stores just those next to the sample, whose points are one flat
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import TORUS, Metric, sq_dist_many
-from .pointprocess import Sample, load_json
+from .pointprocess import _MALFORMED, Sample, load_json
 from .spatial_index import NnIndex, torus_offsets
 
 SINGLE_PAIR = "single_pair"
@@ -96,27 +96,24 @@ class LevelGraph:
     """One level of the hierarchy: a total successor map and its 2-cycles,
     one (low head, high head) row per pair in ascending order of low head.
 
-    A level k >= 1 made by `advance_level` holds level k - 1 as `below` and
-    the step from it, one row per pair i there (`None` on a level built from
-    a whole map, which holds that map as `base`): the head `exit[i]` of pair
-    i that achieves the single-linkage distance to its nearest pair, its
-    image `exit_target[i]` in that pair, the squared minimum `merge_sq[i]`,
-    and `parent[i]`, the pair of this level that pair i's component joins.
-    A level built from a whole map also holds each point's pair as `label`;
-    `pair_of` reads it there and gathers it through `parent` above. Level
-    k - 1's pair map is `levels[k - 1].pair_of(exit_target)`, and
+    Each level holds the step from the units below it, one row per unit:
+    the image `exit_target` of the unit's exit and `parent`, the pair of
+    this level that the unit's component joins. Level 0's units are the
+    points, each its own exit (`exit` and `merge_sq` are `None`), so its
+    `exit_target` is the map. A level k >= 1 holds level k - 1 as `below`,
+    whose pairs i are its units: `exit[i]` is the head of pair i nearest to
+    another pair in single linkage, at squared distance `merge_sq[i]`.
+    `pair_of` composes the `parent` columns from the points up, and
     `successor` replays levels 1, ..., k onto one copy of level 0's map.
     """
 
     level: int
     pairs: np.ndarray
-    base: np.ndarray | None = None
+    exit_target: np.ndarray
+    parent: np.ndarray
     exit: np.ndarray | None = None
-    exit_target: np.ndarray | None = None
     merge_sq: np.ndarray | None = None
-    parent: np.ndarray | None = None
     below: LevelGraph | None = field(default=None, repr=False, compare=False)
-    label: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_successors(cls, level, successor):
@@ -137,20 +134,20 @@ class LevelGraph:
         low = np.flatnonzero(mutual & (ids < successor))
         pair = ids  # ids is read no more: it becomes the heads' pair table
         pair[low] = pair[successor[low]] = np.arange(low.size)
-        return cls(level, np.column_stack([low, successor[low]]), successor, label=pair[reach])
+        return cls(level, np.column_stack([low, successor[low]]), successor, pair[reach])
 
     @property
     def successor(self) -> np.ndarray:
         if self.below is None:
-            return self.base
+            return self.exit_target
         succ = self.below.successor
-        succ = succ.copy() if succ is self.below.base else succ
+        succ = succ.copy() if succ is self.below.exit_target else succ
         succ[self.exit] = self.exit_target
         return succ
 
     @property
     def n(self) -> int:
-        return self.base.size if self.below is None else self.below.n
+        return self.exit_target.size if self.below is None else self.below.n
 
     @property
     def n_components(self) -> int:
@@ -158,7 +155,7 @@ class LevelGraph:
 
     def pair_of(self, ids) -> np.ndarray:
         """The index of the pair whose component holds each given point."""
-        return self.label[ids] if self.below is None else self.parent[self.below.pair_of(ids)]
+        return self.parent[ids if self.below is None else self.below.pair_of(ids)]
 
 
 def level0(sample: Sample, metric: Metric = Metric()) -> LevelGraph:
@@ -261,18 +258,18 @@ def advance_level(g: LevelGraph, exit, exit_target, points, metric: Metric):
                     points.take(target, axis=0), points.take(exit, axis=0), metric
                 )
                 return LevelGraph(
-                    g.level + 1, np.column_stack([low, high])[order], None, exit, target,
-                    merge_sq, rank[np.minimum(reach, target_pair[reach])], g,
+                    g.level + 1, np.column_stack([low, high])[order], target,
+                    rank[np.minimum(reach, target_pair[reach])], exit, merge_sq, g,
                 )
-    relinked = LevelGraph(g.level + 1, None, None, exit, target, below=g)
+    relinked = LevelGraph(g.level + 1, None, target, None, exit, below=g)
     LevelGraph.from_successors(g.level + 1, relinked.successor)
     raise HierarchyError(f"level {g.level}: an exit target is not a foreign head")
 
 
 @dataclass
 class Hierarchy:
-    """The level sequence down to a single pair, each level above 0 with
-    the step that made it; no levels for fewer than 2 points."""
+    """The level sequence down to a single pair, each level with the step
+    that made it; no levels for fewer than 2 points."""
 
     sample: Sample
     metric: Metric
@@ -371,7 +368,7 @@ def hierarchy_from_json(obj: dict) -> Hierarchy:
             )
     except HierarchyError:
         raise
-    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except _MALFORMED as exc:
         raise HierarchyError(
             f"malformed hierarchy object: {type(exc).__name__}: {exc}"
         ) from exc

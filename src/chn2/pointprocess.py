@@ -29,6 +29,13 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _rng(window: Window, dim: int, seed: int):
+    """The generator for `seed`, once the window is checked to have `dim` axes."""
+    if window.dim != dim:
+        raise SampleError("window dimension does not match dim")
+    return np.random.default_rng(_check_seed(seed))
+
+
 def derive_seed(master_seed: int, index: int) -> int:
     """Child seed `index` of `master_seed`, for fan-out over chain trial
     groups or baseline runs: numpy's
@@ -41,6 +48,9 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+# What reading a decoded object of the wrong shape raises; the sample and the
+# hierarchy readers word it as one "malformed ... object" error.
+_MALFORMED = (LookupError, TypeError, ValueError, AttributeError, OverflowError)
 # The largest mean numpy's Poisson sampler accepts (its counts are int64).
 _POISSON_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
@@ -133,7 +143,7 @@ class Sample:
             )
         except SampleError:
             raise
-        except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        except _MALFORMED as exc:
             raise SampleError(
                 f"malformed sample object: {type(exc).__name__}: {exc}"
             ) from exc
@@ -170,9 +180,7 @@ def gen_poisson(lam: float, window: Window, dim: int, seed: int) -> Sample:
     """Homogeneous Poisson sample: count ~ Poisson(lam * volume), uniform positions."""
     if not lam >= 0:
         raise SampleError(f"intensity must be nonnegative, got {lam!r}")
-    if window.dim != dim:
-        raise SampleError("window dimension does not match dim")
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = _rng(window, dim, seed)
     n = _poisson_count(rng, lam * window.volume, "point") if lam > 0 else 0
     pts = _distinct(_uniform_points(rng, n, window))
     gen = {"kind": "poisson", "lambda": lam}
@@ -184,9 +192,7 @@ def gen_binomial(n: int, window: Window, dim: int, seed: int) -> Sample:
     than n of the draws are distinct."""
     if n < 0:
         raise SampleError("count must be nonnegative")
-    if window.dim != dim:
-        raise SampleError("window dimension does not match dim")
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = _rng(window, dim, seed)
     pts = _distinct(_uniform_points(rng, n, window))
     if pts.shape[0] < n:
         raise SampleError(f"only {pts.shape[0]} of {n} uniform draws are distinct in this window")
@@ -266,9 +272,7 @@ def gen_cox_balls(spec: CoxBallSpec, window: Window, dim: int, seed: int) -> Sam
     actually used; a region that catches no point, whether or not it meets
     the window, yields an empty sample rather than an error.
     """
-    if window.dim != dim:
-        raise SampleError("window dimension does not match dim")
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = _rng(window, dim, seed)
     if spec.fixed:
         centers, radii = spec.centers, spec.radii
         if centers.shape[1] != dim:

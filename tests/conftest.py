@@ -205,7 +205,7 @@ def vertex_next_level(g, exit, exit_target, points, metric: Metric):
     _, reach = _reach_two_cycles(target_pair)
     parent = nxt.pair_of(exit[reach])
     return dataclasses.replace(
-        nxt, exit=exit, exit_target=exit_target, merge_sq=merge_sq, parent=parent
+        nxt, exit=exit, exit_target=exit_target, merge_sq=merge_sq, parent=parent, below=g
     )
 
 

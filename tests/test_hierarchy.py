@@ -729,15 +729,18 @@ def test_hierarchy_json_roundtrip(tmp_path, rng):
 
 @pytest.mark.parametrize("kind", ["euclidean", "torus"])
 def test_each_level_holds_the_step_that_made_it(kind, rng):
-    # Level 0 holds no step; level k >= 1 is level k - 1 with every exit
-    # relinked to its exit target, built and loaded alike.
+    # Level 0 holds the step from the points: its map and each point's pair;
+    # level k >= 1 is level k - 1 with every exit relinked to its exit
+    # target, built and loaded alike.
     s = plane_sample(rng.uniform(0, 30, size=(400, 2)), 0, 30)
     metric = Metric.torus(s.window) if kind == "torus" else Metric.euclidean()
     h = build_hierarchy(s, metric)
     assert len(h.levels) >= 3
     for levels in (h.levels, hierarchy_from_json(hierarchy_to_json(h)).levels):
         g0 = levels[0]
-        assert (g0.exit, g0.exit_target, g0.merge_sq, g0.parent) == (None,) * 4
+        assert (g0.exit, g0.merge_sq) == (None, None)
+        assert g0.successor is g0.exit_target
+        assert np.array_equal(g0.parent, functional_structure(g0.exit_target)[0])
         for g, nxt in zip(levels, levels[1:]):
             relinked = g.successor.copy()
             relinked[nxt.exit] = nxt.exit_target
@@ -763,9 +766,9 @@ def test_levels_above_0_hold_no_n_sized_array(kind, tmp_path, rng):
     # Level 0 holds the one successor map; every array of a level k >= 1 is
     # sized by its own pairs or by the pairs of the level below.
     for h in built_and_loaded(kind, tmp_path, rng):
-        assert len(h.levels) >= 3 and h.levels[0].base.shape == (h.sample.n,)
+        assert len(h.levels) >= 3 and h.levels[0].exit_target.shape == (h.sample.n,)
         for g, nxt in zip(h.levels, h.levels[1:]):
-            assert nxt.below is g and nxt.base is None
+            assert nxt.below is g and nxt.exit_target.size < h.sample.n
             assert nxt.pairs.shape == (nxt.n_components, 2)
             for a in (nxt.exit, nxt.exit_target, nxt.merge_sq, nxt.parent):
                 assert a.shape == (g.n_components,)
@@ -781,7 +784,7 @@ def test_no_pipeline_step_replays_a_level_above_0(kind, tmp_path, rng, monkeypat
     def stored_only(g):
         if g.below is not None:
             raise AssertionError(f"level {g.level}'s successor map was replayed")
-        return g.base
+        return g.exit_target
 
     monkeypatch.setattr(LevelGraph, "successor", property(stored_only))
     for h in built_and_loaded(kind, tmp_path, rng):

@@ -1,6 +1,7 @@
 """The README's walkthrough runs as written: every `chn2 ...` line of its
 "Command line" block through `chn2.cli.main`, and its "Library" block."""
 
+import math
 import re
 import shlex
 from pathlib import Path
@@ -41,6 +42,22 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
                 "against 20 seed series, alpha 0.05)"
             )
             assert f"#   {line}\n" in code_block("Command line", "bash")
+
+
+def test_readme_baseline_has_the_cox_samples_expected_count():
+    # The Cox sample's balls are disjoint and inside its window, so its
+    # expected count is lambda * pi * sum(r^2); the baseline's comment
+    # claims that count and that window.
+    argv = {line[1]: line for line in command_lines()}
+    generate, baseline = argv["generate"], argv["baseline"]
+
+    def flag(line, name):
+        return line[line.index(name) + 1]
+
+    lam = float(flag(generate, "--lambda"))
+    radii = [float(r) for r in flag(generate, "--radii").split(",")]
+    assert int(flag(baseline, "--count")) == round(lam * math.pi * sum(r * r for r in radii))
+    assert flag(baseline, "--window") == flag(generate, "--window")
 
 
 def test_readme_library_block_runs(capsys):
